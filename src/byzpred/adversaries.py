@@ -26,6 +26,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from .authtools import (
     MessageChain,
+    _link_content,
     assemble_committee_certificate,
     extend_chain,
     start_chain,
@@ -402,7 +403,7 @@ class ForgerStrategy(Strategy):
                 chain = env[3]
                 forged_value = _rotate(chain.value, 1, actx.value_domain)
                 cert, _sig = chain.links[0]
-                content = ("chain-start", chain.context, forged_value, cert.canonical())
+                content = _link_content(None, forged_value, chain.context, cert)
                 fake_sig = Signature(
                     signer=chain.origin, message_digest=digest_of(content), token="f" * 32
                 )

@@ -2,11 +2,24 @@
 committee.
 
 A committee certificate for process p is a set of t+1 distinct-signer
-signatures over ("committee", context, p).  A message chain is a nested
-signed structure: link 1 is the origin's signature over (value, origin
-certificate); link j+1 signs the whole length-j prefix plus the extender's
-certificate.  A length-b chain is valid only if its b signers are pairwise
-distinct and every link carries a valid certificate for its own signer.
+signatures over ("committee", context, p).  A message chain is a sequence
+of signed links with fixed-size, hash-chained contents:
+
+    link 1     signs ("chain-start",  context, value,         cert_digest)
+    link j+1   signs ("chain-extend", context, prefix_digest, cert_digest)
+
+where cert_digest is the digest of the link signer's own certificate and
+prefix_digest the digest of the length-j prefix.  A chain's digest covers
+its context, origin and value and, per link, the certificate digest and the
+signature's encoding; so link j+1 binds every earlier link, certificate and
+the value transitively through sha256, without re-encoding them.  A
+length-b chain is valid only if its b signers are pairwise distinct and
+every link carries a valid certificate for its own signer.
+
+Certificates and chains are immutable and compute their digests once, on
+first use, from their own fields only: a digest is never taken from a
+constructor argument or from a sender, so a receiver always checks
+signatures against content derived from the object it holds.
 
 The `context` string domain-separates invocations (wrapper phases run many
 independent instances; a chain or certificate from one instance must not
@@ -19,8 +32,10 @@ chain object is typically checked by every receiver of a broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import signatures
 from .engine import register_protocol
 from .signatures import Signature
 
@@ -38,7 +53,12 @@ class CommitteeCertificate:
     signatures: Tuple[Signature, ...]  # sorted by signer identifier
 
     def canonical(self):
-        return ("cc", self.subject, self.context, tuple(s.canonical() for s in self.signatures))
+        return ("cc", self.subject, self.context, self.signatures)
+
+    @cached_property
+    def digest(self) -> str:
+        """digest(self), computed once from this certificate's own fields."""
+        return signatures.digest(self.canonical())
 
     @property
     def signers(self) -> Tuple[int, ...]:
@@ -82,8 +102,14 @@ class MessageChain:
             self.context,
             self.origin,
             self.value,
-            tuple((c.canonical(), s.canonical()) for c, s in self.links),
+            tuple((c.digest, s) for c, s in self.links),
         )
+
+    @cached_property
+    def digest(self) -> str:
+        """Digest of canonical(), computed once from this chain's own fields;
+        certificates enter by their cached digests."""
+        return signatures.digest(self.canonical())
 
     def __len__(self):
         return len(self.links)
@@ -98,8 +124,8 @@ class MessageChain:
 
 def _link_content(chain_prefix: Optional[MessageChain], value, context, cert):
     if chain_prefix is None:
-        return ("chain-start", context, value, cert.canonical())
-    return ("chain-extend", context, chain_prefix.canonical(), cert.canonical())
+        return ("chain-start", context, value, cert.digest)
+    return ("chain-extend", context, chain_prefix.digest, cert.digest)
 
 
 def start_chain(value, cert: CommitteeCertificate, signer) -> MessageChain:

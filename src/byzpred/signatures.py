@@ -1,6 +1,6 @@
 """Signature abstraction with a documented canonical content encoding.
 
-Canonical byte layout (both signature back ends sign the same bytes):
+Canonical byte layout:
 
     encode(None)          = b"N"
     encode(bool b)        = b"Y" | b"Z"                     (true | false)
@@ -8,19 +8,23 @@ Canonical byte layout (both signature back ends sign the same bytes):
     encode(str s)         = b"S" + u32(len(u)) + u          u = utf-8 bytes
     encode(bytes b)       = b"B" + u32(len(b)) + b
     encode(sequence xs)   = b"T" + u32(len(xs)) + concat(encode(x) for x in xs)
+    encode(Signature s)   = encode(("sig", signer, message_digest, token))
+    encode(other o)       = encode(o.canonical())
 
     u32 = 4-byte big-endian unsigned length prefix.
 
-Structured objects (certificates, chains) are encoded via their tuple form.
-The signed digest of content c is sha256(encode(c)), hex.
+The signed digest of content c is sha256(encode(c)), hex.  A Signature is
+immutable and computes its encoding once, from its own fields, on first
+use; `encode` returns those cached bytes.  Signed structures that nest
+signatures (committee certificates, message chains) are signed through
+their own cached digests rather than by re-encoding every signature they
+hold (see authtools).
 
-The default back end is a simulation-enforced token scheme: tokens are a
+The signature scheme is a simulation-enforced token scheme: tokens are a
 keyed hash of (signer, digest), and verification additionally requires the
 (signer, digest) pair to be present in the scheme's mint registry.  The
 adversary has no operation that mints tokens for honest signers, so honest
-signatures are unforgeable by construction.  An Ed25519 back end (real
-public-key cryptography) is available behind the same interface for
-end-to-end realism; acceptance runs use the token scheme.
+signatures are unforgeable by construction.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .errors import ProtocolViolation
 
 
 def encode(obj: Any) -> bytes:
+    if type(obj) is Signature:
+        return obj.encoded
     if obj is None:
         return b"N"
     if obj is True:
@@ -72,8 +79,16 @@ class Signature:
     def canonical(self):
         return ("sig", self.signer, self.message_digest, self.token)
 
+    @cached_property
+    def encoded(self) -> bytes:
+        """encode(self), computed once from this signature's own fields."""
+        return encode(self.canonical())
 
-_SCALARS = (str, int, bytes, type(None), bool)
+
+# Exact types whose equal values always encode identically.  bool is left
+# out: True == 1 and hash(True) == hash(1), so a memo keyed on tuple
+# equality would give ("v", True) and ("v", 1) one shared digest.
+_MEMO_SCALARS = frozenset((str, int, bytes, type(None)))
 
 
 class SimTokenScheme:
@@ -92,12 +107,13 @@ class SimTokenScheme:
         self._digest_memo = {}
 
     def _digest(self, content: Any) -> str:
-        # Flat scalar tuples (vote/commit/committee contents) repeat across
-        # all signers and verifiers; deep structures are hashed directly.
+        # Flat scalar tuples (vote/commit/committee contents and the
+        # hash-chained chain links) repeat across all signers and
+        # verifiers; deep structures are hashed directly.
         if (
             type(content) is tuple
             and len(content) <= 4
-            and all(isinstance(x, _SCALARS) for x in content)
+            and all(type(x) in _MEMO_SCALARS for x in content)
         ):
             dig = self._digest_memo.get(content)
             if dig is None:
@@ -124,42 +140,6 @@ class SimTokenScheme:
             and (signer, dig) in self._minted
             and sig.token == self._token(signer, dig)
         )
-
-
-class Ed25519Scheme:
-    """Real public-key plug-in (optional); same interface, same signed bytes."""
-
-    name = "ed25519"
-
-    def __init__(self, seed: int, n: int):
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-        self._keys = {}
-        self._pubs = {}
-        for pid in range(1, n + 1):
-            raw = hashlib.sha256(b"byzpred-ed25519" + str(seed).encode() + str(pid).encode()).digest()
-            key = Ed25519PrivateKey.from_private_bytes(raw)
-            self._keys[pid] = key
-            self._pubs[pid] = key.public_key()
-
-    def sign(self, signer: int, content: Any) -> Signature:
-        dig = digest(content)
-        token = self._keys[signer].sign(dig.encode("ascii")).hex()
-        return Signature(signer=signer, message_digest=dig, token=token)
-
-    def verify(self, sig: Any, signer: int, content: Any) -> bool:
-        from cryptography.exceptions import InvalidSignature
-
-        if not isinstance(sig, Signature) or sig.signer != signer:
-            return False
-        dig = digest(content)
-        if sig.message_digest != dig:
-            return False
-        try:
-            self._pubs[signer].verify(bytes.fromhex(sig.token), dig.encode("ascii"))
-            return True
-        except (InvalidSignature, ValueError, KeyError):
-            return False
 
 
 class SignOracle:

@@ -1,6 +1,7 @@
 """Strategy catalog behaviour and the enumeration machinery."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,9 +12,18 @@ from byzpred.adversaries import (
     make_strategy,
     strategy_catalog,
 )
+from byzpred.authtools import (
+    MessageChain,
+    _link_content,
+    assemble_committee_certificate,
+    committee_content,
+    start_chain,
+    validate_chain,
+)
 from byzpred.engine import run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
+from byzpred.signatures import SignOracle, SimTokenScheme, digest
 from byzpred.verify import all_pass, failures, verify_execution
 
 
@@ -85,6 +95,24 @@ def test_forger_never_breaks_properties_auth():
         r = run_execution(s, "ba-with-predictions")
         verdicts = verify_execution(r)
         assert all_pass(verdicts), failures(verdicts)
+
+
+def test_forged_chain_link_has_the_right_digest_and_is_still_rejected():
+    # the forgery must fail for its token and mint, not for a stale layout
+    scheme = SimTokenScheme(0)
+    sigs = [scheme.sign(s, committee_content("ctx", 2)) for s in (1, 2)]
+    cert = assemble_committee_certificate(2, "ctx", sigs, 1, scheme.verify)
+    chain = start_chain(0, cert, SignOracle(scheme, 2))
+    actx = SimpleNamespace(n=4, fault_set=frozenset({4}), value_domain=(0, 1))
+    out = make_strategy(AdversarySpec.make("forger")).transform(
+        4, [], 1, [(2, 1, "bb", chain)], actx
+    )
+    forged = [env[3] for env in out if isinstance(env[3], MessageChain)]
+    assert forged and forged[0].value == 1
+    ((forged_cert, forged_sig),) = forged[0].links
+    assert forged_sig.message_digest == digest(_link_content(None, 1, "ctx", forged_cert))
+    assert validate_chain(chain, 2, 2, 1, "ctx", scheme.verify)
+    assert not validate_chain(forged[0], 2, 2, 1, "ctx", scheme.verify)
 
 
 def test_enumeration_exhaustive_when_small():

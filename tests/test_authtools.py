@@ -7,6 +7,7 @@ from byzpred.authtools import (
     ChainValidator,
     CommitteeCertificate,
     MessageChain,
+    _link_content,
     assemble_committee_certificate,
     committee_content,
     extend_chain,
@@ -15,7 +16,7 @@ from byzpred.authtools import (
 )
 from byzpred.engine import run_execution
 from byzpred.scenario import AdversarySpec, Scenario
-from byzpred.signatures import Signature, SimTokenScheme, digest
+from byzpred.signatures import Signature, SimTokenScheme, digest, encode
 
 CTX = "test-ctx"
 
@@ -107,11 +108,51 @@ def test_tampered_value_invalid():
 def test_link_cert_must_match_link_signer():
     scheme, certs = chain_fixture()
     chain = start_chain(0, certs[2], Signer(scheme, 2))
-    sig = scheme.sign(4, ("chain-extend", CTX, chain.canonical(), certs[3].canonical()))
+    # signer 4 validly signs the extension content for certs[3]: only the
+    # certificate-subject check can reject the link
+    sig = scheme.sign(4, _link_content(chain, None, CTX, certs[3]))
     mismatched = MessageChain(
         value=0, origin=2, context=CTX, links=chain.links + ((certs[3], sig),)
     )
     assert not validate_chain(mismatched, 2, 3, 1, CTX, scheme.verify)
+    # positive control: the same hand-built extension with signer 4's own
+    # certificate validates
+    sig = scheme.sign(4, _link_content(chain, None, CTX, certs[4]))
+    matched = MessageChain(
+        value=0, origin=2, context=CTX, links=chain.links + ((certs[4], sig),)
+    )
+    assert matched == extend_chain(chain, certs[4], Signer(scheme, 4))
+    assert validate_chain(matched, 2, 3, 1, CTX, scheme.verify)
+
+
+def test_link_content_is_constant_size():
+    # hash-chained links: signing an extension never re-encodes the prefix
+    scheme, certs = chain_fixture(t=2, n=6)
+    chain = start_chain(0, certs[1], Signer(scheme, 1))
+    sizes = [len(encode(_link_content(None, 0, CTX, certs[1])))]
+    for p in (2, 3, 4):
+        sizes.append(len(encode(_link_content(chain, None, CTX, certs[p]))))
+        chain = extend_chain(chain, certs[p], Signer(scheme, p))
+    assert len(chain) == 4
+    assert len(set(sizes[1:])) == 1
+    assert sizes[0] <= sizes[1]
+    assert validate_chain(chain, 1, 4, 2, CTX, scheme.verify)
+    for cert in certs.values():
+        assert cert.digest == digest(cert)
+
+
+def test_cached_digests_follow_own_fields():
+    scheme, certs = chain_fixture()
+    chain = extend_chain(start_chain(0, certs[2], Signer(scheme, 2)), certs[4], Signer(scheme, 4))
+    assert chain.digest == digest(chain)
+    # equal objects built independently get equal digests; a changed value,
+    # link or certificate changes the digest
+    rebuilt = MessageChain(value=0, origin=2, context=CTX, links=tuple(chain.links))
+    assert rebuilt.digest == chain.digest
+    assert MessageChain(1, 2, CTX, chain.links).digest != chain.digest
+    assert chain.prefix(1).digest != chain.digest
+    swapped = ((certs[3], chain.links[0][1]),) + chain.links[1:]
+    assert MessageChain(0, 2, CTX, swapped).digest != chain.digest
 
 
 def test_replayed_committee_signature_rejected_as_link():

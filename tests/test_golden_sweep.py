@@ -1,0 +1,41 @@
+"""Golden sweep: committed records must replay byte for byte.
+
+`data/golden_sweep.jsonl` was produced by
+
+    byzpred sweep tests/data/golden_sweep.json --output tests/data/golden_sweep.jsonl --workers 1
+
+(both variants, n in {4, 7}, f = t, B in {0, n}, the whole adversary catalog,
+seed 1).  Records hold no signatures or wall-clock data, so any change to
+signing, hashing or validation internals must leave every line unchanged.
+"""
+
+import json
+from pathlib import Path
+
+from byzpred import harness
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_golden_sweep_covers_its_sweep_file():
+    points, skipped = harness.expand_sweep(harness.load_sweep_file(str(DATA / "golden_sweep.json")))
+    records = harness.load_records(str(DATA / "golden_sweep.jsonl"))
+    assert not skipped
+    assert [p.index for p in points] == [r["index"] for r in records]
+    assert [p.scenario.to_json_dict() for p in points] == [r["scenario"] for r in records]
+    assert {r["scenario"]["variant"] for r in records} == {"unauthenticated", "authenticated"}
+    assert all(r["ok"] for r in records)
+
+
+def test_golden_sweep_replays_byte_identical():
+    lines = (DATA / "golden_sweep.jsonl").read_bytes().splitlines()
+    assert len(lines) == 72
+    mismatched = []
+    for line in lines:
+        record = json.loads(line)
+        # the committed line is the canonical encoding, so replay_record's
+        # comparison against record_bytes(record) is a comparison against it
+        assert harness.record_bytes(record) == line
+        if not harness.replay_record(record):
+            mismatched.append(record["index"])
+    assert mismatched == []

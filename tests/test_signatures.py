@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from byzpred.signatures import Ed25519Scheme, Signature, SimTokenScheme, digest, encode
+from byzpred.signatures import Signature, SimTokenScheme, digest, encode
 
 
 def scalar_values():
@@ -71,29 +71,31 @@ def test_schemes_disagree_across_seeds():
     assert a.token != b.token
 
 
-def test_ed25519_same_interface():
-    scheme = Ed25519Scheme(seed=3, n=4)
-    sig = scheme.sign(2, ("m", 9))
-    assert scheme.verify(sig, 2, ("m", 9))
-    assert not scheme.verify(sig, 2, ("m", 8))
-    assert not scheme.verify(sig, 1, ("m", 9))
-    tampered = Signature(signer=2, message_digest=sig.message_digest, token="ab" * 32)
-    assert not scheme.verify(tampered, 2, ("m", 9))
-
-
-def test_schemes_sign_identical_bytes():
-    # both back ends bind the same canonical digest
-    content = ("chain-start", "ctx", 1, ("cc", 2, "ctx", ()))
-    sim = SimTokenScheme(seed=5).sign(1, content)
-    ed = Ed25519Scheme(seed=5, n=2).sign(1, content)
-    assert sim.message_digest == ed.message_digest
-
-
 def test_digest_memo_matches_plain_digest():
     scheme = SimTokenScheme(seed=9)
     content = ("gc-vote", "ph1/gc1", 1)
     assert scheme._digest(content) == digest(content)
     assert scheme._digest(content) == digest(content)  # memoised path
+
+
+@pytest.mark.parametrize("order", [(True, 1), (1, True), (False, 0), (0, False)])
+def test_digest_memo_keeps_bool_and_int_apart(order):
+    # True == 1 and hash(True) == hash(1): a memo keyed on tuple equality
+    # must not let the first-hashed of the two decide the other's digest
+    scheme = SimTokenScheme(seed=9)
+    for value in order:
+        content = ("gc-vote", "ph1/gc1", value)
+        assert scheme._digest(content) == digest(content)
+    assert digest(("gc-vote", "ph1/gc1", True)) != digest(("gc-vote", "ph1/gc1", 1))
+    sig = scheme.sign(3, ("gc-vote", "ph1/gc1", order[0]))
+    assert not scheme.verify(sig, 3, ("gc-vote", "ph1/gc1", order[1]))
+
+
+def test_signature_encoding_is_cached_canonical_bytes():
+    sig = SimTokenScheme(seed=9).sign(2, ("m", 1))
+    assert encode(sig) == encode(sig.canonical())
+    assert encode(sig) is sig.encoded
+    assert encode((sig, 1)) == encode((sig.canonical(), 1))
 
 
 def test_encode_rejects_unknown_types():
