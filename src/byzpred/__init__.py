@@ -8,14 +8,13 @@ and an experiment harness.
 """
 
 from . import adversaries, agreement, authtools, blocks  # registers protocols
-from .engine import ExecutionResult, honest_message_count, protocol_names, run_execution
+from .engine import ExecutionResult, protocol_names, run_execution
 from .scenario import AdversarySpec, Scenario
 
 __all__ = [
     "AdversarySpec",
     "ExecutionResult",
     "Scenario",
-    "honest_message_count",
     "protocol_names",
     "run_execution",
 ]

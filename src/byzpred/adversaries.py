@@ -55,7 +55,13 @@ class _MemberSigner:
 
 
 class Strategy:
-    """Base: faulty processes replay their shadow (honest) behaviour."""
+    """Base: faulty processes replay their shadow (honest) behaviour.
+
+    `emit` sees one round: the honest envelopes and, per member, its
+    shadow's would-be envelopes.  `transform` gets one member's shadow sends
+    for that round; the engine tags every message of a process in a round
+    with the process's current tag, so they all carry the same tag.
+    """
 
     name = "honest-shadow"
 
@@ -89,10 +95,6 @@ class Strategy:
     def tag_round(self, tag: str) -> int:
         """How many rounds of traffic tagged `tag` have been seen (1-based)."""
         return self._tag_round.get(tag, 0)
-
-    @staticmethod
-    def current_tags(honest_traffic) -> List[str]:
-        return sorted({env[2] for env in honest_traffic})
 
 
 class SilentStrategy(Strategy):
@@ -170,18 +172,14 @@ class VotePoisonerStrategy(Strategy):
     name = "vote-poisoner"
 
     def transform(self, member, sends, rnd, honest_traffic, actx):
-        out = []
-        for s, r, tag, payload in sends:
-            if tag.endswith("classify"):
-                flipped = tuple(1 - b for b in actx.truth)
-                if self.params.get("mode", "complement") == "per-receiver":
-                    flipped = tuple(
-                        (1 - b) if (j + r) % 2 else b for j, b in enumerate(actx.truth)
-                    )
-                out.append((s, r, tag, flipped))
-            else:
-                out.append((s, r, tag, payload))
-        return out
+        if not sends or not sends[0][2].endswith("classify"):
+            return sends
+        if self.params.get("mode", "complement") == "per-receiver":
+            return [
+                (s, r, tag, tuple((1 - b) if (j + r) % 2 else b for j, b in enumerate(actx.truth)))
+                for s, r, tag, _payload in sends
+            ]
+        return [(s, r, tag, actx.complement) for s, r, tag, _payload in sends]
 
 
 class SelectiveIgnorerStrategy(Strategy):
@@ -308,72 +306,55 @@ class GradeSplitterStrategy(Strategy):
 
     name = "grade-splitter"
 
-    def __init__(self, params=None):
-        super().__init__(params)
-        self._votes_by_tag: Dict[str, List[Tuple[int, Any]]] = {}
-
-    def emit(self, rnd, honest_traffic, shadow_sends, actx):
-        domain = actx.value_domain
-        self._votes_by_tag = {}
-        for env in honest_traffic:
-            if env[0] not in actx.fault_set and env[3] in domain:
-                self._votes_by_tag.setdefault(env[2], []).append((env[0], env[3]))
-        return super().emit(rnd, honest_traffic, shadow_sends, actx)
-
-    @staticmethod
-    def _phase_of(tag):
-        head = tag.split("/", 1)[0]
-        if head.startswith("ph") and head[2:].isdigit():
-            return int(head[2:])
-        return None
+    def prepare(self, scenario):
+        super().prepare(scenario)
+        n, t, f = scenario.n, scenario.t, scenario.f
+        honest = list(scenario.honest)
+        domain = scenario.value_domain
+        self._active = bool(honest) and len(domain) >= 2
+        if not self._active:
+            return
+        crowd = max(n - t - f, 1)
+        self._push_value = domain[-1]
+        self._flip_value = domain[0]
+        self._faction_a = honest[-crowd:]
+        self._target = self._faction_a[0]
+        self._faction_c = [p for p in honest if p != self._target][:crowd]
+        self._members = sorted(scenario.fault_set)
+        self._unauth = scenario.variant == "unauthenticated"
 
     def transform(self, member, sends, rnd, honest_traffic, actx):
-        n, t, f = actx.n, actx.t, len(actx.fault_set)
-        domain = actx.value_domain
-        honest = [p for p in range(1, n + 1) if p not in actx.fault_set]
-        if not honest or len(domain) < 2:
+        if not sends or not self._active:
             return sends
-        crowd = max(n - t - f, 1)
-        push_value = domain[-1]
-        flip_value = domain[0]
-        faction_a = honest[-crowd:]
-        target = faction_a[0]
-        faction_c = [p for p in honest if p != target][:crowd]
-        unauth = actx.scenario.variant == "unauthenticated"
-        out = []
-        done = set()
-        for s, r, tag, payload in sends:
-            if tag.endswith("classify"):
-                out.append((s, r, tag, tuple(1 - b for b in actx.truth)))
-                continue
-            if tag in done:
-                continue
-            leaf = tag.rsplit("/", 1)[-1]
-            phase = self._phase_of(tag)
-            if unauth and leaf in ("gca", "gcb") and "/w1/" in tag and phase is not None:
-                done.add(tag)
-                value = push_value if phase == 1 else flip_value
-                faction = faction_a if phase == 1 else faction_c
-                # feeding the members too keeps their shadows voting, which
-                # keeps the next round of this window visible to us
-                targets = list(faction) + sorted(actx.fault_set)
-                out.extend((member, rr, tag, value) for rr in targets)
-                continue
-            if unauth and leaf == "gc3" and phase == 1:
-                done.add(tag)
-                holders = sorted(
-                    {p for p, v in self._votes_by_tag.get(tag, ()) if v == push_value}
-                )
-                if self.tag_round(tag) % 2 == 1:
-                    if len(holders) + f >= n - t:
-                        out.extend((member, rr, tag, push_value) for rr in holders)
-                elif holders:
-                    out.append((member, target, tag, push_value))
-                continue
-            if leaf in ("gc1", "gc2", "gc3", "gc", "king", "con", "gca", "gcb"):
-                continue  # silent around every other guard site
-            out.append((s, r, tag, _perturb(payload, member, r, rnd, tag, actx)))
-        return out
+        tag = sends[0][2]
+        if tag.endswith("classify"):
+            return [(s, r, tag, actx.complement) for s, r, _tag, _payload in sends]
+        head, _, _ = tag.partition("/")
+        phase = int(head[2:]) if head.startswith("ph") and head[2:].isdigit() else None
+        leaf = tag.rsplit("/", 1)[-1]
+        if self._unauth and leaf in ("gca", "gcb") and "/w1/" in tag and phase is not None:
+            value = self._push_value if phase == 1 else self._flip_value
+            faction = self._faction_a if phase == 1 else self._faction_c
+            # feeding the members too keeps their shadows voting, which
+            # keeps the next round of this window visible to us
+            return [(member, rr, tag, value) for rr in faction + self._members]
+        if self._unauth and leaf == "gc3" and phase == 1:
+            push_value = self._push_value
+            holders = sorted(
+                {env[0] for env in honest_traffic if env[2] == tag and env[3] == push_value}
+            )
+            if self.tag_round(tag) % 2 == 1:
+                if len(holders) + len(self._members) >= actx.n - actx.t:
+                    return [(member, rr, tag, push_value) for rr in holders]
+            elif holders:
+                return [(member, self._target, tag, push_value)]
+            return []
+        if leaf in ("gc1", "gc2", "gc3", "gc", "king", "con", "gca", "gcb"):
+            return []  # silent around every other guard site
+        return [
+            (s, r, tag, _perturb(payload, member, r, rnd, tag, actx))
+            for s, r, _tag, payload in sends
+        ]
 
 
 class ForgerStrategy(Strategy):

@@ -92,12 +92,7 @@ def classify(ctx, prediction):
     """Broadcast predictions and majority-vote a classification vector."""
     n = ctx.n
     inbox = yield from ctx.round(ctx.broadcast(tuple(prediction)))
-    vectors = [
-        p
-        for p in distinct_by_sender(inbox).values()
-        if isinstance(p, tuple) and len(p) == n and all(b in (0, 1) for b in p)
-    ]
-    c = predictions.tally_classification(vectors, n)
+    c = predictions.tally_classification(distinct_by_sender(inbox).values(), n)
     ctx.shared.setdefault("classifications", {})[ctx.pid] = predictions.bits_to_string(c)
     return c
 

@@ -1,10 +1,9 @@
-"""Command-line interface: run, sweep, replay, acceptance."""
+"""Command-line interface: run, sweep, replay, protocols."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -45,9 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser("replay", help="re-execute records and compare byte-for-byte")
     replay_p.add_argument("records", help="records file produced by sweep")
     replay_p.add_argument("--index", type=int, default=None, help="record index (default: all)")
-
-    acc_p = sub.add_parser("acceptance", help="run the acceptance criteria suite (pytest)")
-    acc_p.add_argument("--pytest-args", default="", help="extra arguments passed to pytest")
 
     sub.add_parser("protocols", help="list registered protocols")
     return parser
@@ -118,17 +114,6 @@ def _cmd_replay(args) -> int:
     return 0 if bad == 0 else 2
 
 
-def _cmd_acceptance(args) -> int:
-    test_file = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
-    if not test_file.exists():
-        print(f"acceptance suite not found at {test_file}", file=sys.stderr)
-        return 1
-    cmd = [sys.executable, "-m", "pytest", str(test_file), "-v"]
-    if args.pytest_args:
-        cmd.extend(args.pytest_args.split())
-    return subprocess.call(cmd)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -138,8 +123,6 @@ def main(argv=None) -> int:
             return _cmd_sweep(args)
         if args.command == "replay":
             return _cmd_replay(args)
-        if args.command == "acceptance":
-            return _cmd_acceptance(args)
         if args.command == "protocols":
             print("\n".join(protocol_names()))
             return 0

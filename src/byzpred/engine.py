@@ -1,11 +1,13 @@
 """Deterministic synchronous round scheduler.
 
 Processes are generator coroutines: each ``yield`` hands the engine the
-list of messages to transmit this round and resumes with the inbox of
-messages addressed to the process in the same round.  One yield == one
-communication round.  Messages sent in round r are consumed by the
-receiver's next computation step, so no round-r state ever depends on a
-round-r message.
+list of ``(receiver, payload)`` pairs to transmit this round and resumes
+with the inbox of messages addressed to the process in the same round.
+One yield == one communication round.  A process sends under exactly one
+protocol tag per round, its current ``ctx.tag``: the engine stamps the
+sender and that tag onto each pair when it builds the round's envelopes.
+Messages sent in round r are consumed by the receiver's next computation
+step, so no round-r state ever depends on a round-r message.
 
 Faulty processes never run their own code on the network: the engine runs
 "shadow" copies of the honest program for them (so strategies like
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import predictions
 from .errors import ConfigurationError, ProtocolViolation
@@ -88,7 +90,7 @@ class ProcessContext:
         "memo",
     )
 
-    def __init__(self, pid, scenario, signer, trace_sink, check_sink, mutants, shared):
+    def __init__(self, pid, scenario, signer, trace_sink, check_sink, mutants, shared, memo):
         self.pid = pid
         self.n = scenario.n
         self.t = scenario.t
@@ -102,7 +104,7 @@ class ProcessContext:
         self._checks = check_sink
         self.mutants = mutants
         self.shared = shared  # execution-wide trace dict; honest writers only
-        self.memo = {}
+        self.memo = memo  # execution-wide cache for pure validation results
 
     @contextmanager
     def scope(self, name: str):
@@ -118,11 +120,15 @@ class ProcessContext:
         """One copy per process, self included (self-delivery is free)."""
         return [(r, payload) for r in range(1, self.n + 1)]
 
-    def round(self, sends: Iterable[Send]):
+    def round(self, sends: List[Send]):
         """Perform one communication round; returns [(sender, payload)]
-        for inbox entries carrying this process's current tag."""
+        for inbox entries carrying this process's current tag.
+
+        `sends` holds (receiver, payload) pairs and is yielded as is; the
+        engine stamps each with this process's id and current tag, so every
+        message of a process in one round carries the same tag."""
         tag = self.tag
-        inbox = yield [(rcv, tag, payload) for rcv, payload in sends]
+        inbox = yield sends
         self.rounds_used += 1
         return [(src, payload) for (src, mtag, payload) in inbox if mtag == tag]
 
@@ -239,10 +245,6 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def honest_message_count(result: ExecutionResult, tag: str) -> MessageCount:
-    return result.honest_message_count(tag)
-
-
 def _shuffle_rng(salt: int, rnd: int, receiver: int) -> random.Random:
     return random.Random(((salt * 1_000_003 + rnd) * 1_000_003 + receiver) & 0xFFFFFFFFFFFFFFFF)
 
@@ -309,8 +311,8 @@ def run_execution(
             None if faulty else checks,
             mutants,
             {} if faulty else shared_trace,
+            shared_memo,
         )
-        ctx.memo = shared_memo
         ctxs[pid] = ctx
         value, prediction = scenario.input_of(pid), pred_vectors[pid]
         if faulty:
@@ -321,9 +323,12 @@ def run_execution(
 
     decisions: Dict[int, Any] = {}
     finished_round: Dict[int, int] = {}
-    outs: Dict[int, List[Tuple[int, str, Any]]] = {}
+    outs: Dict[int, List[Envelope]] = {}
     alive = set(range(1, scenario.n + 1))
     honest = set(scenario.honest)
+    n = scenario.n
+    msg_counts: Dict[str, int] = {}
+    sender_counts: Dict[str, Dict[int, int]] = {}
 
     def step(pid: int, inbox):
         gen = gens[pid]
@@ -342,11 +347,27 @@ def run_execution(
             alive.discard(pid)  # crashed shadow: silent from here on
             outs.pop(pid, None)
             return
-        outs[pid] = _validate_sends(pid, sends, scenario, pid in honest)
+        tag = ctxs[pid].tag
+        envs = []
+        own = 0
+        for item in sends:
+            try:
+                rcv, payload = item
+            except (TypeError, ValueError):
+                raise ProtocolViolation(f"process {pid} produced a malformed send: {item!r}")
+            if not (1 <= rcv <= n):
+                raise ProtocolViolation(f"process {pid} addressed unknown receiver {rcv}")
+            if rcv == pid:
+                own += 1
+            envs.append((pid, rcv, tag, payload))
+        outs[pid] = envs
+        sent = len(envs) - own
+        if sent and pid in honest:
+            msg_counts[tag] = msg_counts.get(tag, 0) + sent
+            per_sender = sender_counts.setdefault(tag, {})
+            per_sender[pid] = per_sender.get(pid, 0) + sent
 
     rnd = 0
-    msg_counts: Dict[str, int] = {}
-    sender_counts: Dict[str, Dict[int, int]] = {}
     for pid in sorted(gens):
         step(pid, None)
 
@@ -357,34 +378,25 @@ def run_execution(
         honest_traffic: List[Envelope] = []
         shadow_sends: Dict[int, List[Envelope]] = {}
         for pid in sorted(outs):
-            envs = [(pid, rcv, tag, payload) for (rcv, tag, payload) in outs[pid]]
             if pid in honest:
-                honest_traffic.extend(envs)
+                honest_traffic.extend(outs[pid])
             else:
-                shadow_sends[pid] = envs
+                shadow_sends[pid] = outs[pid]
         faulty_traffic = strategy.emit(rnd, honest_traffic, shadow_sends, adv_ctx)
         for env in faulty_traffic:
             if env[0] not in scenario.fault_set:
                 raise ProtocolViolation(
                     f"adversary tried to send as honest process {env[0]}"
                 )
-            if not (1 <= env[1] <= scenario.n):
+            if not (1 <= env[1] <= n):
                 raise ProtocolViolation(f"adversary receiver out of range: {env[1]}")
         adv_ctx.observe(rnd, honest_traffic)
 
         inboxes: Dict[int, List[Tuple[int, str, Any]]] = {pid: [] for pid in alive}
-        for sender, rcv, tag, payload in honest_traffic:
-            if rcv != sender:
-                msg_counts[tag] = msg_counts.get(tag, 0) + 1
-                per_sender = sender_counts.get(tag)
-                if per_sender is None:
-                    per_sender = sender_counts[tag] = {}
-                per_sender[sender] = per_sender.get(sender, 0) + 1
-            if rcv in inboxes:
-                inboxes[rcv].append((sender, tag, payload))
-        for sender, rcv, tag, payload in faulty_traffic:
-            if rcv in inboxes:
-                inboxes[rcv].append((sender, tag, payload))
+        for traffic in (honest_traffic, faulty_traffic):
+            for sender, rcv, tag, payload in traffic:
+                if rcv in inboxes:
+                    inboxes[rcv].append((sender, tag, payload))
 
         for pid in sorted(alive):
             inbox = inboxes[pid]
@@ -413,19 +425,6 @@ def run_execution(
     )
 
 
-def _validate_sends(pid, sends, scenario, is_honest):
-    out = []
-    for item in sends:
-        try:
-            rcv, tag, payload = item
-        except (TypeError, ValueError):
-            raise ProtocolViolation(f"process {pid} produced a malformed send: {item!r}")
-        if not (1 <= rcv <= scenario.n):
-            raise ProtocolViolation(f"process {pid} addressed unknown receiver {rcv}")
-        out.append((rcv, tag, payload))
-    return out
-
-
 class _AdversaryContext:
     """What a strategy is allowed to see and do."""
 
@@ -435,6 +434,7 @@ class _AdversaryContext:
         self.t = scenario.t
         self.fault_set = set(scenario.fault_set)
         self.truth = predictions.correct_classification(scenario.n, self.fault_set)
+        self.complement = tuple(1 - b for b in self.truth)
         self.value_domain = scenario.value_domain
         self.predictions = pred_vectors
         self.rng = random.Random(scenario.seed ^ 0xADE5A11)

@@ -166,11 +166,27 @@ def load_sweep_file(path: str) -> Dict[str, Any]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(str(exc.msg), line=exc.lineno, column=exc.colno) from exc
+    if not isinstance(doc, dict):
+        raise ScenarioFileError(f"a sweep file holds a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioFileError(
             f"unsupported schema_version {doc.get('schema_version')!r}, expected {SCHEMA_VERSION}"
         )
     return doc
+
+
+def _check_int_axis(axis: str, entries, named=lambda entry: False) -> None:
+    """Reject an axis that is not a list of integers, apart from the entries
+    `named` accepts as symbolic forms (resolved later)."""
+    if not isinstance(entries, (list, tuple)):
+        raise ScenarioFileError(f"axis {axis!r} must be a list, got {entries!r}")
+    for pos, entry in enumerate(entries):
+        if named(entry):
+            continue
+        if not isinstance(entry, int) or isinstance(entry, bool):
+            raise ScenarioFileError(
+                f"axis {axis!r} entry {pos}: expected an integer, got {entry!r}"
+            )
 
 
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
@@ -181,6 +197,8 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     domain = tuple(doc.get("value_domain", (0, 1)))
     params = doc.get("params", {})
     axes = doc.get("axes", {})
+    if not isinstance(axes, dict):
+        raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")
     ns = axes.get("n", [4])
     t_specs = axes.get("t", "max")
     if not isinstance(t_specs, list):
@@ -192,6 +210,11 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     inputs = axes.get("inputs", ["alternating"])
     placements = axes.get("fault_placement", ["lowest"])
     seeds = axes.get("seeds", [0])
+    _check_int_axis("n", ns)
+    _check_int_axis("t", t_specs, lambda entry: entry == "max")
+    _check_int_axis("f", f_specs, lambda entry: entry in ("half", "max"))
+    _check_int_axis("error_budget", budgets, lambda entry: isinstance(entry, str))
+    _check_int_axis("seeds", seeds)
 
     points: List[SweepPoint] = []
     skipped: List[SkippedPoint] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 from .errors import ConfigurationError
 
@@ -181,14 +181,16 @@ def generate_predictions(
     return out, report
 
 
-def tally_classification(received: Sequence[Bits], n: int) -> Bits:
+def tally_classification(received: Iterable[Bits], n: int) -> Bits:
     """Majority-vote a classification from received prediction vectors.
 
-    The caller's own vector must be part of `received`.  Vectors that are
-    not exactly n bits are discarded before tallying; a bit is set to 1 iff
-    at least ceil((n+1)/2) of the remaining vectors agree.
+    The caller's own vector must be part of `received`.  Entries that are
+    not tuples of exactly n bits are discarded before tallying; a bit is set
+    to 1 iff at least ceil((n+1)/2) of the remaining vectors agree.
     """
-    votes = [v for v in received if len(v) == n and all(b in (0, 1) for b in v)]
+    votes = [
+        v for v in received if isinstance(v, tuple) and len(v) == n and all(b in (0, 1) for b in v)
+    ]
     need = honest_threshold(n)
     counts = [0] * n
     for v in votes:

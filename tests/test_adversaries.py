@@ -8,6 +8,7 @@ import pytest
 from byzpred.adversaries import (
     CATALOG,
     SILENT,
+    Strategy,
     enumerate_choice_tables,
     make_strategy,
     strategy_catalog,
@@ -53,6 +54,47 @@ def test_catalog_contains_required_strategies():
         "certificate-hoarder",
         "selective-ignorer",
     } <= names
+
+
+class _TagRecorder(Strategy):
+    """Replays the shadows and records the tags of every sender's round."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.shadow_tags = []  # one set of tags per (member, round) transform call
+        self.honest_tags = []  # one set of tags per (honest sender, round)
+
+    def emit(self, rnd, honest_traffic, shadow_sends, actx):
+        by_sender = {}
+        for sender, _rcv, tag, _payload in honest_traffic:
+            by_sender.setdefault(sender, set()).add(tag)
+        self.honest_tags.extend(by_sender.values())
+        return super().emit(rnd, honest_traffic, shadow_sends, actx)
+
+    def transform(self, member, sends, rnd, honest_traffic, actx):
+        if sends:
+            self.shadow_tags.append({env[2] for env in sends})
+        return sends
+
+
+@pytest.mark.parametrize("variant", ["unauthenticated", "authenticated"])
+def test_every_sender_uses_one_tag_per_round(monkeypatch, variant):
+    recorders = []
+
+    def make_recorder(params):
+        recorders.append(_TagRecorder(params))
+        return recorders[-1]
+
+    monkeypatch.setitem(CATALOG, "tag-recorder", make_recorder)
+    s = scenario(AdversarySpec.make("tag-recorder"), variant=variant, budget=14, seed=1)
+    r = run_execution(s, "ba-with-predictions")
+    assert all_pass(verify_execution(r))
+    (rec,) = recorders
+    assert rec.shadow_tags and rec.honest_tags
+    assert all(len(tags) == 1 for tags in rec.shadow_tags)
+    assert all(len(tags) == 1 for tags in rec.honest_tags)
+    # not vacuous: the execution moves through several scopes
+    assert len(set().union(*rec.honest_tags)) > 3
 
 
 def test_unknown_strategy_rejected():

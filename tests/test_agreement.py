@@ -166,13 +166,13 @@ def test_wrapper_authenticated_end_to_end():
 
 
 def test_wrapper_mutant_flag_changes_behaviour_only_with_guard():
-    # with guards intact the mutant tuple is empty and runs are clean;
-    # the mutant path itself is exercised in the acceptance negative control
+    # with guards intact (empty mutant tuple) the run passes every verdict;
+    # with the grade guard removed the run still terminates with decisions
     s = scenario(7, 2, {6, 7}, (0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
     clean = run_execution(s, "ba-with-predictions")
     mutant = run_execution(s, "ba-with-predictions", mutants=("no-grade-guard",))
     assert all_pass(verify_execution(clean))
-    assert mutant.decisions  # still terminates; safety checked in acceptance
+    assert mutant.decisions
 
 
 def test_phase_count_and_alpha_formulas():

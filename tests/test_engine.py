@@ -102,9 +102,25 @@ def _bad_receiver_protocol(ctx, scenario, params):
     return 0
 
 
-def test_illformed_send_raises_violation():
+@register_protocol("test-tagged-triple")
+def _tagged_triple_protocol(ctx, scenario, params):
+    # the engine stamps the tag itself; a (receiver, tag, payload) triple is malformed
+    with ctx.scope("bad"):
+        yield from ctx.round([(1, ctx.tag, "boom")])
+    return 0
+
+
+@register_protocol("test-bare-int")
+def _bare_int_protocol(ctx, scenario, params):
+    with ctx.scope("bad"):
+        yield from ctx.round([1])
+    return 0
+
+
+@pytest.mark.parametrize("protocol", ["test-bad-receiver", "test-tagged-triple", "test-bare-int"])
+def test_illformed_send_raises_violation(protocol):
     with pytest.raises(ProtocolViolation):
-        run_execution(basic(), "test-bad-receiver")
+        run_execution(basic(), protocol)
 
 
 def test_scenario_validation():

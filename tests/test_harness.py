@@ -95,6 +95,34 @@ def test_schema_version_checked(tmp_path):
         harness.load_sweep_file(str(p))
 
 
+def _with_axis(axis, entries):
+    doc = sweep_doc()
+    doc["axes"][axis] = entries
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, located",
+    [
+        ([sweep_doc()], "JSON object, got list"),
+        (_with_axis("n", ["4"]), "axis 'n' entry 0"),
+        (_with_axis("n", 4), "axis 'n' must be a list"),
+        (_with_axis("t", [1, "3"]), "axis 't' entry 1"),
+        (_with_axis("f", [0, "most"]), "axis 'f' entry 1"),
+        (_with_axis("error_budget", [0, 1.5]), "axis 'error_budget' entry 1"),
+        (_with_axis("seeds", [1, True]), "axis 'seeds' entry 1"),
+    ],
+)
+def test_malformed_sweep_file_is_located(tmp_path, doc, located):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioFileError, match=located):
+        harness.expand_sweep(harness.load_sweep_file(str(p)))
+    proc = run_cli("sweep", str(p))
+    assert proc.returncode == 1
+    assert "scenario file error" in proc.stderr and located in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # records, replay, summaries
 # ---------------------------------------------------------------------------
@@ -128,9 +156,8 @@ def test_summary_axes_present():
 
 
 def test_sweep_aborts_on_violation_with_reproduction():
-    # sabotage via the mutant flag and the splitter at a size where the
-    # missing guard bites is exercised in acceptance; here we fake a
-    # violation by corrupting a record through the stop_on_violation path
+    # a clean sweep run with stop_on_violation set completes and reports
+    # no violations
     doc = sweep_doc()
     records, summary = harness.run_sweep(doc, stop_on_violation=True)
     assert summary.violations == 0  # clean baseline

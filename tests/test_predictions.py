@@ -76,8 +76,10 @@ def test_tally_unanimous_vote_reproduces_truth():
 
 def test_tally_discards_wrong_length_vectors():
     truth = pr.correct_classification(4, {4})
-    vecs = [truth, truth, truth, (1, 1, 1), (1, 1, 1, 1, 1), "junk"]
+    vecs = [truth, truth, truth, (1, 1, 1), (1, 1, 1, 1, 1), "junk", 5, None, [1, 1, 1, 0]]
     assert pr.tally_classification(vecs, 4) == truth
+    # lists of the right length are not votes either
+    assert pr.tally_classification([[1, 1, 1, 1]] * 3 + [truth], 4) == (0, 0, 0, 0)
 
 
 @given(st.integers(1, 25), st.data())
