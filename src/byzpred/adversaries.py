@@ -365,16 +365,18 @@ class ForgerStrategy(Strategy):
 
     def __init__(self, params=None):
         super().__init__(params)
-        self._seen_sigs: List[Any] = []
+        self._seen_sig = None  # the first honest committee signature seen
 
     def transform(self, member, sends, rnd, honest_traffic, actx):
         from .signatures import Signature, digest as digest_of
 
         out = list(sends)
-        for env in honest_traffic:
-            payload = env[3]
-            if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
-                self._seen_sigs.append(payload[1])
+        if self._seen_sig is None:
+            for env in honest_traffic:
+                payload = env[3]
+                if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
+                    self._seen_sig = payload[1]
+                    break
         honest = [p for p in range(1, actx.n + 1) if p not in actx.fault_set]
         if not honest:
             return out
@@ -396,17 +398,9 @@ class ForgerStrategy(Strategy):
                 )
                 out.extend((member, r, env[2], forged) for r in honest)
                 break
-        if self._seen_sigs:
+        if self._seen_sig is not None:
             # Replay an honest committee signature as a chain-link signature.
-            sig = self._seen_sigs[0]
-            out.append(
-                (
-                    member,
-                    victim,
-                    "forgery-probe",
-                    ("replayed-sig", sig),
-                )
-            )
+            out.append((member, victim, "forgery-probe", ("replayed-sig", self._seen_sig)))
         return out
 
 

@@ -20,6 +20,12 @@ Message accounting counts envelopes with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inboxes
 are shuffled by a seed-derived permutation per (round, receiver); protocol
 code must not depend on inbox order.
+
+A ``ctx.broadcast`` is delivered by reference: the engine counts it as n-1
+messages and puts one shared ``(sender, tag, payload)`` entry into every
+inbox instead of a tuple per receiver.  Strategies still see one envelope
+per receiver, and every inbox holds the same entries in the same order as
+if the broadcast had been yielded as n separate pairs.
 """
 
 from __future__ import annotations
@@ -116,17 +122,18 @@ class ProcessContext:
             self._tag_stack.pop()
             self.tag = "/".join(self._tag_stack)
 
-    def broadcast(self, payload) -> List[Send]:
+    def broadcast(self, payload) -> "Broadcast":
         """One copy per process, self included (self-delivery is free)."""
-        return [(r, payload) for r in range(1, self.n + 1)]
+        return Broadcast(payload, self.n)
 
     def round(self, sends: List[Send]):
         """Perform one communication round; returns [(sender, payload)]
         for inbox entries carrying this process's current tag.
 
-        `sends` holds (receiver, payload) pairs and is yielded as is; the
-        engine stamps each with this process's id and current tag, so every
-        message of a process in one round carries the same tag."""
+        `sends` holds (receiver, payload) pairs, or is a `broadcast`, and is
+        yielded as is; the engine stamps each with this process's id and
+        current tag, so every message of a process in one round carries the
+        same tag."""
         tag = self.tag
         inbox = yield sends
         self.rounds_used += 1
@@ -161,6 +168,28 @@ class ProcessContext:
             fields["pid"] = self.pid
             fields["kind"] = kind
             self._trace.append(fields)
+
+
+class Broadcast:
+    """`payload` to every process 1..n, as one send.
+
+    It behaves as the read-only sequence of its ``(receiver, payload)``
+    pairs, which are only built if someone iterates it; the engine
+    recognises it and delivers the payload by reference.
+    """
+
+    __slots__ = ("payload", "n")
+
+    def __init__(self, payload, n: int):
+        self.payload = payload
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        payload = self.payload
+        return ((r, payload) for r in range(1, self.n + 1))
 
 
 class _CheckSink:
@@ -245,8 +274,17 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _shuffle_rng(salt: int, rnd: int, receiver: int) -> random.Random:
-    return random.Random(((salt * 1_000_003 + rnd) * 1_000_003 + receiver) & 0xFFFFFFFFFFFFFFFF)
+def _shuffle(x: list, getrandbits) -> None:
+    """Shuffle `x` in place exactly as ``Random.shuffle`` does when
+    `getrandbits` is that generator's method: the same Fisher-Yates walk
+    and the same rejection loop as ``Random._randbelow_with_getrandbits``,
+    without two Python method calls per element."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def run_execution(
@@ -324,14 +362,18 @@ def run_execution(
     decisions: Dict[int, Any] = {}
     finished_round: Dict[int, int] = {}
     outs: Dict[int, List[Envelope]] = {}
+    # honest broadcaster -> the one inbox entry its broadcast delivers
+    shared_entries: Dict[int, Tuple[int, str, Any]] = {}
     alive = set(range(1, scenario.n + 1))
     honest = set(scenario.honest)
     n = scenario.n
+    receivers = range(1, n + 1)
     msg_counts: Dict[str, int] = {}
     sender_counts: Dict[str, Dict[int, int]] = {}
 
     def step(pid: int, inbox):
         gen = gens[pid]
+        shared_entries.pop(pid, None)
         try:
             sends = gen.send(inbox)
         except StopIteration as stop:
@@ -348,24 +390,36 @@ def run_execution(
             outs.pop(pid, None)
             return
         tag = ctxs[pid].tag
-        envs = []
-        own = 0
-        for item in sends:
-            try:
-                rcv, payload = item
-            except (TypeError, ValueError):
-                raise ProtocolViolation(f"process {pid} produced a malformed send: {item!r}")
-            if not (1 <= rcv <= n):
-                raise ProtocolViolation(f"process {pid} addressed unknown receiver {rcv}")
-            if rcv == pid:
-                own += 1
-            envs.append((pid, rcv, tag, payload))
-        outs[pid] = envs
-        sent = len(envs) - own
+        if type(sends) is Broadcast:
+            payload = sends.payload
+            outs[pid] = [(pid, rcv, tag, payload) for rcv in receivers]
+            sent = n - 1
+            if pid in honest:
+                shared_entries[pid] = (pid, tag, payload)
+        else:
+            envs = []
+            own = 0
+            for item in sends:
+                try:
+                    rcv, payload = item
+                except (TypeError, ValueError):
+                    raise ProtocolViolation(f"process {pid} produced a malformed send: {item!r}")
+                if not (1 <= rcv <= n):
+                    raise ProtocolViolation(f"process {pid} addressed unknown receiver {rcv}")
+                if rcv == pid:
+                    own += 1
+                envs.append((pid, rcv, tag, payload))
+            outs[pid] = envs
+            sent = len(envs) - own
         if sent and pid in honest:
             msg_counts[tag] = msg_counts.get(tag, 0) + sent
             per_sender = sender_counts.setdefault(tag, {})
             per_sender[pid] = per_sender.get(pid, 0) + sent
+
+    # One generator, reseeded per (round, receiver), draws every inbox
+    # permutation: the same permutations as a fresh Random(seed).shuffle.
+    shuffle_rng = random.Random()
+    reseed, getrandbits = shuffle_rng.seed, shuffle_rng.getrandbits
 
     rnd = 0
     for pid in sorted(gens):
@@ -375,10 +429,12 @@ def run_execution(
         rnd += 1
         if rnd > MAX_ROUNDS:
             raise ProtocolViolation(f"execution exceeded {MAX_ROUNDS} rounds")
+        honest_senders: List[int] = []
         honest_traffic: List[Envelope] = []
         shadow_sends: Dict[int, List[Envelope]] = {}
         for pid in sorted(outs):
             if pid in honest:
+                honest_senders.append(pid)
                 honest_traffic.extend(outs[pid])
             else:
                 shadow_sends[pid] = outs[pid]
@@ -390,18 +446,38 @@ def run_execution(
                 )
             if not (1 <= env[1] <= n):
                 raise ProtocolViolation(f"adversary receiver out of range: {env[1]}")
-        adv_ctx.observe(rnd, honest_traffic)
 
+        # Honest senders in ascending pid, then faulty traffic in strategy
+        # order.  A run of consecutive broadcasters reaches every alive inbox
+        # with one extend per inbox.
         inboxes: Dict[int, List[Tuple[int, str, Any]]] = {pid: [] for pid in alive}
-        for traffic in (honest_traffic, faulty_traffic):
-            for sender, rcv, tag, payload in traffic:
+        boxes = list(inboxes.values())
+        run: List[Tuple[int, str, Any]] = []
+        for pid in honest_senders:
+            entry = shared_entries.get(pid)
+            if entry is not None:
+                run.append(entry)
+                continue
+            if run:
+                for box in boxes:
+                    box.extend(run)
+                run = []
+            for sender, rcv, tag, payload in outs[pid]:
                 if rcv in inboxes:
                     inboxes[rcv].append((sender, tag, payload))
+        if run:
+            for box in boxes:
+                box.extend(run)
+        for sender, rcv, tag, payload in faulty_traffic:
+            if rcv in inboxes:
+                inboxes[rcv].append((sender, tag, payload))
 
+        seed_base = (salt * 1_000_003 + rnd) * 1_000_003
         for pid in sorted(alive):
             inbox = inboxes[pid]
             if len(inbox) > 1:
-                _shuffle_rng(salt, rnd, pid).shuffle(inbox)
+                reseed((seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
+                _shuffle(inbox, getrandbits)
             if pid in scenario.fault_set:
                 inbox = strategy.filter_member_inbox(pid, inbox, rnd)
                 adv_ctx.observe_member_inbox(pid, rnd, inbox)
@@ -440,7 +516,6 @@ class _AdversaryContext:
         self.rng = random.Random(scenario.seed ^ 0xADE5A11)
         self._scheme = scheme
         self.memo: Dict[Any, Any] = {}
-        self.honest_history: List[Tuple[int, List[Envelope]]] = []
         self.member_inboxes: Dict[int, List[Tuple[int, List]]] = {m: [] for m in self.fault_set}
 
     def sign_as(self, member: int, content) -> Any:
@@ -450,9 +525,6 @@ class _AdversaryContext:
 
     def verify(self, sig, signer, content) -> bool:
         return self._scheme.verify(sig, signer, content)
-
-    def observe(self, rnd, honest_traffic):
-        self.honest_history.append((rnd, honest_traffic))
 
     def observe_member_inbox(self, member, rnd, inbox):
         self.member_inboxes[member].append((rnd, inbox))

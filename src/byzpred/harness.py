@@ -35,10 +35,10 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import predictions
-from .adversaries import strategy_catalog
+from .adversaries import CATALOG, strategy_catalog
 from .agreement import (
     compute_alpha,
     conditional_round_budget,
@@ -55,6 +55,7 @@ SCHEMA_VERSION = 1
 WORKERS_ENV = "BYZPRED_WORKERS"
 
 INPUT_PATTERNS = ("unanimous-0", "unanimous-1", "alternating", "split-half")
+FAULT_PLACEMENTS = ("lowest", "highest", "spread")
 
 
 def default_workers() -> int:
@@ -175,18 +176,27 @@ def load_sweep_file(path: str) -> Dict[str, Any]:
     return doc
 
 
-def _check_int_axis(axis: str, entries, named=lambda entry: False) -> None:
-    """Reject an axis that is not a list of integers, apart from the entries
-    `named` accepts as symbolic forms (resolved later)."""
+def _is_int(entry) -> bool:
+    return isinstance(entry, int) and not isinstance(entry, bool)
+
+
+def _is_adversary(entry) -> bool:
+    if isinstance(entry, dict):
+        params = entry.get("params")
+        if not (params is None or isinstance(params, dict)):
+            return False
+        entry = entry.get("name")
+    return isinstance(entry, str) and entry in CATALOG
+
+
+def _check_axis(axis: str, entries, accepts: Callable[[Any], bool], expected: str) -> None:
+    """Reject an axis that is not a list, or an entry `accepts` refuses,
+    with an error naming the axis and the entry's position."""
     if not isinstance(entries, (list, tuple)):
         raise ScenarioFileError(f"axis {axis!r} must be a list, got {entries!r}")
     for pos, entry in enumerate(entries):
-        if named(entry):
-            continue
-        if not isinstance(entry, int) or isinstance(entry, bool):
-            raise ScenarioFileError(
-                f"axis {axis!r} entry {pos}: expected an integer, got {entry!r}"
-            )
+        if not accepts(entry):
+            raise ScenarioFileError(f"axis {axis!r} entry {pos}: expected {expected}, got {entry!r}")
 
 
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
@@ -206,15 +216,27 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     f_specs = axes.get("f", [0])
     budgets = axes.get("error_budget", [0])
     allocations = axes.get("allocation", ["concentrated-on-faulty"])
-    adversaries = resolve_adversaries(axes.get("adversary", ["silent"]))
+    adversary_specs = axes.get("adversary", ["silent"])
     inputs = axes.get("inputs", ["alternating"])
     placements = axes.get("fault_placement", ["lowest"])
     seeds = axes.get("seeds", [0])
-    _check_int_axis("n", ns)
-    _check_int_axis("t", t_specs, lambda entry: entry == "max")
-    _check_int_axis("f", f_specs, lambda entry: entry in ("half", "max"))
-    _check_int_axis("error_budget", budgets, lambda entry: isinstance(entry, str))
-    _check_int_axis("seeds", seeds)
+    _check_axis("n", ns, _is_int, "an integer")
+    _check_axis("t", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
+    _check_axis("f", f_specs, lambda e: e in ("half", "max") or _is_int(e),
+                "an integer, \"half\" or \"max\"")
+    _check_axis("error_budget", budgets, lambda e: isinstance(e, str) or _is_int(e),
+                "an integer or \"<k>n\"")
+    _check_axis("allocation", allocations, lambda e: e in predictions.ALLOCATION_POLICIES,
+                "one of " + ", ".join(predictions.ALLOCATION_POLICIES))
+    if adversary_specs != "catalog":
+        _check_axis("adversary", adversary_specs, _is_adversary,
+                    "a catalog strategy name or an object with one as \"name\"")
+    _check_axis("inputs", inputs, lambda e: e in INPUT_PATTERNS or isinstance(e, (list, tuple)),
+                "one of " + ", ".join(INPUT_PATTERNS) + " or a list of inputs")
+    _check_axis("fault_placement", placements, lambda e: e in FAULT_PLACEMENTS,
+                "one of " + ", ".join(FAULT_PLACEMENTS))
+    _check_axis("seeds", seeds, _is_int, "an integer")
+    adversaries = resolve_adversaries(adversary_specs)
 
     points: List[SweepPoint] = []
     skipped: List[SkippedPoint] = []

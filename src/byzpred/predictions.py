@@ -181,22 +181,30 @@ def generate_predictions(
     return out, report
 
 
+_BITS = frozenset((0, 1))
+
+
+def _all_bits(v: tuple) -> bool:
+    try:
+        return _BITS.issuperset(v)
+    except TypeError:  # an unhashable entry is no bit
+        return False
+
+
 def tally_classification(received: Iterable[Bits], n: int) -> Bits:
     """Majority-vote a classification from received prediction vectors.
 
     The caller's own vector must be part of `received`.  Entries that are
-    not tuples of exactly n bits are discarded before tallying; a bit is set
-    to 1 iff at least ceil((n+1)/2) of the remaining vectors agree.
+    not tuples of exactly n bits are discarded before tallying (a bit is
+    anything equal to 0 or 1, so ``True`` and ``1.0`` count; a vector with
+    an unhashable entry is discarded); a bit is set to 1 iff at least
+    ceil((n+1)/2) of the remaining vectors agree.
     """
-    votes = [
-        v for v in received if isinstance(v, tuple) and len(v) == n and all(b in (0, 1) for b in v)
-    ]
+    votes = [v for v in received if isinstance(v, tuple) and len(v) == n and _all_bits(v)]
     need = honest_threshold(n)
-    counts = [0] * n
-    for v in votes:
-        for j in range(n):
-            counts[j] += v[j]
-    return tuple(1 if counts[j] >= need else 0 for j in range(n))
+    if not votes:
+        return (0,) * n
+    return tuple(1 if sum(col) >= need else 0 for col in zip(*votes))
 
 
 def ordering(c: Bits) -> Tuple[int, ...]:

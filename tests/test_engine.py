@@ -1,10 +1,11 @@
 """Engine contracts: determinism, synchrony accounting, violations."""
 
 import json
+import random
 
 import pytest
 
-from byzpred.engine import ProcessContext, register_protocol, run_execution
+from byzpred.engine import Broadcast, ProcessContext, _shuffle, register_protocol, run_execution
 from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
 
@@ -121,6 +122,90 @@ def _bare_int_protocol(ctx, scenario, params):
 def test_illformed_send_raises_violation(protocol):
     with pytest.raises(ProtocolViolation):
         run_execution(basic(), protocol)
+
+
+@register_protocol("test-extend-broadcast")
+def _extend_broadcast_protocol(ctx, scenario, params):
+    with ctx.scope("bad"):
+        sends = ctx.broadcast("hello")
+        sends.extend([(1, "again")])
+        yield from ctx.round(sends)
+    return 0
+
+
+def test_broadcast_is_a_read_only_sequence_of_pairs():
+    b = Broadcast("x", 4)
+    assert len(b) == 4 and list(b) == [(1, "x"), (2, "x"), (3, "x"), (4, "x")]
+    with pytest.raises(AttributeError):
+        b.extend([(1, "y")])
+    with pytest.raises(AttributeError):
+        b.append((1, "y"))
+    with pytest.raises(TypeError):
+        b[0] = (1, "y")
+    with pytest.raises(AttributeError):
+        run_execution(basic(), "test-extend-broadcast")
+
+
+@register_protocol("test-mixed-sends")
+def _mixed_sends_protocol(ctx, scenario, params):
+    # rounds that interleave broadcasters, targeted senders and idle processes
+    received = []
+    with ctx.scope("mix"):
+        for rnd in range(4):
+            kind = (ctx.pid + rnd) % 3
+            if kind == 0:
+                sends = []
+            elif kind == 1:
+                sends = ctx.broadcast(("b", ctx.pid, rnd))
+            else:
+                sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
+            inbox = yield from ctx.round(sends)
+            received.append(tuple(inbox))
+    return tuple(received)
+
+
+def test_broadcast_by_reference_keeps_inbox_order(monkeypatch):
+    # The inbox a process returns is shuffled by a permutation that depends
+    # only on the seed and its length, so equal decisions mean equal inboxes
+    # before the shuffle: runs of broadcasters and targeted senders interleave
+    # as if every broadcast were n separate pairs.
+    s = basic(n=7, t=2, fault_set={6, 7}, inputs=(0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
+    by_reference = run_execution(s, "test-mixed-sends")
+    monkeypatch.setattr(
+        ProcessContext,
+        "broadcast",
+        lambda ctx, payload: [(r, payload) for r in range(1, ctx.n + 1)],
+    )
+    as_pairs = run_execution(s, "test-mixed-sends")
+    assert as_pairs.decisions == by_reference.decisions
+    assert result_bytes(as_pairs) == result_bytes(by_reference)
+    expected = 0
+    for pid in range(1, 6):  # the honest senders
+        for rnd in range(4):
+            kind = (pid + rnd) % 3
+            if kind == 1:
+                expected += 6  # a broadcast counts n - 1
+            elif kind == 2:
+                expected += 4 - pid % 2  # receivers 7, 5, 3, 1, minus the sender
+    assert by_reference.honest_messages_total == expected
+
+
+def test_inlined_shuffle_matches_random_shuffle():
+    # One generator reseeded per inbox, as the engine uses it, draws the
+    # permutations of a fresh Random(seed).shuffle: the inlined loop copies
+    # CPython's algorithm, so this must pass on every supported interpreter.
+    mask = 0xFFFFFFFFFFFFFFFF
+    seeds = [0, 1, 7, mask] + [((s * 1_000_003 + r) * 1_000_003 + p) & mask
+                               for s in (1, 81, 2**40) for r in (1, 103) for p in (1, 64)]
+    rng = random.Random()
+    for seed in seeds:
+        for length in range(301):
+            expected = list(range(length))
+            random.Random(seed).shuffle(expected)
+            got = list(range(length))
+            rng.seed(seed)
+            _shuffle(got, rng.getrandbits)
+            assert got == expected, (seed, length)
 
 
 def test_scenario_validation():

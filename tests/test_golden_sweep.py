@@ -12,7 +12,7 @@ signing, hashing or validation internals must leave every line unchanged.
 import json
 from pathlib import Path
 
-from byzpred import harness
+from byzpred import engine, harness
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,3 +39,43 @@ def test_golden_sweep_replays_byte_identical():
         if not harness.replay_record(record):
             mismatched.append(record["index"])
     assert mismatched == []
+
+
+def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
+    # Metamorphic: the engine delivers a ctx.broadcast by reference; the same
+    # broadcast yielded as a plain list of (receiver, payload) pairs takes the
+    # per-pair path.  Both paths must fill every inbox with the same entries
+    # in the same order before it is shuffled, and give the golden records.
+    chosen = ("equivocator", "selective-ignorer", "vote-poisoner", "grade-splitter")
+    records = [
+        r for r in harness.load_records(str(DATA / "golden_sweep.jsonl"))
+        if r["scenario"]["adversary"]["name"] in chosen
+    ]
+    assert {r["scenario"]["variant"] for r in records} == {"unauthenticated", "authenticated"}
+    assert len(records) == 32
+
+    shuffle = engine._shuffle
+
+    def inboxes_and_replay():
+        seen = []
+
+        def recording_shuffle(inbox, getrandbits):
+            seen.append(list(inbox))
+            shuffle(inbox, getrandbits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_shuffle", recording_shuffle)
+            replayed = [harness.replay_record(r) for r in records]
+        return seen, replayed
+
+    by_reference, replayed = inboxes_and_replay()
+    assert all(replayed)
+    monkeypatch.setattr(
+        engine.ProcessContext,
+        "broadcast",
+        lambda ctx, payload: [(r, payload) for r in range(1, ctx.n + 1)],
+    )
+    as_pairs, replayed = inboxes_and_replay()
+    assert all(replayed)
+    assert len(as_pairs) == len(by_reference) > 1000
+    assert as_pairs == by_reference

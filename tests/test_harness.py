@@ -111,6 +111,17 @@ def _with_axis(axis, entries):
         (_with_axis("f", [0, "most"]), "axis 'f' entry 1"),
         (_with_axis("error_budget", [0, 1.5]), "axis 'error_budget' entry 1"),
         (_with_axis("seeds", [1, True]), "axis 'seeds' entry 1"),
+        (_with_axis("adversary", "silent"), "axis 'adversary' must be a list"),
+        (_with_axis("adversary", ["silent", 3]), "axis 'adversary' entry 1"),
+        (_with_axis("adversary", [{"params": {}}]), "axis 'adversary' entry 0"),
+        (_with_axis("adversary", [{"name": "crash", "params": 2}]), "axis 'adversary' entry 0"),
+        (_with_axis("adversary", ["no-such-strategy"]), "axis 'adversary' entry 0"),
+        (_with_axis("allocation", "adversarial-worst"), "axis 'allocation' must be a list"),
+        (_with_axis("allocation", ["adversarial-worst", "lucky"]), "axis 'allocation' entry 1"),
+        (_with_axis("allocation", [["adversarial-worst"]]), "axis 'allocation' entry 0"),
+        (_with_axis("inputs", "alternating"), "axis 'inputs' must be a list"),
+        (_with_axis("inputs", ["alternating", 7]), "axis 'inputs' entry 1"),
+        (_with_axis("fault_placement", ["lowest", "middle"]), "axis 'fault_placement' entry 1"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):

@@ -82,6 +82,22 @@ def test_tally_discards_wrong_length_vectors():
     assert pr.tally_classification([[1, 1, 1, 1]] * 3 + [truth], 4) == (0, 0, 0, 0)
 
 
+def test_tally_accepts_what_equals_a_bit():
+    # True and 1.0 equal 1, so they count as votes for 1
+    assert pr.tally_classification([(True, 1.0, 0)] * 2, 3) == (1, 1, 0)
+    assert pr.tally_classification([(True, 1.0, 0), (1, 0.0, False), (2, 1, 1)], 3) == (1, 0, 0)
+
+
+def test_tally_discards_vectors_with_unhashable_entries():
+    truth = pr.correct_classification(4, {4})
+    assert pr.tally_classification([(1, [1], 1, 1)] * 3 + [truth] * 3, 4) == truth
+
+
+def test_tally_without_valid_votes_is_all_zero():
+    assert pr.tally_classification([], 3) == (0, 0, 0)
+    assert pr.tally_classification([(1, [1], 1), (1, 1), "111"], 3) == (0, 0, 0)
+
+
 @given(st.integers(1, 25), st.data())
 def test_tally_matches_direct_count(n, data):
     vecs = data.draw(
