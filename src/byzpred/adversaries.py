@@ -57,10 +57,12 @@ class _MemberSigner:
 class Strategy:
     """Base: faulty processes replay their shadow (honest) behaviour.
 
-    `emit` sees one round: the honest envelopes and, per member, its
-    shadow's would-be envelopes.  `transform` gets one member's shadow sends
-    for that round; the engine tags every message of a process in a round
-    with the process's current tag, so they all carry the same tag.
+    `emit` sees one round: the honest envelopes as an `engine.RoundTraffic`
+    (iterating it yields every envelope; `entries` yields each send once and
+    `tags` holds the tags in use) and, per member, its shadow's would-be
+    envelopes.  `transform` gets one member's shadow sends for that round;
+    the engine tags every message of a process in a round with the
+    process's current tag, so they all carry the same tag.
     """
 
     name = "honest-shadow"
@@ -84,7 +86,7 @@ class Strategy:
         return sends
 
     def emit(self, rnd, honest_traffic, shadow_sends, actx):
-        for tag in {env[2] for env in honest_traffic}:
+        for tag in honest_traffic.tags:
             self._tag_round[tag] = self._tag_round.get(tag, 0) + 1
         out = []
         for member in sorted(shadow_sends):
@@ -341,7 +343,7 @@ class GradeSplitterStrategy(Strategy):
         if self._unauth and leaf == "gc3" and phase == 1:
             push_value = self._push_value
             holders = sorted(
-                {env[0] for env in honest_traffic if env[2] == tag and env[3] == push_value}
+                {s for s, t, p in honest_traffic.entries() if t == tag and p == push_value}
             )
             if self.tag_round(tag) % 2 == 1:
                 if len(holders) + len(self._members) >= actx.n - actx.t:
@@ -372,8 +374,7 @@ class ForgerStrategy(Strategy):
 
         out = list(sends)
         if self._seen_sig is None:
-            for env in honest_traffic:
-                payload = env[3]
+            for _s, _tag, payload in honest_traffic.entries():
                 if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
                     self._seen_sig = payload[1]
                     break
@@ -381,9 +382,8 @@ class ForgerStrategy(Strategy):
         if not honest:
             return out
         victim = honest[(rnd - 1) % len(honest)]
-        for env in honest_traffic:
-            if isinstance(env[3], MessageChain):
-                chain = env[3]
+        for _s, tag, chain in honest_traffic.entries():
+            if isinstance(chain, MessageChain):
                 forged_value = _rotate(chain.value, 1, actx.value_domain)
                 cert, _sig = chain.links[0]
                 content = _link_content(None, forged_value, chain.context, cert)
@@ -396,7 +396,7 @@ class ForgerStrategy(Strategy):
                     context=chain.context,
                     links=((cert, fake_sig),),
                 )
-                out.extend((member, r, env[2], forged) for r in honest)
+                out.extend((member, r, tag, forged) for r in honest)
                 break
         if self._seen_sig is not None:
             # Replay an honest committee signature as a chain-link signature.
@@ -481,19 +481,16 @@ class ChoiceTableStrategy(Strategy):
         self._known_chains.setdefault(key, chain)
 
     def _observe(self, honest_traffic):
-        for env in honest_traffic:
-            payload = env[3]
+        for _s, tag, payload in honest_traffic.entries():
             if isinstance(payload, MessageChain):
                 self._note_chain(payload)
             elif isinstance(payload, tuple) and len(payload) == 2:
                 if payload[0] == "vote" and isinstance(payload[1], tuple):
                     entry = payload[1]
-                    self._votes_seen.setdefault(env[2], {}).setdefault(
-                        (entry[0], entry[1]), entry
-                    )
+                    self._votes_seen.setdefault(tag, {}).setdefault((entry[0], entry[1]), entry)
                 elif payload[0] == "commit" and isinstance(payload[1], tuple):
                     entry = payload[1]
-                    self._commits_seen.setdefault(env[2], {}).setdefault(entry[0], entry)
+                    self._commits_seen.setdefault(tag, {}).setdefault(entry[0], entry)
 
     def _resolve(self, action, member, rnd, actx, tag):
         if not (isinstance(action, tuple) and action and isinstance(action[0], str)):

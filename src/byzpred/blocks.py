@@ -57,14 +57,14 @@ def plurality_tiebreak(values: Sequence[Any]) -> Any:
 
 
 def distinct_by_sender(inbox, allowed=None) -> Dict[int, Any]:
-    """First payload per sender, optionally restricted to allowed senders."""
-    seen: Dict[int, Any] = {}
-    for src, payload in inbox:
-        if allowed is not None and src not in allowed:
-            continue
-        if src not in seen:
-            seen[src] = payload
-    return seen
+    """First payload per sender, optionally restricted to allowed senders.
+
+    The dict is built from the reversed inbox, so its key order is not the
+    inbox order; every caller reads it as a mapping or a multiset."""
+    seen = dict(reversed(inbox))
+    if allowed is None:
+        return seen
+    return {src: payload for src, payload in seen.items() if src in allowed}
 
 
 def _domain_values(inbox, domain, allowed=None) -> Dict[int, Any]:

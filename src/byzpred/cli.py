@@ -105,7 +105,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_replay(args) -> int:
     records = harness.load_records(args.records)
-    targets = records if args.index is None else [records[args.index]]
+    targets = records
+    if args.index is not None:
+        # sweep indices skip infeasible points, so select by the field
+        targets = [r for r in records if r.get("index") == args.index]
+        if not targets:
+            print(f"no record with index {args.index}", file=sys.stderr)
+            return 1
     bad = 0
     for record in targets:
         ok = harness.replay_record(record)

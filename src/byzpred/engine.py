@@ -2,30 +2,34 @@
 
 Processes are generator coroutines: each ``yield`` hands the engine the
 list of ``(receiver, payload)`` pairs to transmit this round and resumes
-with the inbox of messages addressed to the process in the same round.
-One yield == one communication round.  A process sends under exactly one
-protocol tag per round, its current ``ctx.tag``: the engine stamps the
-sender and that tag onto each pair when it builds the round's envelopes.
-Messages sent in round r are consumed by the receiver's next computation
-step, so no round-r state ever depends on a round-r message.
+with the ``(sender, payload)`` pairs addressed to the process in the same
+round under its current protocol tag.  One yield == one communication
+round.  A process sends under exactly one protocol tag per round, its
+current ``ctx.tag``: the engine stamps the sender and that tag onto each
+pair, and it also drops every message a receiver gets under another tag,
+so protocol code never sees a tag.  Messages sent in round r are consumed
+by the receiver's next computation step, so no round-r state ever depends
+on a round-r message.
 
 Faulty processes never run their own code on the network: the engine runs
 "shadow" copies of the honest program for them (so strategies like
 crash-at-round-r can replay honest behaviour), but everything they
 transmit is produced by the adversary strategy, which sees the complete
 honest round-r traffic before choosing the faulty round-r messages
-(rushing adversary).
+(rushing adversary).  The strategy also sees each member's inbox as full
+``(sender, tag, payload)`` entries before its shadow steps.
 
 Message accounting counts envelopes with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inboxes
 are shuffled by a seed-derived permutation per (round, receiver); protocol
 code must not depend on inbox order.
 
-A ``ctx.broadcast`` is delivered by reference: the engine counts it as n-1
-messages and puts one shared ``(sender, tag, payload)`` entry into every
-inbox instead of a tuple per receiver.  Strategies still see one envelope
-per receiver, and every inbox holds the same entries in the same order as
-if the broadcast had been yielded as n separate pairs.
+An honest ``ctx.broadcast`` stays one entry from send to delivery: the
+engine counts it as n-1 messages, hands the strategy a `RoundTraffic` that
+holds it once, and puts one shared ``(sender, payload)`` pair into every
+honest inbox instead of a tuple per receiver.  Every inbox still holds the
+same messages in the same order as if the broadcast had been yielded as n
+separate pairs and filtered by tag after the shuffle.
 """
 
 from __future__ import annotations
@@ -128,16 +132,16 @@ class ProcessContext:
 
     def round(self, sends: List[Send]):
         """Perform one communication round; returns [(sender, payload)]
-        for inbox entries carrying this process's current tag.
+        for the messages sent to this process under its current tag.
 
         `sends` holds (receiver, payload) pairs, or is a `broadcast`, and is
         yielded as is; the engine stamps each with this process's id and
         current tag, so every message of a process in one round carries the
-        same tag."""
-        tag = self.tag
+        same tag.  The engine also filters the inbox by the receiver's tag,
+        so the inbox comes back as delivered."""
         inbox = yield sends
         self.rounds_used += 1
-        return [(src, payload) for (src, mtag, payload) in inbox if mtag == tag]
+        return inbox
 
     def idle(self, rounds: int):
         for _ in range(rounds):
@@ -190,6 +194,45 @@ class Broadcast:
     def __iter__(self):
         payload = self.payload
         return ((r, payload) for r in range(1, self.n + 1))
+
+
+class RoundTraffic:
+    """The honest envelopes of one round, held as one item per sender.
+
+    An item is a broadcast's ``(sender, tag, payload)`` entry or a targeted
+    sender's list of ``(sender, receiver, tag, payload)`` envelopes, in
+    ascending sender order.  Iterating yields every envelope, a broadcast as
+    one envelope per receiver 1..n, so it is the round's full envelope list;
+    `entries` yields each send once as ``(sender, tag, payload)``, and
+    `tags` is the set of tags the honest senders used.
+    """
+
+    __slots__ = ("items", "n", "tags")
+
+    def __init__(self, items: List[Any], n: int):
+        self.items = items
+        self.n = n
+        self.tags = {item[1] if type(item) is tuple else item[0][2] for item in items}
+
+    def __iter__(self):
+        receivers = range(1, self.n + 1)
+        for item in self.items:
+            if type(item) is tuple:
+                sender, tag, payload = item
+                for rcv in receivers:
+                    yield (sender, rcv, tag, payload)
+            else:
+                yield from item
+
+    def entries(self):
+        """Each broadcast once and each targeted envelope without its
+        receiver, as ``(sender, tag, payload)``, in envelope order."""
+        for item in self.items:
+            if type(item) is tuple:
+                yield item
+            else:
+                for sender, _rcv, tag, payload in item:
+                    yield (sender, tag, payload)
 
 
 class _CheckSink:
@@ -361,9 +404,8 @@ def run_execution(
 
     decisions: Dict[int, Any] = {}
     finished_round: Dict[int, int] = {}
-    outs: Dict[int, List[Envelope]] = {}
-    # honest broadcaster -> the one inbox entry its broadcast delivers
-    shared_entries: Dict[int, Tuple[int, str, Any]] = {}
+    # A RoundTraffic item per honest sender; envelope lists for shadows.
+    outs: Dict[int, Any] = {}
     alive = set(range(1, scenario.n + 1))
     honest = set(scenario.honest)
     n = scenario.n
@@ -373,7 +415,6 @@ def run_execution(
 
     def step(pid: int, inbox):
         gen = gens[pid]
-        shared_entries.pop(pid, None)
         try:
             sends = gen.send(inbox)
         except StopIteration as stop:
@@ -392,10 +433,11 @@ def run_execution(
         tag = ctxs[pid].tag
         if type(sends) is Broadcast:
             payload = sends.payload
-            outs[pid] = [(pid, rcv, tag, payload) for rcv in receivers]
-            sent = n - 1
             if pid in honest:
-                shared_entries[pid] = (pid, tag, payload)
+                outs[pid] = (pid, tag, payload)
+            else:
+                outs[pid] = [(pid, rcv, tag, payload) for rcv in receivers]
+            sent = n - 1
         else:
             envs = []
             own = 0
@@ -429,16 +471,15 @@ def run_execution(
         rnd += 1
         if rnd > MAX_ROUNDS:
             raise ProtocolViolation(f"execution exceeded {MAX_ROUNDS} rounds")
-        honest_senders: List[int] = []
-        honest_traffic: List[Envelope] = []
+        items: List[Any] = []
         shadow_sends: Dict[int, List[Envelope]] = {}
         for pid in sorted(outs):
             if pid in honest:
-                honest_senders.append(pid)
-                honest_traffic.extend(outs[pid])
+                if outs[pid]:
+                    items.append(outs[pid])
             else:
                 shadow_sends[pid] = outs[pid]
-        faulty_traffic = strategy.emit(rnd, honest_traffic, shadow_sends, adv_ctx)
+        faulty_traffic = strategy.emit(rnd, RoundTraffic(items, n), shadow_sends, adv_ctx)
         for env in faulty_traffic:
             if env[0] not in scenario.fault_set:
                 raise ProtocolViolation(
@@ -448,29 +489,59 @@ def run_execution(
                 raise ProtocolViolation(f"adversary receiver out of range: {env[1]}")
 
         # Honest senders in ascending pid, then faulty traffic in strategy
-        # order.  A run of consecutive broadcasters reaches every alive inbox
-        # with one extend per inbox.
-        inboxes: Dict[int, List[Tuple[int, str, Any]]] = {pid: [] for pid in alive}
-        boxes = list(inboxes.values())
+        # order.  An honest receiver takes (sender, payload) in its own tag
+        # and a None placeholder for any other tag, so the shuffle sees the
+        # old inbox length; a member takes full (sender, tag, payload)
+        # entries.  A run of consecutive broadcasters reaches every inbox of
+        # one receiver tag with one extend per inbox.
+        inboxes: Dict[int, List[Any]] = {pid: [] for pid in alive}
+        want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
+        groups: Dict[str, List[int]] = {}
+        for pid, tag in want.items():
+            groups.setdefault(tag, []).append(pid)
+        member_boxes = [inboxes[pid] for pid in alive if pid not in honest]
+        holey = set()  # honest receivers holding a placeholder
+
+        def flush(run):
+            pairs = [(sender, payload) for sender, _tag, payload in run]
+            run_tags = {entry[1] for entry in run}
+            for tag, pids in groups.items():
+                if run_tags == {tag}:
+                    seq = pairs
+                else:
+                    seq = [pair if entry[1] == tag else None for pair, entry in zip(pairs, run)]
+                    holey.update(pids)
+                for pid in pids:
+                    inboxes[pid].extend(seq)
+            for box in member_boxes:
+                box.extend(run)
+
+        def deliver(envs):
+            for sender, rcv, tag, payload in envs:
+                box = inboxes.get(rcv)
+                if box is None:
+                    continue
+                rtag = want.get(rcv)
+                if rtag is None:
+                    box.append((sender, tag, payload))
+                elif rtag == tag:
+                    box.append((sender, payload))
+                else:
+                    box.append(None)
+                    holey.add(rcv)
+
         run: List[Tuple[int, str, Any]] = []
-        for pid in honest_senders:
-            entry = shared_entries.get(pid)
-            if entry is not None:
-                run.append(entry)
+        for item in items:
+            if type(item) is tuple:
+                run.append(item)
                 continue
             if run:
-                for box in boxes:
-                    box.extend(run)
+                flush(run)
                 run = []
-            for sender, rcv, tag, payload in outs[pid]:
-                if rcv in inboxes:
-                    inboxes[rcv].append((sender, tag, payload))
+            deliver(item)
         if run:
-            for box in boxes:
-                box.extend(run)
-        for sender, rcv, tag, payload in faulty_traffic:
-            if rcv in inboxes:
-                inboxes[rcv].append((sender, tag, payload))
+            flush(run)
+        deliver(faulty_traffic)
 
         seed_base = (salt * 1_000_003 + rnd) * 1_000_003
         for pid in sorted(alive):
@@ -481,6 +552,10 @@ def run_execution(
             if pid in scenario.fault_set:
                 inbox = strategy.filter_member_inbox(pid, inbox, rnd)
                 adv_ctx.observe_member_inbox(pid, rnd, inbox)
+                tag = ctxs[pid].tag
+                inbox = [(sender, payload) for sender, mtag, payload in inbox if mtag == tag]
+            elif pid in holey:
+                inbox = [pair for pair in inbox if pair is not None]
             step(pid, inbox)
 
     rounds_elapsed = max(finished_round.values(), default=0)

@@ -21,7 +21,7 @@ from byzpred.authtools import (
     start_chain,
     validate_chain,
 )
-from byzpred.engine import run_execution
+from byzpred.engine import RoundTraffic, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
@@ -147,7 +147,7 @@ def test_forged_chain_link_has_the_right_digest_and_is_still_rejected():
     chain = start_chain(0, cert, SignOracle(scheme, 2))
     actx = SimpleNamespace(n=4, fault_set=frozenset({4}), value_domain=(0, 1))
     out = make_strategy(AdversarySpec.make("forger")).transform(
-        4, [], 1, [(2, 1, "bb", chain)], actx
+        4, [], 1, RoundTraffic([[(2, 1, "bb", chain)]], 4), actx
     )
     forged = [env[3] for env in out if isinstance(env[3], MessageChain)]
     assert forged and forged[0].value == 1

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from byzpred.adversaries import CATALOG, Strategy
 from byzpred.engine import Broadcast, ProcessContext, _shuffle, register_protocol, run_execution
 from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
@@ -188,6 +189,122 @@ def test_broadcast_by_reference_keeps_inbox_order(monkeypatch):
             elif kind == 2:
                 expected += 4 - pid % 2  # receivers 7, 5, 3, 1, minus the sender
     assert by_reference.honest_messages_total == expected
+
+
+@register_protocol("test-split-scopes")
+def _split_scopes_protocol(ctx, scenario, params):
+    # like test-mixed-sends, but in every round half of the processes sit in
+    # another scope; the decision is every (tag, inbox) the process saw
+    received = []
+    for rnd in range(4):
+        kind = (ctx.pid + rnd) % 3
+        with ctx.scope(f"s{(ctx.pid + rnd) % 2}"):
+            if kind == 0:
+                sends = []
+            elif kind == 1:
+                sends = ctx.broadcast(("b", ctx.pid, rnd))
+            else:
+                sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
+            inbox = yield from ctx.round(sends)
+            received.append((ctx.tag, tuple(inbox)))
+    return tuple(received)
+
+
+def split_scopes_envelopes(n, senders, rnd):
+    """The full honest envelope list of engine round `rnd` of
+    test-split-scopes: ascending sender, a broadcast as one envelope per
+    receiver 1..n, targeted envelopes in the order sent."""
+    envs = []
+    for pid in senders:
+        kind = (pid + rnd - 1) % 3
+        tag = f"s{(pid + rnd - 1) % 2}"
+        payload = ("b" if kind == 1 else "t", pid, rnd - 1)
+        if kind == 1:
+            envs.extend((pid, r, tag, payload) for r in range(1, n + 1))
+        elif kind == 2:
+            envs.extend((pid, r, tag, payload) for r in range(n, 0, -2))
+    return envs
+
+
+class _TrafficRecorder(Strategy):
+    """Replays the shadows, adds an envelope under a foreign tag for one
+    honest receiver per round, and records what it saw and sent."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.seen = {}  # rnd -> (envelopes, tags, entries)
+        self.sent = {}  # rnd -> faulty envelopes
+        self.actx = None
+
+    def emit(self, rnd, honest_traffic, shadow_sends, actx):
+        self.actx = actx
+        entries = list(honest_traffic.entries())
+        self.seen[rnd] = (list(honest_traffic), honest_traffic.tags, entries)
+        out = super().emit(rnd, honest_traffic, shadow_sends, actx)
+        member = min(actx.fault_set)
+        out.append((member, rnd % 5 + 1, "forgery-probe", ("probe", rnd)))
+        self.sent[rnd] = out
+        return out
+
+
+def run_recorded(monkeypatch, seed):
+    """Run test-split-scopes at n=7 with members {6, 7} under a
+    _TrafficRecorder; returns the scenario, the result and the recorder."""
+    recorders = []
+
+    def make_recorder(params):
+        recorders.append(_TrafficRecorder(params))
+        return recorders[-1]
+
+    monkeypatch.setitem(CATALOG, "traffic-recorder", make_recorder)
+    s = basic(n=7, t=2, fault_set={6, 7}, inputs=(0, 1, 0, 1, 0, 1, 0), seed=seed,
+              adversary="traffic-recorder")
+    r = run_execution(s, "test-split-scopes")
+    (rec,) = recorders
+    return s, r, rec
+
+
+def test_round_traffic_is_the_old_envelope_list(monkeypatch):
+    _s, _r, rec = run_recorded(monkeypatch, seed=7)
+    assert sorted(rec.seen) == [1, 2, 3, 4]
+    for rnd, (envelopes, tags, entries) in rec.seen.items():
+        expected = split_scopes_envelopes(7, range(1, 6), rnd)
+        kinds = {(pid + rnd - 1) % 3 for pid in range(1, 6)}
+        assert kinds == {0, 1, 2}  # every round mixes idle, broadcast and targeted senders
+        assert envelopes == expected
+        assert tags == {env[2] for env in expected} == {"s0", "s1"}
+        # a broadcast is one entry; targeted envelopes keep their order
+        collapsed = []
+        for sender, rcv, tag, payload in expected:
+            if payload[0] == "t" or rcv == 1:
+                collapsed.append((sender, tag, payload))
+        assert entries == collapsed
+
+
+def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
+    # Reference: deliver full (sender, tag, payload) triples in the old order
+    # (honest senders ascending, then faulty traffic in strategy order),
+    # shuffle each inbox with a fresh Random(seed), then keep the entries in
+    # the receiver's tag as (sender, payload).  Other-tag entries here are
+    # the other scope's messages and a faulty envelope under a foreign tag.
+    n, seed = 7, 11
+    s, r, rec = run_recorded(monkeypatch, seed)
+    foreign = 0
+    for rnd in range(1, 5):
+        wire = split_scopes_envelopes(n, range(1, 6), rnd) + rec.sent[rnd]
+        for pid in range(1, n + 1):
+            triples = [(snd, tag, payload) for snd, rcv, tag, payload in wire if rcv == pid]
+            seed_of = (((seed * 1_000_003 + rnd) * 1_000_003) + pid) & 0xFFFFFFFFFFFFFFFF
+            if len(triples) > 1:
+                random.Random(seed_of).shuffle(triples)
+            tag = f"s{(pid + rnd - 1) % 2}"
+            pairs = tuple((snd, payload) for snd, mtag, payload in triples if mtag == tag)
+            foreign += len(triples) - len(pairs)
+            if pid in s.fault_set:
+                assert rec.actx.member_inboxes[pid][rnd - 1] == (rnd, triples)
+            else:
+                assert r.decisions[pid][rnd - 1] == (tag, pairs)
+    assert foreign > 20  # not vacuous: many inboxes mixed tags
 
 
 def test_inlined_shuffle_matches_random_shuffle():

@@ -7,6 +7,13 @@
 (both variants, n in {4, 7}, f = t, B in {0, n}, the whole adversary catalog,
 seed 1).  Records hold no signatures or wall-clock data, so any change to
 signing, hashing or validation internals must leave every line unchanged.
+
+`data/golden_order.jsonl` comes from the same command on
+`data/golden_order.json` (unauthenticated, selective-ignorer, n in {10, 13},
+f in {half, max}, B in {n, 4n}, alternating and split-half inputs, seeds
+1-4).  Selective-ignorer drops the first messages of each member's shuffled
+inbox, so these records pin inbox order: a shuffle that draws a different
+permutation changes 22 of the 64.
 """
 
 import json
@@ -17,19 +24,19 @@ from byzpred import engine, harness
 DATA = Path(__file__).parent / "data"
 
 
-def test_golden_sweep_covers_its_sweep_file():
-    points, skipped = harness.expand_sweep(harness.load_sweep_file(str(DATA / "golden_sweep.json")))
-    records = harness.load_records(str(DATA / "golden_sweep.jsonl"))
+def check_covers_its_sweep_file(name):
+    points, skipped = harness.expand_sweep(harness.load_sweep_file(str(DATA / f"{name}.json")))
+    records = harness.load_records(str(DATA / f"{name}.jsonl"))
     assert not skipped
     assert [p.index for p in points] == [r["index"] for r in records]
     assert [p.scenario.to_json_dict() for p in points] == [r["scenario"] for r in records]
-    assert {r["scenario"]["variant"] for r in records} == {"unauthenticated", "authenticated"}
     assert all(r["ok"] for r in records)
+    return records
 
 
-def test_golden_sweep_replays_byte_identical():
-    lines = (DATA / "golden_sweep.jsonl").read_bytes().splitlines()
-    assert len(lines) == 72
+def check_replays_byte_identical(name, count):
+    lines = (DATA / f"{name}.jsonl").read_bytes().splitlines()
+    assert len(lines) == count
     mismatched = []
     for line in lines:
         record = json.loads(line)
@@ -39,6 +46,24 @@ def test_golden_sweep_replays_byte_identical():
         if not harness.replay_record(record):
             mismatched.append(record["index"])
     assert mismatched == []
+
+
+def test_golden_sweep_covers_its_sweep_file():
+    records = check_covers_its_sweep_file("golden_sweep")
+    assert {r["scenario"]["variant"] for r in records} == {"unauthenticated", "authenticated"}
+
+
+def test_golden_sweep_replays_byte_identical():
+    check_replays_byte_identical("golden_sweep", 72)
+
+
+def test_golden_order_covers_its_sweep_file():
+    records = check_covers_its_sweep_file("golden_order")
+    assert {r["scenario"]["adversary"]["name"] for r in records} == {"selective-ignorer"}
+
+
+def test_golden_order_replays_byte_identical():
+    check_replays_byte_identical("golden_order", 64)
 
 
 def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):

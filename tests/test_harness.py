@@ -245,6 +245,28 @@ def test_cli_run_and_sweep_and_replay(tmp_path):
     assert "MISMATCH" not in proc.stdout
 
 
+def test_cli_replay_selects_by_record_index(tmp_path):
+    # infeasible points keep their sweep index, so record indices skip them
+    doc = sweep_doc()
+    doc["axes"]["error_budget"] = [1000, 0, 14]  # 14 > (n-f)*n only for f=1
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(doc))
+    records_file = tmp_path / "records.jsonl"
+    proc = run_cli("sweep", str(sweep_file), "--output", str(records_file))
+    assert proc.returncode == 0, proc.stderr
+    assert [r["index"] for r in harness.load_records(str(records_file))] == [1, 2, 4]
+
+    for index in (1, 2, 4):
+        proc = run_cli("replay", str(records_file), "--index", str(index))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"record {index}: reproduced\n"
+    for index in (0, 3, 5):
+        proc = run_cli("replay", str(records_file), "--index", str(index))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert f"no record with index {index}" in proc.stderr
+
+
 def test_cli_seed_override(tmp_path):
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps(sweep_doc()))
