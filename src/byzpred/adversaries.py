@@ -2,9 +2,9 @@
 
 A strategy controls everything the faulty processes transmit.  The engine
 runs honest "shadow" programs for faulty processes and hands the strategy
-their would-be sends each round, together with the full honest round
-traffic (rushing adversary); the strategy returns the actual faulty
-envelopes.  Strategies may sign as their own members but have no way to
+their would-be send items each round, together with the honest round's
+send items (rushing adversary); the strategy returns the actual faulty
+send items.  Strategies may sign as their own members but have no way to
 mint signatures of honest processes.
 
 Enumeration soundness: honest code is deterministic, so the execution is a
@@ -32,6 +32,7 @@ from .authtools import (
     start_chain,
 )
 from .blocks import vote_content
+from .engine import Broadcast
 from .errors import ConfigurationError
 from .scenario import AdversarySpec
 
@@ -54,15 +55,29 @@ class _MemberSigner:
         return self._actx.verify(sig, signer, content)
 
 
+def entries(items):
+    """Each send of `items` once, as ``(sender, tag, payload)``: a broadcast
+    once, a pair list pair by pair."""
+    for sender, tag, sends in items:
+        if type(sends) is Broadcast:
+            yield sender, tag, sends.payload
+        else:
+            for _rcv, payload in sends:
+                yield sender, tag, payload
+
+
 class Strategy:
     """Base: faulty processes replay their shadow (honest) behaviour.
 
-    `emit` sees one round: the honest envelopes as an `engine.RoundTraffic`
-    (iterating it yields every envelope; `entries` yields each send once and
-    `tags` holds the tags in use) and, per member, its shadow's would-be
-    envelopes.  `transform` gets one member's shadow sends for that round;
-    the engine tags every message of a process in a round with the
-    process's current tag, so they all carry the same tag.
+    Traffic is a list of send items ``(sender, tag, sends)``, where `sends`
+    is an `engine.Broadcast` or a list of ``(receiver, payload)`` pairs;
+    iterating either yields the pairs.  `emit` sees one round: the honest
+    items (one per sender that sends, ascending) and each alive member's
+    shadow item, and returns the faulty items, which the engine delivers
+    after the honest ones in the order given.  The base `emit` hands each
+    shadow item to `transform`, which returns the member's items for the
+    round; a shadow's `Broadcast` passed on unchanged is delivered by
+    reference.
     """
 
     name = "honest-shadow"
@@ -82,15 +97,15 @@ class Strategy:
     def filter_member_inbox(self, member, inbox, rnd):
         return inbox
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
-        return sends
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        return [(member, tag, sends)]
 
-    def emit(self, rnd, honest_traffic, shadow_sends, actx):
-        for tag in honest_traffic.tags:
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        for tag in {item[1] for item in honest_items}:
             self._tag_round[tag] = self._tag_round.get(tag, 0) + 1
         out = []
-        for member in sorted(shadow_sends):
-            out.extend(self.transform(member, shadow_sends[member], rnd, honest_traffic, actx))
+        for member, tag, sends in shadow_items:
+            out.extend(self.transform(member, tag, sends, rnd, honest_items, actx))
         return out
 
     # -- helpers ----------------------------------------------------------
@@ -102,7 +117,7 @@ class Strategy:
 class SilentStrategy(Strategy):
     name = "silent"
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
         return []
 
 
@@ -111,8 +126,8 @@ class CrashStrategy(Strategy):
 
     name = "crash"
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
-        return [] if rnd >= self.params.get("round", 2) else sends
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        return [] if rnd >= self.params.get("round", 2) else [(member, tag, sends)]
 
 
 class EquivocatorStrategy(Strategy):
@@ -120,11 +135,8 @@ class EquivocatorStrategy(Strategy):
 
     name = "equivocator"
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
-        return [
-            (s, r, tag, _perturb(payload, member, r, rnd, tag, actx))
-            for (s, r, tag, payload) in sends
-        ]
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        return [(member, tag, [(r, _perturb(p, member, r, rnd, tag, actx)) for r, p in sends])]
 
 
 def _rotate(value, salt, domain):
@@ -173,15 +185,17 @@ class VotePoisonerStrategy(Strategy):
 
     name = "vote-poisoner"
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
-        if not sends or not sends[0][2].endswith("classify"):
-            return sends
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        if not tag.endswith("classify"):
+            return [(member, tag, sends)]
         if self.params.get("mode", "complement") == "per-receiver":
-            return [
-                (s, r, tag, tuple((1 - b) if (j + r) % 2 else b for j, b in enumerate(actx.truth)))
-                for s, r, tag, _payload in sends
+            pairs = [
+                (r, tuple((1 - b) if (j + r) % 2 else b for j, b in enumerate(actx.truth)))
+                for r, _payload in sends
             ]
-        return [(s, r, tag, actx.complement) for s, r, tag, _payload in sends]
+        else:
+            pairs = [(r, actx.complement) for r, _payload in sends]
+        return [(member, tag, pairs)]
 
 
 class SelectiveIgnorerStrategy(Strategy):
@@ -210,7 +224,23 @@ class SelectiveIgnorerStrategy(Strategy):
         return inbox[take:]
 
 
-class ChainWithholderStrategy(Strategy):
+class _CvoteCollector(Strategy):
+    """Keeps the committee-vote signatures each member has received, in
+    arrival order, for strategies that certify their own members."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self._cvotes: Dict[int, List[Any]] = {}
+
+    def filter_member_inbox(self, member, inbox, rnd):
+        sigs = self._cvotes.setdefault(member, [])
+        for _src, _tag, payload in inbox:
+            if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
+                sigs.append(payload[1])
+        return inbox
+
+
+class ChainWithholderStrategy(_CvoteCollector):
     """Members behave honestly, but each certified faulty sender also builds
     a private chain for a second value, extended member-to-member without
     ever touching an honest process, and reveals it at the last round where
@@ -223,28 +253,23 @@ class ChainWithholderStrategy(Strategy):
         self._private: Dict[str, Dict[str, Any]] = {}
 
     def _member_cert(self, member, context, actx):
-        sigs = []
-        for _rnd, inbox in actx.member_inboxes.get(member, ()):
-            for _src, _tag, payload in inbox:
-                if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
-                    sigs.append(payload[1])
+        sigs = self._cvotes.get(member, ())
         return assemble_committee_certificate(member, context, sigs, actx.t, actx.verify)
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
-        out = list(sends)
-        for env in sends:
-            payload = env[3]
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        out = [(member, tag, sends)]
+        for _rcv, payload in sends:
             if isinstance(payload, MessageChain) and len(payload) == 1 and payload.origin == member:
                 key = (payload.context, member)
                 if key not in self._private:
-                    self._build_private(member, payload, env[2], actx)
+                    self._build_private(member, payload, tag, actx)
         for (_context, owner), state in sorted(self._private.items()):
             if owner != member or state["sent"] or state["chain"] is None:
                 continue
             chain = state["chain"]
             if self.tag_round(state["tag"]) == len(chain):
                 honest = [p for p in range(1, actx.n + 1) if p not in actx.fault_set]
-                out.extend((member, r, state["tag"], chain) for r in honest)
+                out.append((member, state["tag"], [(r, chain) for r in honest]))
                 state["sent"] = True
         return out
 
@@ -274,17 +299,17 @@ class CertificateHoarderStrategy(Strategy):
 
     name = "certificate-hoarder"
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
         out = []
-        for s, r, tag, payload in sends:
+        for r, payload in sends:
             if isinstance(payload, MessageChain):
                 continue  # withhold all chain traffic
             if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "plur":
                 poison = _rotate(payload[1], r, actx.value_domain)
-                out.append((s, r, tag, ("plur", poison, payload[2])))
+                out.append((r, ("plur", poison, payload[2])))
             else:
-                out.append((s, r, tag, payload))
-        return out
+                out.append((r, payload))
+        return [(member, tag, out)]
 
 
 class GradeSplitterStrategy(Strategy):
@@ -325,12 +350,11 @@ class GradeSplitterStrategy(Strategy):
         self._members = sorted(scenario.fault_set)
         self._unauth = scenario.variant == "unauthenticated"
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
         if not sends or not self._active:
-            return sends
-        tag = sends[0][2]
+            return [(member, tag, sends)]
         if tag.endswith("classify"):
-            return [(s, r, tag, actx.complement) for s, r, _tag, _payload in sends]
+            return [(member, tag, [(r, actx.complement) for r, _payload in sends])]
         head, _, _ = tag.partition("/")
         phase = int(head[2:]) if head.startswith("ph") and head[2:].isdigit() else None
         leaf = tag.rsplit("/", 1)[-1]
@@ -339,24 +363,21 @@ class GradeSplitterStrategy(Strategy):
             faction = self._faction_a if phase == 1 else self._faction_c
             # feeding the members too keeps their shadows voting, which
             # keeps the next round of this window visible to us
-            return [(member, rr, tag, value) for rr in faction + self._members]
+            return [(member, tag, [(rr, value) for rr in faction + self._members])]
         if self._unauth and leaf == "gc3" and phase == 1:
             push_value = self._push_value
             holders = sorted(
-                {s for s, t, p in honest_traffic.entries() if t == tag and p == push_value}
+                {s for s, t, p in entries(honest_items) if t == tag and p == push_value}
             )
             if self.tag_round(tag) % 2 == 1:
                 if len(holders) + len(self._members) >= actx.n - actx.t:
-                    return [(member, rr, tag, push_value) for rr in holders]
+                    return [(member, tag, [(rr, push_value) for rr in holders])]
             elif holders:
-                return [(member, self._target, tag, push_value)]
+                return [(member, tag, [(self._target, push_value)])]
             return []
         if leaf in ("gc1", "gc2", "gc3", "gc", "king", "con", "gca", "gcb"):
             return []  # silent around every other guard site
-        return [
-            (s, r, tag, _perturb(payload, member, r, rnd, tag, actx))
-            for s, r, _tag, payload in sends
-        ]
+        return [(member, tag, [(r, _perturb(p, member, r, rnd, tag, actx)) for r, p in sends])]
 
 
 class ForgerStrategy(Strategy):
@@ -369,12 +390,12 @@ class ForgerStrategy(Strategy):
         super().__init__(params)
         self._seen_sig = None  # the first honest committee signature seen
 
-    def transform(self, member, sends, rnd, honest_traffic, actx):
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
         from .signatures import Signature, digest as digest_of
 
-        out = list(sends)
+        out = [(member, tag, sends)]
         if self._seen_sig is None:
-            for _s, _tag, payload in honest_traffic.entries():
+            for _s, _tag, payload in entries(honest_items):
                 if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
                     self._seen_sig = payload[1]
                     break
@@ -382,7 +403,7 @@ class ForgerStrategy(Strategy):
         if not honest:
             return out
         victim = honest[(rnd - 1) % len(honest)]
-        for _s, tag, chain in honest_traffic.entries():
+        for _s, chain_tag, chain in entries(honest_items):
             if isinstance(chain, MessageChain):
                 forged_value = _rotate(chain.value, 1, actx.value_domain)
                 cert, _sig = chain.links[0]
@@ -396,11 +417,11 @@ class ForgerStrategy(Strategy):
                     context=chain.context,
                     links=((cert, fake_sig),),
                 )
-                out.extend((member, r, tag, forged) for r in honest)
+                out.append((member, chain_tag, [(r, forged) for r in honest]))
                 break
         if self._seen_sig is not None:
             # Replay an honest committee signature as a chain-link signature.
-            out.append((member, victim, "forgery-probe", ("replayed-sig", self._seen_sig)))
+            out.append((member, "forgery-probe", [(victim, ("replayed-sig", self._seen_sig))]))
         return out
 
 
@@ -449,7 +470,7 @@ def make_strategy(spec: AdversarySpec) -> Strategy:
 # Exhaustive enumeration for small instances
 # ---------------------------------------------------------------------------
 
-class ChoiceTableStrategy(Strategy):
+class ChoiceTableStrategy(_CvoteCollector):
     """Pre-committed per-(round, member, receiver) payload choices.
 
     Entries are ((round, member, receiver), (tag, action)) pairs.  An action
@@ -480,8 +501,8 @@ class ChoiceTableStrategy(Strategy):
         key = (chain.context, chain.value, len(chain))
         self._known_chains.setdefault(key, chain)
 
-    def _observe(self, honest_traffic):
-        for _s, tag, payload in honest_traffic.entries():
+    def _observe(self, honest_items):
+        for _s, tag, payload in entries(honest_items):
             if isinstance(payload, MessageChain):
                 self._note_chain(payload)
             elif isinstance(payload, tuple) and len(payload) == 2:
@@ -544,11 +565,7 @@ class ChoiceTableStrategy(Strategy):
     def _resolve_chain(self, value, member, actx):
         contexts = sorted({c for (c, _v, _l) in self._known_chains})
         context = contexts[0] if contexts else "bb-standalone"
-        cert_sigs = []
-        for _r, inbox in actx.member_inboxes.get(member, ()):
-            for _src, _t, payload in inbox:
-                if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
-                    cert_sigs.append(payload[1])
+        cert_sigs = self._cvotes.get(member, ())
         cert = assemble_committee_certificate(member, context, cert_sigs, actx.t, actx.verify)
         if cert is None:
             return None
@@ -564,8 +581,8 @@ class ChoiceTableStrategy(Strategy):
             return extend_chain(longest, cert, _MemberSigner(actx, member))
         return start_chain(value, cert, _MemberSigner(actx, member))
 
-    def emit(self, rnd, honest_traffic, shadow_sends, actx):
-        self._observe(honest_traffic)
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        self._observe(honest_items)
         out = []
         for member in sorted(actx.fault_set):
             for receiver in range(1, actx.n + 1):
@@ -578,7 +595,7 @@ class ChoiceTableStrategy(Strategy):
                         continue
                     if isinstance(payload, MessageChain):
                         self._note_chain(payload)
-                    out.append((member, receiver, tag, payload))
+                    out.append((member, tag, [(receiver, payload)]))
         return out
 
 

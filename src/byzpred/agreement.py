@@ -43,9 +43,6 @@ from .blocks import (
 from .engine import register_protocol
 from .errors import ConfigurationError
 
-MUTANT_NO_GRADE_GUARD = "no-grade-guard"
-
-
 # ---------------------------------------------------------------------------
 # Round formulas
 # ---------------------------------------------------------------------------
@@ -235,7 +232,6 @@ def ba_with_predictions(ctx, value, prediction):
     alpha = compute_alpha(variant, ctx.t)
     phases = wrapper_phase_count(ctx.t)
     ctx.shared.setdefault("alpha", alpha)
-    guard_off = MUTANT_NO_GRADE_GUARD in ctx.mutants
 
     with ctx.scope("classify"):
         classification = yield from classify(ctx, prediction)
@@ -249,7 +245,7 @@ def ba_with_predictions(ctx, value, prediction):
                 value, g1 = yield from graded_consensus_standard(ctx, value)
             with ctx.scope("es"):
                 early = yield from ba_early_stopping(ctx, value, T)
-            if g1 == 0 or guard_off:
+            if g1 == 0:
                 value = early
             with ctx.scope("gc2"):
                 value, g2 = yield from graded_consensus_standard(ctx, value)
@@ -257,7 +253,7 @@ def ba_with_predictions(ctx, value, prediction):
                 conditional = yield from ctx.exact_rounds(
                     T, ba_with_classification(ctx, value, classification, k, T)
                 )
-            if g2 == 0 or guard_off:
+            if g2 == 0:
                 value = conditional
             with ctx.scope("gc3"):
                 value, g3 = yield from graded_consensus_standard(ctx, value)

@@ -5,51 +5,57 @@ list of ``(receiver, payload)`` pairs to transmit this round and resumes
 with the ``(sender, payload)`` pairs addressed to the process in the same
 round under its current protocol tag.  One yield == one communication
 round.  A process sends under exactly one protocol tag per round, its
-current ``ctx.tag``: the engine stamps the sender and that tag onto each
-pair, and it also drops every message a receiver gets under another tag,
-so protocol code never sees a tag.  Messages sent in round r are consumed
-by the receiver's next computation step, so no round-r state ever depends
-on a round-r message.
+current ``ctx.tag``: the engine keeps what a process yields as one send
+item ``(sender, tag, sends)``, and it drops every message a receiver gets
+under another tag, so protocol code never sees a tag.  Messages sent in
+round r are consumed by the receiver's next computation step, so no
+round-r state ever depends on a round-r message.
 
 Faulty processes never run their own code on the network: the engine runs
 "shadow" copies of the honest program for them (so strategies like
 crash-at-round-r can replay honest behaviour), but everything they
-transmit is produced by the adversary strategy, which sees the complete
-honest round-r traffic before choosing the faulty round-r messages
-(rushing adversary).  The strategy also sees each member's inbox as full
-``(sender, tag, payload)`` entries before its shadow steps.
+transmit is produced by the adversary strategy, which sees the honest
+round-r send items before choosing the faulty round-r items (rushing
+adversary).  Honest and faulty items share one format and one check: a
+malformed send, a receiver outside 1..n or a faulty item with an honest
+sender raises `ProtocolViolation`.  The strategy also sees each member's
+inbox as full ``(sender, tag, payload)`` entries before its shadow steps.
 
-Message accounting counts envelopes with an honest sender and a receiver
+Message accounting counts messages with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inboxes
 are shuffled by a seed-derived permutation per (round, receiver); protocol
 code must not depend on inbox order.
 
-An honest ``ctx.broadcast`` stays one entry from send to delivery: the
-engine counts it as n-1 messages, hands the strategy a `RoundTraffic` that
-holds it once, and puts one shared ``(sender, payload)`` pair into every
-honest inbox instead of a tuple per receiver.  Every inbox still holds the
-same messages in the same order as if the broadcast had been yielded as n
-separate pairs and filtered by tag after the shuffle.
+A ``ctx.broadcast`` stays one item from send to delivery, whoever sends
+it: the engine counts an honest one as n-1 messages and puts one shared
+``(sender, payload)`` pair into every inbox of the sender's tag instead of
+a tuple per receiver.  A strategy that passes a shadow's broadcast on
+unchanged gets it delivered the same way.  Every inbox still holds the
+same messages in the same order as if each broadcast had been n separate
+pairs: honest items in ascending sender order, then faulty items in
+strategy order, each pair list receiver by receiver.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import predictions
 from .errors import ConfigurationError, ProtocolViolation
-from .scenario import AUTHENTICATED, Scenario
+from .scenario import Scenario
 from .signatures import SignOracle, SimTokenScheme
 
 # Hard cap on rounds per execution; hitting it means a protocol bug.
 MAX_ROUNDS = 200_000
 
-# (receiver, payload) before tagging; (sender, receiver, tag, payload) on the wire.
+# (receiver, payload) as a process yields it; a send item on the wire is
+# (sender, tag, sends), with sends a Broadcast or a list of Sends.
 Send = Tuple[int, Any]
-Envelope = Tuple[int, int, str, Any]
+Item = Tuple[int, str, Any]
 
 _PROTOCOLS: Dict[str, Callable] = {}
 
@@ -95,12 +101,11 @@ class ProcessContext:
         "signer",
         "_trace",
         "_checks",
-        "mutants",
         "shared",
         "memo",
     )
 
-    def __init__(self, pid, scenario, signer, trace_sink, check_sink, mutants, shared, memo):
+    def __init__(self, pid, scenario, signer, trace_sink, check_sink, shared, memo):
         self.pid = pid
         self.n = scenario.n
         self.t = scenario.t
@@ -112,7 +117,6 @@ class ProcessContext:
         self.signer = signer
         self._trace = trace_sink
         self._checks = check_sink
-        self.mutants = mutants
         self.shared = shared  # execution-wide trace dict; honest writers only
         self.memo = memo  # execution-wide cache for pure validation results
 
@@ -135,7 +139,7 @@ class ProcessContext:
         for the messages sent to this process under its current tag.
 
         `sends` holds (receiver, payload) pairs, or is a `broadcast`, and is
-        yielded as is; the engine stamps each with this process's id and
+        yielded as is; the engine stamps them with this process's id and
         current tag, so every message of a process in one round carries the
         same tag.  The engine also filters the inbox by the receiver's tag,
         so the inbox comes back as delivered."""
@@ -194,45 +198,6 @@ class Broadcast:
     def __iter__(self):
         payload = self.payload
         return ((r, payload) for r in range(1, self.n + 1))
-
-
-class RoundTraffic:
-    """The honest envelopes of one round, held as one item per sender.
-
-    An item is a broadcast's ``(sender, tag, payload)`` entry or a targeted
-    sender's list of ``(sender, receiver, tag, payload)`` envelopes, in
-    ascending sender order.  Iterating yields every envelope, a broadcast as
-    one envelope per receiver 1..n, so it is the round's full envelope list;
-    `entries` yields each send once as ``(sender, tag, payload)``, and
-    `tags` is the set of tags the honest senders used.
-    """
-
-    __slots__ = ("items", "n", "tags")
-
-    def __init__(self, items: List[Any], n: int):
-        self.items = items
-        self.n = n
-        self.tags = {item[1] if type(item) is tuple else item[0][2] for item in items}
-
-    def __iter__(self):
-        receivers = range(1, self.n + 1)
-        for item in self.items:
-            if type(item) is tuple:
-                sender, tag, payload = item
-                for rcv in receivers:
-                    yield (sender, rcv, tag, payload)
-            else:
-                yield from item
-
-    def entries(self):
-        """Each broadcast once and each targeted envelope without its
-        receiver, as ``(sender, tag, payload)``, in envelope order."""
-        for item in self.items:
-            if type(item) is tuple:
-                yield item
-            else:
-                for sender, _rcv, tag, payload in item:
-                    yield (sender, tag, payload)
 
 
 class _CheckSink:
@@ -330,26 +295,43 @@ def _shuffle(x: list, getrandbits) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
+    """Return `sends` as a `Broadcast` or a list of ``(receiver, payload)``
+    pairs, with the number of messages it holds for processes other than
+    `sender`.  A malformed send or a receiver outside `receivers` raises
+    `ProtocolViolation` naming `sender`."""
+    if type(sends) is Broadcast:
+        return sends, sends.n - 1
+    try:
+        pairs = sends if type(sends) is list else list(sends)
+    except TypeError:
+        raise ProtocolViolation(f"process {sender} produced a malformed send: {sends!r}")
+    sent = 0
+    for item in pairs:
+        try:
+            rcv, _payload = item
+        except (TypeError, ValueError):
+            raise ProtocolViolation(f"process {sender} produced a malformed send: {item!r}")
+        if rcv not in receivers:
+            raise ProtocolViolation(f"process {sender} addressed unknown receiver {rcv!r}")
+        if rcv != sender:
+            sent += 1
+    return pairs, sent
+
+
 def run_execution(
     scenario: Scenario,
     protocol: str,
     params: Optional[Dict[str, Any]] = None,
-    mutants: Tuple[str, ...] = (),
-    _shuffle_salt: Optional[int] = None,
 ) -> ExecutionResult:
-    """Drive one execution to completion.
-
-    The result is a pure function of (scenario, protocol, params, mutants);
-    `_shuffle_salt` only perturbs inbox ordering and exists for the
-    metamorphic order-independence test.
-    """
+    """Drive one execution to completion; the result is a pure function of
+    (scenario, protocol, params)."""
     if protocol not in _PROTOCOLS:
         raise ConfigurationError(
             f"unknown protocol {protocol!r}; known: {', '.join(protocol_names())}"
         )
     params = dict(params or {})
     factory = _PROTOCOLS[protocol]
-    salt = scenario.seed if _shuffle_salt is None else _shuffle_salt
 
     scheme = SimTokenScheme(scenario.seed)
     trace_sink: List[Dict[str, Any]] = []
@@ -390,7 +372,6 @@ def run_execution(
             signer,
             [] if faulty else trace_sink,
             None if faulty else checks,
-            mutants,
             {} if faulty else shared_trace,
             shared_memo,
         )
@@ -400,16 +381,15 @@ def run_execution(
             value, prediction = strategy.member_program_inputs(pid, value, prediction)
         gens[pid] = factory(ctx, scenario, dict(params, input=value, prediction=prediction))
 
-    adv_ctx = _AdversaryContext(scenario, scheme, pred_vectors)
+    adv_ctx = _AdversaryContext(scenario, scheme)
 
     decisions: Dict[int, Any] = {}
     finished_round: Dict[int, int] = {}
-    # A RoundTraffic item per honest sender; envelope lists for shadows.
-    outs: Dict[int, Any] = {}
+    outs: Dict[int, Item] = {}  # each alive process's send item for the next round
     alive = set(range(1, scenario.n + 1))
     honest = set(scenario.honest)
-    n = scenario.n
-    receivers = range(1, n + 1)
+    fault_set = scenario.fault_set
+    receivers = range(1, scenario.n + 1)
     msg_counts: Dict[str, int] = {}
     sender_counts: Dict[str, Dict[int, int]] = {}
 
@@ -431,28 +411,8 @@ def run_execution(
             outs.pop(pid, None)
             return
         tag = ctxs[pid].tag
-        if type(sends) is Broadcast:
-            payload = sends.payload
-            if pid in honest:
-                outs[pid] = (pid, tag, payload)
-            else:
-                outs[pid] = [(pid, rcv, tag, payload) for rcv in receivers]
-            sent = n - 1
-        else:
-            envs = []
-            own = 0
-            for item in sends:
-                try:
-                    rcv, payload = item
-                except (TypeError, ValueError):
-                    raise ProtocolViolation(f"process {pid} produced a malformed send: {item!r}")
-                if not (1 <= rcv <= n):
-                    raise ProtocolViolation(f"process {pid} addressed unknown receiver {rcv}")
-                if rcv == pid:
-                    own += 1
-                envs.append((pid, rcv, tag, payload))
-            outs[pid] = envs
-            sent = len(envs) - own
+        sends, sent = _checked(pid, sends, receivers)
+        outs[pid] = (pid, tag, sends)
         if sent and pid in honest:
             msg_counts[tag] = msg_counts.get(tag, 0) + sent
             per_sender = sender_counts.setdefault(tag, {})
@@ -471,28 +431,29 @@ def run_execution(
         rnd += 1
         if rnd > MAX_ROUNDS:
             raise ProtocolViolation(f"execution exceeded {MAX_ROUNDS} rounds")
-        items: List[Any] = []
-        shadow_sends: Dict[int, List[Envelope]] = {}
+        honest_items: List[Item] = []
+        shadow_items: List[Item] = []
         for pid in sorted(outs):
-            if pid in honest:
-                if outs[pid]:
-                    items.append(outs[pid])
-            else:
-                shadow_sends[pid] = outs[pid]
-        faulty_traffic = strategy.emit(rnd, RoundTraffic(items, n), shadow_sends, adv_ctx)
-        for env in faulty_traffic:
-            if env[0] not in scenario.fault_set:
-                raise ProtocolViolation(
-                    f"adversary tried to send as honest process {env[0]}"
-                )
-            if not (1 <= env[1] <= n):
-                raise ProtocolViolation(f"adversary receiver out of range: {env[1]}")
+            item = outs[pid]
+            if pid not in honest:
+                shadow_items.append(item)
+            elif item[2]:
+                honest_items.append(item)
+        faulty_items: List[Item] = []
+        for item in strategy.emit(rnd, honest_items, shadow_items, adv_ctx):
+            try:
+                sender, tag, sends = item
+            except (TypeError, ValueError):
+                raise ProtocolViolation(f"adversary produced a malformed send item: {item!r}")
+            if sender not in fault_set:
+                raise ProtocolViolation(f"adversary tried to send as honest process {sender!r}")
+            faulty_items.append((sender, tag, _checked(sender, sends, receivers)[0]))
 
-        # Honest senders in ascending pid, then faulty traffic in strategy
+        # Honest items in ascending pid, then faulty items in strategy
         # order.  An honest receiver takes (sender, payload) in its own tag
         # and a None placeholder for any other tag, so the shuffle sees the
         # old inbox length; a member takes full (sender, tag, payload)
-        # entries.  A run of consecutive broadcasters reaches every inbox of
+        # entries.  A run of consecutive broadcasts reaches every inbox of
         # one receiver tag with one extend per inbox.
         inboxes: Dict[int, List[Any]] = {pid: [] for pid in alive}
         want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
@@ -503,21 +464,31 @@ def run_execution(
         holey = set()  # honest receivers holding a placeholder
 
         def flush(run):
-            pairs = [(sender, payload) for sender, _tag, payload in run]
-            run_tags = {entry[1] for entry in run}
+            pairs = [(sender, sends.payload) for sender, _tag, sends in run]
+            run_tags = {item[1] for item in run}
             for tag, pids in groups.items():
                 if run_tags == {tag}:
                     seq = pairs
                 else:
-                    seq = [pair if entry[1] == tag else None for pair, entry in zip(pairs, run)]
+                    seq = [pair if item[1] == tag else None for pair, item in zip(pairs, run)]
                     holey.update(pids)
                 for pid in pids:
                     inboxes[pid].extend(seq)
-            for box in member_boxes:
-                box.extend(run)
+            if member_boxes:
+                entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
+                for box in member_boxes:
+                    box.extend(entries)
 
-        def deliver(envs):
-            for sender, rcv, tag, payload in envs:
+        run: List[Item] = []
+        for item in chain(honest_items, faulty_items):
+            sender, tag, sends = item
+            if type(sends) is Broadcast:
+                run.append(item)
+                continue
+            if run:
+                flush(run)
+                run = []
+            for rcv, payload in sends:
                 box = inboxes.get(rcv)
                 if box is None:
                     continue
@@ -529,29 +500,17 @@ def run_execution(
                 else:
                     box.append(None)
                     holey.add(rcv)
-
-        run: List[Tuple[int, str, Any]] = []
-        for item in items:
-            if type(item) is tuple:
-                run.append(item)
-                continue
-            if run:
-                flush(run)
-                run = []
-            deliver(item)
         if run:
             flush(run)
-        deliver(faulty_traffic)
 
-        seed_base = (salt * 1_000_003 + rnd) * 1_000_003
+        seed_base = (scenario.seed * 1_000_003 + rnd) * 1_000_003
         for pid in sorted(alive):
             inbox = inboxes[pid]
             if len(inbox) > 1:
                 reseed((seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
                 _shuffle(inbox, getrandbits)
-            if pid in scenario.fault_set:
+            if pid in fault_set:
                 inbox = strategy.filter_member_inbox(pid, inbox, rnd)
-                adv_ctx.observe_member_inbox(pid, rnd, inbox)
                 tag = ctxs[pid].tag
                 inbox = [(sender, payload) for sender, mtag, payload in inbox if mtag == tag]
             elif pid in holey:
@@ -579,19 +538,15 @@ def run_execution(
 class _AdversaryContext:
     """What a strategy is allowed to see and do."""
 
-    def __init__(self, scenario: Scenario, scheme, pred_vectors):
-        self.scenario = scenario
+    def __init__(self, scenario: Scenario, scheme):
         self.n = scenario.n
         self.t = scenario.t
         self.fault_set = set(scenario.fault_set)
         self.truth = predictions.correct_classification(scenario.n, self.fault_set)
         self.complement = tuple(1 - b for b in self.truth)
         self.value_domain = scenario.value_domain
-        self.predictions = pred_vectors
-        self.rng = random.Random(scenario.seed ^ 0xADE5A11)
         self._scheme = scheme
         self.memo: Dict[Any, Any] = {}
-        self.member_inboxes: Dict[int, List[Tuple[int, List]]] = {m: [] for m in self.fault_set}
 
     def sign_as(self, member: int, content) -> Any:
         if member not in self.fault_set:
@@ -600,6 +555,3 @@ class _AdversaryContext:
 
     def verify(self, sig, signer, content) -> bool:
         return self._scheme.verify(sig, signer, content)
-
-    def observe_member_inbox(self, member, rnd, inbox):
-        self.member_inboxes[member].append((rnd, inbox))

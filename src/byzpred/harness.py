@@ -300,9 +300,9 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
 # Metrics records
 # ---------------------------------------------------------------------------
 
-def run_point(point: SweepPoint, mutants: Tuple[str, ...] = ()) -> Dict[str, Any]:
+def run_point(point: SweepPoint) -> Dict[str, Any]:
     """Execute one point and build its metrics record."""
-    result = run_execution(point.scenario, point.protocol, point.params, mutants=mutants)
+    result = run_execution(point.scenario, point.protocol, point.params)
     verdicts = verify_execution(result)
     scenario = point.scenario
     classifications = {
@@ -329,7 +329,7 @@ def run_point(point: SweepPoint, mutants: Tuple[str, ...] = ()) -> Dict[str, Any
         "scenario": scenario.to_json_dict(),
         "protocol": point.protocol,
         "params": point.params,
-        "mutants": list(mutants),
+        "mutants": [],  # always empty; kept so that records keep their bytes
         "realized_budget": result.trace.get("prediction_report"),
         "misclassification": mis_record,
         "rounds_elapsed": result.rounds_elapsed,
@@ -348,15 +348,14 @@ def record_bytes(record: Dict[str, Any]) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _run_point_json(args) -> Dict[str, Any]:
-    point_dict, mutants = args
+def _run_point_json(point_dict) -> Dict[str, Any]:
     point = SweepPoint(
         index=point_dict["index"],
         scenario=Scenario.from_json_dict(point_dict["scenario"]),
         protocol=point_dict["protocol"],
         params=point_dict["params"],
     )
-    return run_point(point, tuple(mutants))
+    return run_point(point)
 
 
 @dataclass
@@ -388,7 +387,6 @@ def run_sweep(
     doc: Dict[str, Any],
     output_path: Optional[str] = None,
     workers: Optional[int] = None,
-    mutants: Tuple[str, ...] = (),
     stop_on_violation: bool = True,
     progress=None,
 ) -> Tuple[List[Dict[str, Any]], SweepSummary]:
@@ -400,14 +398,14 @@ def run_sweep(
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            jobs = [(p.to_json_dict(), list(mutants)) for p in points]
+            jobs = [p.to_json_dict() for p in points]
             for record in pool.imap(_run_point_json, jobs, chunksize=1):
                 records.append(record)
                 if progress:
                     progress(record)
     else:
         for point in points:
-            record = run_point(point, mutants)
+            record = run_point(point)
             records.append(record)
             if progress:
                 progress(record)
@@ -471,7 +469,7 @@ def replay_record(record: Dict[str, Any]) -> bool:
         protocol=record["protocol"],
         params=record["params"],
     )
-    fresh = run_point(point, tuple(record.get("mutants", ())))
+    fresh = run_point(point)
     return record_bytes(fresh) == record_bytes(record)
 
 

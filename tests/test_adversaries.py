@@ -21,7 +21,7 @@ from byzpred.authtools import (
     start_chain,
     validate_chain,
 )
-from byzpred.engine import RoundTraffic, run_execution
+from byzpred.engine import run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
@@ -57,24 +57,19 @@ def test_catalog_contains_required_strategies():
 
 
 class _TagRecorder(Strategy):
-    """Replays the shadows and records the tags of every sender's round."""
+    """Replays the shadows and records, per round, the (sender, tag) of
+    every honest and every shadow item that sends something."""
 
     def __init__(self, params=None):
         super().__init__(params)
-        self.shadow_tags = []  # one set of tags per (member, round) transform call
-        self.honest_tags = []  # one set of tags per (honest sender, round)
+        self.rounds = []  # per round: (honest pairs, shadow pairs)
 
-    def emit(self, rnd, honest_traffic, shadow_sends, actx):
-        by_sender = {}
-        for sender, _rcv, tag, _payload in honest_traffic:
-            by_sender.setdefault(sender, set()).add(tag)
-        self.honest_tags.extend(by_sender.values())
-        return super().emit(rnd, honest_traffic, shadow_sends, actx)
-
-    def transform(self, member, sends, rnd, honest_traffic, actx):
-        if sends:
-            self.shadow_tags.append({env[2] for env in sends})
-        return sends
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        self.rounds.append(tuple(
+            [(sender, tag) for sender, tag, sends in items if sends]
+            for items in (honest_items, shadow_items)
+        ))
+        return super().emit(rnd, honest_items, shadow_items, actx)
 
 
 @pytest.mark.parametrize("variant", ["unauthenticated", "authenticated"])
@@ -90,11 +85,15 @@ def test_every_sender_uses_one_tag_per_round(monkeypatch, variant):
     r = run_execution(s, "ba-with-predictions")
     assert all_pass(verify_execution(r))
     (rec,) = recorders
-    assert rec.shadow_tags and rec.honest_tags
-    assert all(len(tags) == 1 for tags in rec.shadow_tags)
-    assert all(len(tags) == 1 for tags in rec.honest_tags)
+    assert any(honest for honest, _shadow in rec.rounds)
+    assert any(shadow for _honest, shadow in rec.rounds)
+    for round_items in rec.rounds:
+        for pairs in round_items:
+            # one item, hence one tag, per sender, in ascending sender order
+            senders = [sender for sender, _tag in pairs]
+            assert senders == sorted(set(senders))
     # not vacuous: the execution moves through several scopes
-    assert len(set().union(*rec.honest_tags)) > 3
+    assert len({tag for honest, _shadow in rec.rounds for _sender, tag in honest}) > 3
 
 
 def test_unknown_strategy_rejected():
@@ -147,9 +146,9 @@ def test_forged_chain_link_has_the_right_digest_and_is_still_rejected():
     chain = start_chain(0, cert, SignOracle(scheme, 2))
     actx = SimpleNamespace(n=4, fault_set=frozenset({4}), value_domain=(0, 1))
     out = make_strategy(AdversarySpec.make("forger")).transform(
-        4, [], 1, RoundTraffic([[(2, 1, "bb", chain)]], 4), actx
+        4, "bb", [], 1, [(2, "bb", [(1, chain)])], actx
     )
-    forged = [env[3] for env in out if isinstance(env[3], MessageChain)]
+    forged = [p for _m, _tag, sends in out for _r, p in sends if isinstance(p, MessageChain)]
     assert forged and forged[0].value == 1
     ((forged_cert, forged_sig),) = forged[0].links
     assert forged_sig.message_digest == digest(_link_content(None, 1, "ctx", forged_cert))

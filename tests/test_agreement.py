@@ -2,7 +2,7 @@
 
 import pytest
 
-from byzpred import harness
+from byzpred import agreement, harness
 from byzpred.agreement import (
     compute_alpha,
     conditional_round_budget,
@@ -165,14 +165,25 @@ def test_wrapper_authenticated_end_to_end():
         assert all_pass(verdicts), (adv, failures(verdicts))
 
 
-def test_wrapper_mutant_flag_changes_behaviour_only_with_guard():
-    # with guards intact (empty mutant tuple) the run passes every verdict;
-    # with the grade guard removed the run still terminates with decisions
+def test_wrapper_without_grade_guard_still_decides(monkeypatch):
+    # with guards intact the run passes every verdict; with the grade guard
+    # removed (gc1 and gc2 report grade 0, so every phase adopts the
+    # early-stopping and conditional outputs) the run still terminates with
+    # decisions
     s = scenario(7, 2, {6, 7}, (0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
     clean = run_execution(s, "ba-with-predictions")
-    mutant = run_execution(s, "ba-with-predictions", mutants=("no-grade-guard",))
     assert all_pass(verify_execution(clean))
+    assert any(e["g1"] == 1 for e in clean.per_phase_trace)
+    real = agreement.graded_consensus_standard
+
+    def no_grade_guard(ctx, value):
+        value, grade = yield from real(ctx, value)
+        return value, 0 if ctx.tag.rsplit("/", 1)[-1] in ("gc1", "gc2") else grade
+
+    monkeypatch.setattr(agreement, "graded_consensus_standard", no_grade_guard)
+    mutant = run_execution(s, "ba-with-predictions")
     assert mutant.decisions
+    assert {(e["g1"], e["g2"]) for e in mutant.per_phase_trace} == {(0, 0)}
 
 
 def test_phase_count_and_alpha_formulas():

@@ -2,10 +2,12 @@
 
 import json
 import random
+import re
 
 import pytest
 
-from byzpred.adversaries import CATALOG, Strategy
+from byzpred import engine
+from byzpred.adversaries import CATALOG, Strategy, entries
 from byzpred.engine import Broadcast, ProcessContext, _shuffle, register_protocol, run_execution
 from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
@@ -41,11 +43,15 @@ def test_determinism_byte_identical():
     assert result_bytes(a) == result_bytes(b)
 
 
-def test_inbox_order_independence_metamorphic():
+def test_inbox_order_independence_metamorphic(monkeypatch):
+    # the seed's inbox permutations and two unrelated ones give one result
     s = basic(fault_set={4}, inputs=(0, 1, 0, 1), adversary="equivocator", budget=3)
-    a = run_execution(s, "ba-with-predictions", _shuffle_salt=101)
-    b = run_execution(s, "ba-with-predictions", _shuffle_salt=202)
-    assert result_bytes(a) == result_bytes(b)
+    results = [result_bytes(run_execution(s, "ba-with-predictions"))]
+    for salt in (101, 202):
+        rng = random.Random(salt)
+        monkeypatch.setattr(engine, "_shuffle", lambda inbox, _bits, rng=rng: rng.shuffle(inbox))
+        results.append(result_bytes(run_execution(s, "ba-with-predictions")))
+    assert results[0] == results[1] == results[2]
 
 
 def test_classify_round_message_count():
@@ -123,6 +129,30 @@ def _bare_int_protocol(ctx, scenario, params):
 def test_illformed_send_raises_violation(protocol):
     with pytest.raises(ProtocolViolation):
         run_execution(basic(), protocol)
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ((1, "bad", [(2, "x")]), "as honest process 1"),
+        ((4, "bad", [(0, "x")]), "process 4 addressed unknown receiver 0"),
+        ((4, "bad", [(5, "x")]), "process 4 addressed unknown receiver 5"),
+        ((4, "bad", [("2", "x")]), "process 4 addressed unknown receiver '2'"),
+        ((4, "bad", [(2, "bad", "x")]), "process 4 produced a malformed send"),
+        ((4, "bad", 5), "process 4 produced a malformed send: 5"),
+        ((4, 2, "x"), "process 4 produced a malformed send"),  # (sender, receiver, payload)
+        ((4, 2, "bad", "x"), "malformed send item"),  # (sender, receiver, tag, payload)
+    ],
+)
+def test_faulty_items_get_the_honest_send_check(monkeypatch, item, message):
+    class BadItem(Strategy):
+        def emit(self, rnd, honest_items, shadow_items, actx):
+            return super().emit(rnd, honest_items, shadow_items, actx) + [item]
+
+    monkeypatch.setitem(CATALOG, "bad-item", BadItem)
+    s = basic(fault_set={4}, inputs=(0, 1, 0, 1), adversary="bad-item")
+    with pytest.raises(ProtocolViolation, match=re.escape(message)):
+        run_execution(s, "ba-with-predictions")
 
 
 @register_protocol("test-extend-broadcast")
@@ -210,6 +240,11 @@ def _split_scopes_protocol(ctx, scenario, params):
     return tuple(received)
 
 
+def envelopes(items):
+    """Send items as the per-receiver (sender, receiver, tag, payload) list."""
+    return [(sender, rcv, tag, payload) for sender, tag, sends in items for rcv, payload in sends]
+
+
 def split_scopes_envelopes(n, senders, rnd):
     """The full honest envelope list of engine round `rnd` of
     test-split-scopes: ascending sender, a broadcast as one envelope per
@@ -227,24 +262,30 @@ def split_scopes_envelopes(n, senders, rnd):
 
 
 class _TrafficRecorder(Strategy):
-    """Replays the shadows, adds an envelope under a foreign tag for one
-    honest receiver per round, and records what it saw and sent."""
+    """Replays the shadows, adds a broadcast and a send to one honest
+    receiver under a foreign tag each round, and records what it saw, sent
+    and delivered to the members.  The foreign broadcast follows the
+    shadows' items, so where member 7's shadow broadcasts, one run of
+    broadcasts mixes two tags."""
 
     def __init__(self, params=None):
         super().__init__(params)
-        self.seen = {}  # rnd -> (envelopes, tags, entries)
-        self.sent = {}  # rnd -> faulty envelopes
-        self.actx = None
+        self.seen = {}  # rnd -> honest items
+        self.sent = {}  # rnd -> faulty items
+        self.member_inboxes = {}  # (member, rnd) -> (sender, tag, payload) inbox
 
-    def emit(self, rnd, honest_traffic, shadow_sends, actx):
-        self.actx = actx
-        entries = list(honest_traffic.entries())
-        self.seen[rnd] = (list(honest_traffic), honest_traffic.tags, entries)
-        out = super().emit(rnd, honest_traffic, shadow_sends, actx)
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        self.seen[rnd] = list(honest_items)
+        out = super().emit(rnd, honest_items, shadow_items, actx)
         member = min(actx.fault_set)
-        out.append((member, rnd % 5 + 1, "forgery-probe", ("probe", rnd)))
+        out.append((member, "forgery-probe", Broadcast(("probe-all", rnd), actx.n)))
+        out.append((member, "forgery-probe", [(rnd % 5 + 1, ("probe", rnd))]))
         self.sent[rnd] = out
         return out
+
+    def filter_member_inbox(self, member, inbox, rnd):
+        self.member_inboxes[(member, rnd)] = list(inbox)
+        return inbox
 
 
 def run_recorded(monkeypatch, seed):
@@ -267,18 +308,22 @@ def run_recorded(monkeypatch, seed):
 def test_round_traffic_is_the_old_envelope_list(monkeypatch):
     _s, _r, rec = run_recorded(monkeypatch, seed=7)
     assert sorted(rec.seen) == [1, 2, 3, 4]
-    for rnd, (envelopes, tags, entries) in rec.seen.items():
+    for rnd, items in rec.seen.items():
         expected = split_scopes_envelopes(7, range(1, 6), rnd)
         kinds = {(pid + rnd - 1) % 3 for pid in range(1, 6)}
         assert kinds == {0, 1, 2}  # every round mixes idle, broadcast and targeted senders
-        assert envelopes == expected
-        assert tags == {env[2] for env in expected} == {"s0", "s1"}
-        # a broadcast is one entry; targeted envelopes keep their order
+        assert envelopes(items) == expected
+        # one item per sender that sends, ascending; a broadcast stays one Broadcast
+        assert [item[0] for item in items] == sorted({env[0] for env in expected})
+        assert {item[1] for item in items} == {"s0", "s1"}
+        for sender, _tag, sends in items:
+            assert (type(sends) is Broadcast) == ((sender + rnd - 1) % 3 == 1)
+        # `entries` gives a broadcast once; targeted sends keep their order
         collapsed = []
         for sender, rcv, tag, payload in expected:
             if payload[0] == "t" or rcv == 1:
                 collapsed.append((sender, tag, payload))
-        assert entries == collapsed
+        assert list(entries(items)) == collapsed
 
 
 def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
@@ -286,12 +331,14 @@ def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
     # (honest senders ascending, then faulty traffic in strategy order),
     # shuffle each inbox with a fresh Random(seed), then keep the entries in
     # the receiver's tag as (sender, payload).  Other-tag entries here are
-    # the other scope's messages and a faulty envelope under a foreign tag.
+    # the other scope's messages and the faulty sends under a foreign tag;
+    # the shadows' broadcasts and the foreign one go out as faulty
+    # Broadcast items.
     n, seed = 7, 11
     s, r, rec = run_recorded(monkeypatch, seed)
     foreign = 0
     for rnd in range(1, 5):
-        wire = split_scopes_envelopes(n, range(1, 6), rnd) + rec.sent[rnd]
+        wire = split_scopes_envelopes(n, range(1, 6), rnd) + envelopes(rec.sent[rnd])
         for pid in range(1, n + 1):
             triples = [(snd, tag, payload) for snd, rcv, tag, payload in wire if rcv == pid]
             seed_of = (((seed * 1_000_003 + rnd) * 1_000_003) + pid) & 0xFFFFFFFFFFFFFFFF
@@ -301,7 +348,7 @@ def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
             pairs = tuple((snd, payload) for snd, mtag, payload in triples if mtag == tag)
             foreign += len(triples) - len(pairs)
             if pid in s.fault_set:
-                assert rec.actx.member_inboxes[pid][rnd - 1] == (rnd, triples)
+                assert rec.member_inboxes[(pid, rnd)] == triples
             else:
                 assert r.decisions[pid][rnd - 1] == (tag, pairs)
     assert foreign > 20  # not vacuous: many inboxes mixed tags

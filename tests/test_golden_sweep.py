@@ -19,7 +19,7 @@ permutation changes 22 of the 64.
 import json
 from pathlib import Path
 
-from byzpred import engine, harness
+from byzpred import adversaries, engine, harness
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,6 +46,22 @@ def check_replays_byte_identical(name, count):
         if not harness.replay_record(record):
             mismatched.append(record["index"])
     assert mismatched == []
+
+
+def inboxes_and_replay(monkeypatch, records):
+    """Replay `records`, recording every inbox as it stands before its
+    shuffle; returns the inboxes and each record's replay verdict."""
+    seen = []
+    shuffle = engine._shuffle
+
+    def recording_shuffle(inbox, getrandbits):
+        seen.append(list(inbox))
+        shuffle(inbox, getrandbits)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_shuffle", recording_shuffle)
+        replayed = [harness.replay_record(r) for r in records]
+    return seen, replayed
 
 
 def test_golden_sweep_covers_its_sweep_file():
@@ -78,29 +94,45 @@ def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     ]
     assert {r["scenario"]["variant"] for r in records} == {"unauthenticated", "authenticated"}
     assert len(records) == 32
-
-    shuffle = engine._shuffle
-
-    def inboxes_and_replay():
-        seen = []
-
-        def recording_shuffle(inbox, getrandbits):
-            seen.append(list(inbox))
-            shuffle(inbox, getrandbits)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "_shuffle", recording_shuffle)
-            replayed = [harness.replay_record(r) for r in records]
-        return seen, replayed
-
-    by_reference, replayed = inboxes_and_replay()
+    by_reference, replayed = inboxes_and_replay(monkeypatch, records)
     assert all(replayed)
     monkeypatch.setattr(
         engine.ProcessContext,
         "broadcast",
         lambda ctx, payload: [(r, payload) for r in range(1, ctx.n + 1)],
     )
-    as_pairs, replayed = inboxes_and_replay()
+    as_pairs, replayed = inboxes_and_replay(monkeypatch, records)
     assert all(replayed)
+    assert len(as_pairs) == len(by_reference) > 1000
+    assert as_pairs == by_reference
+
+
+def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
+    # Metamorphic, the faulty side of the test above: a strategy that passes
+    # a shadow's Broadcast on gets it delivered by reference.  Handing every
+    # faulty Broadcast over as its plain list of (receiver, payload) pairs
+    # instead must fill every inbox with the same entries in the same order
+    # before it is shuffled, and give the golden records.
+    records = harness.load_records(str(DATA / "golden_sweep.jsonl")) + harness.load_records(
+        str(DATA / "golden_order.jsonl")
+    )
+    by_reference, replayed = inboxes_and_replay(monkeypatch, records)
+    assert all(replayed)
+    emit = adversaries.Strategy.emit
+    expanded = []
+
+    def emit_as_pairs(self, rnd, honest_items, shadow_items, actx):
+        out = []
+        for sender, tag, sends in emit(self, rnd, honest_items, shadow_items, actx):
+            if type(sends) is engine.Broadcast:
+                expanded.append(sender)
+                sends = list(sends)
+            out.append((sender, tag, sends))
+        return out
+
+    monkeypatch.setattr(adversaries.Strategy, "emit", emit_as_pairs)
+    as_pairs, replayed = inboxes_and_replay(monkeypatch, records)
+    assert all(replayed)
+    assert len(expanded) > 1000  # not vacuous: many faulty broadcasts went out as pairs
     assert len(as_pairs) == len(by_reference) > 1000
     assert as_pairs == by_reference
