@@ -31,7 +31,7 @@ from .authtools import (
     extend_chain,
     start_chain,
 )
-from .blocks import vote_content
+from .blocks import commit_content, proof_digest, vote_content
 from .engine import Broadcast
 from .errors import ConfigurationError
 from .scenario import AdversarySpec
@@ -526,8 +526,6 @@ class ChoiceTableStrategy(_CvoteCollector):
             chain = self._resolve_chain(action[1], member, actx)
             return [chain] if chain is not None else []
         if head == "@vote":
-            from .blocks import vote_content
-
             v = action[1]
             entry = (member, v, actx.sign_as(member, vote_content(tag, v)))
             self._votes_seen.setdefault(tag, {}).setdefault((member, v), entry)
@@ -540,9 +538,6 @@ class ChoiceTableStrategy(_CvoteCollector):
             )
             return [("fwd", entries)]
         if head == "@commit":
-            from .blocks import commit_content, vote_content
-            from .signatures import digest
-
             v = action[1]
             votes = self._votes_seen.setdefault(tag, {})
             if (member, v) not in votes:
@@ -553,7 +548,7 @@ class ChoiceTableStrategy(_CvoteCollector):
             if len({e[0] for e in proof_entries}) < actx.n - actx.t:
                 return []
             proof = tuple(proof_entries)
-            sig = actx.sign_as(member, commit_content(tag, v, digest(proof)))
+            sig = actx.sign_as(member, commit_content(tag, v, proof_digest(proof)))
             entry = (member, v, proof, sig)
             self._commits_seen.setdefault(tag, {}).setdefault(member, entry)
             return [("commit", entry)]

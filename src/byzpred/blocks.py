@@ -20,7 +20,11 @@ everyone broadcasts a signed vote for its input.  Round 2: everyone
 forwards the valid votes it received, after which each process voids any
 signer seen voting for two values and tallies the rest.  Round 3: a
 process holding n-t non-voided votes for some value broadcasts a signed
-commit carrying those votes as a proof.  Round 4: everyone forwards the
+commit carrying those votes as a proof.  The commit signature binds the
+proof through its vote signatures (`proof_digest`), and a commit is valid
+only if every proof entry is a valid vote for the committed value; a valid
+vote signature binds its signer and its type-exact value, so the
+signatures bind the proof entry by entry.  Round 4: everyone forwards the
 valid commits it received directly.  A process returns grade 1 for v only
 if it received n-t distinct-signer non-voided commits for v directly and
 saw no valid commit for any other value anywhere; otherwise it adopts the
@@ -251,6 +255,49 @@ def commit_content(tag, value, proof_digest):
     return ("gc-commit", tag, value, proof_digest)
 
 
+def proof_digest(proof):
+    """Digest of a commit proof over its vote signatures, whose encodings
+    are cached.  It binds the proof only if every entry is a valid vote."""
+    return digest(tuple(e[2] for e in proof))
+
+
+def _commit_choice(votes_value, vote_bank, n, t):
+    """(value, proof, proof digest) of a non-voided n-t vote quorum, or None."""
+    tally = Counter(v for v in votes_value.values() if v is not _MULTI)
+    if not tally or max(tally.values()) < n - t:
+        return None
+    w = plurality_tiebreak([v for v, c in tally.items() if c >= n - t])
+    proof = tuple(
+        sorted(
+            (vote_bank[(s, w)] for s, v in votes_value.items() if v is not _MULTI and v == w),
+            key=lambda e: e[0],
+        )[: n - t]
+    )
+    return w, proof, proof_digest(proof)
+
+
+def _votes_cover(votes_value, entries) -> bool:
+    """True if noting `entries` into this vote view would change nothing."""
+    for entry in entries:
+        known = votes_value.get(entry[0])
+        if known is None or (known is not _MULTI and known != entry[1]):
+            return False
+    return True
+
+
+def _commits_cover(commit_values, entries) -> bool:
+    """True if noting `entries` into this commit view would change nothing."""
+    return all(entry[1] in commit_values.get(entry[0], ()) for entry in entries)
+
+
+def _commit_summary(commit_values):
+    """(every committed value, the committers seen committing to more than one)."""
+    return (
+        frozenset(v for vals in commit_values.values() for v in vals),
+        frozenset(s for s, vals in commit_values.items() if len(vals) > 1),
+    )
+
+
 def _gc_standard_auth(ctx, value):
     n, t = ctx.n, ctx.t
     domain = ctx.scenario.value_domain
@@ -289,6 +336,8 @@ def _gc_standard_auth(ctx, value):
         return entries
 
     def commit_ok(entry):
+        # Structure and proof entries first: the proof is digested only
+        # once every entry is a valid vote for the committed value.
         hit = commit_memo.get(id(entry))
         if hit is not None:
             return hit[1]
@@ -300,9 +349,9 @@ def _gc_standard_auth(ctx, value):
                 and isinstance(proof, tuple)
                 and isinstance(sig, Signature)
                 and sig.signer == signer
-                and verify(sig, signer, commit_content(tag, val, digest(proof)))
                 and all(vote_ok(v) and v[1] == val for v in proof)
                 and len({v[0] for v in proof}) >= n - t
+                and verify(sig, signer, commit_content(tag, val, proof_digest(proof)))
             )
         commit_memo[id(entry)] = (entry, ok)
         return ok
@@ -324,8 +373,10 @@ def _gc_standard_auth(ctx, value):
             direct_votes.append(p[1])
 
     # Round 2: forward everything; void double-voters, tally the rest.
-    # Receivers of the same forward set share one merged view (copied, then
-    # patched with the receiver's own direct votes).
+    # Receivers of the same forward set share one merged view and the
+    # commit choice made from it.  A receiver whose direct votes the view
+    # lacks (a shadow whose inbox misses its own forward) merges them in
+    # after the others and chooses for itself.
     inbox = yield from ctx.round(ctx.broadcast(("fwd", tuple(direct_votes))))
     fwd_payloads = [
         p[1]
@@ -333,35 +384,28 @@ def _gc_standard_auth(ctx, value):
         if isinstance(p, tuple) and len(p) == 2 and p[0] == "fwd" and isinstance(p[1], tuple)
     ]
     merge_key = tuple(sorted(map(id, fwd_payloads)))
-    merged = cache["vmerge"].get(merge_key)
-    if merged is None:
-        mv: Dict[int, Any] = {}
+    view = cache["vmerge"].get(merge_key)
+    if view is None:
+        mv: Dict[int, Any] = {}  # signer -> sole value, or _MULTI
         mb: Dict[Tuple[int, Any], tuple] = {}
         for payload in fwd_payloads:
             for entry in fwd_entries(payload):
                 _note_vote(mv, mb, entry)
-        merged = (fwd_payloads, mv, mb)
-        cache["vmerge"][merge_key] = merged
-    votes_value = dict(merged[1])  # signer -> sole value, or _MULTI
-    vote_bank = dict(merged[2])
-    for entry in direct_votes:
-        _note_vote(votes_value, vote_bank, entry)
-    tally = Counter()
-    for signer, val in votes_value.items():
-        if val is not _MULTI:
-            tally[val] += 1
+        view = (fwd_payloads, mv, mb, _commit_choice(mv, mb, n, t))
+        cache["vmerge"][merge_key] = view
+    if _votes_cover(view[1], direct_votes):
+        choice = view[3]
+    else:
+        votes_value, vote_bank = dict(view[1]), dict(view[2])
+        for entry in direct_votes:
+            _note_vote(votes_value, vote_bank, entry)
+        choice = _commit_choice(votes_value, vote_bank, n, t)
 
     # Round 3: commit with proof when a non-voided quorum exists.
     sends = []
-    if tally and max(tally.values()) >= n - t:
-        w = plurality_tiebreak([v for v, c in tally.items() if c >= n - t])
-        proof = tuple(
-            sorted(
-                (vote_bank[(s, w)] for s, v in votes_value.items() if v is not _MULTI and v == w),
-                key=lambda e: e[0],
-            )[: n - t]
-        )
-        sig = ctx.signer.sign(commit_content(tag, w, digest(proof)))
+    if choice is not None:
+        w, proof, proof_dig = choice
+        sig = ctx.signer.sign(commit_content(tag, w, proof_dig))
         sends = ctx.broadcast(("commit", (ctx.pid, w, proof, sig)))
     inbox = yield from ctx.round(sends)
     direct_commits: List[tuple] = []
@@ -371,6 +415,7 @@ def _gc_standard_auth(ctx, value):
                 direct_commits.append(p[1])
 
     # Round 4: forward direct commits; void double-committers, then grade.
+    # The commit view and its summary are shared the same way.
     inbox = yield from ctx.round(ctx.broadcast(("cfwd", tuple(direct_commits))))
     cfwd_payloads = [
         p[1]
@@ -378,21 +423,23 @@ def _gc_standard_auth(ctx, value):
         if isinstance(p, tuple) and len(p) == 2 and p[0] == "cfwd" and isinstance(p[1], tuple)
     ]
     merge_key = tuple(sorted(map(id, cfwd_payloads)))
-    cmerged = cache["cmerge"].get(merge_key)
-    if cmerged is None:
+    cview = cache["cmerge"].get(merge_key)
+    if cview is None:
         mcv: Dict[int, frozenset] = {}
         for payload in cfwd_payloads:
             for entry in cfwd_entries(payload):
                 prev = mcv.get(entry[0], frozenset())
                 if entry[1] not in prev:
                     mcv[entry[0]] = prev | {entry[1]}
-        cmerged = (cfwd_payloads, mcv)
-        cache["cmerge"][merge_key] = cmerged
-    commit_values: Dict[int, set] = {s: set(vals) for s, vals in cmerged[1].items()}
-    for entry in direct_commits:
-        commit_values.setdefault(entry[0], set()).add(entry[1])
-    all_commit_values = {v for vals in commit_values.values() for v in vals}
-    cvoided = {s for s, vals in commit_values.items() if len(vals) > 1}
+        cview = (cfwd_payloads, mcv, _commit_summary(mcv))
+        cache["cmerge"][merge_key] = cview
+    if _commits_cover(cview[1], direct_commits):
+        all_commit_values, cvoided = cview[2]
+    else:
+        commit_values = {s: set(vals) for s, vals in cview[1].items()}
+        for entry in direct_commits:
+            commit_values.setdefault(entry[0], set()).add(entry[1])
+        all_commit_values, cvoided = _commit_summary(commit_values)
     per_value = Counter()
     for signer, val in {(e[0], e[1]) for e in direct_commits}:
         if signer not in cvoided:

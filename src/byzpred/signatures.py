@@ -16,9 +16,11 @@ Canonical byte layout:
 The signed digest of content c is sha256(encode(c)), hex.  A Signature is
 immutable and computes its encoding once, from its own fields, on first
 use; `encode` returns those cached bytes.  Signed structures that nest
-signatures (committee certificates, message chains) are signed through
-their own cached digests rather than by re-encoding every signature they
-hold (see authtools).
+signatures are signed through cached encodings rather than by re-encoding
+every entry they hold: committee certificates and message chains through
+their own cached digests (see authtools), and a graded-consensus commit
+through the tuple of its proof's vote signatures (see
+`blocks.proof_digest`).
 
 The signature scheme is a simulation-enforced token scheme: tokens are a
 keyed hash of (signer, digest), and verification additionally requires the

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzpred.adversaries import SILENT, enumerate_choice_tables
-from byzpred.blocks import es_rounds_needed, plurality_tiebreak
+from byzpred import blocks
+from byzpred.adversaries import CATALOG, SILENT, Strategy, enumerate_choice_tables
+from byzpred.blocks import es_rounds_needed, plurality_tiebreak, proof_digest, vote_content
 from byzpred.engine import run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
+from byzpred.signatures import Signature, SimTokenScheme
+from byzpred.verify import all_pass, verify_execution
 
 
 def scenario(n, t, fault_set=(), inputs=None, adversary=None, variant="unauthenticated", seed=0):
@@ -367,6 +370,144 @@ def test_gc_standard_round_counts():
         s = scenario(4, 1, (), (1, 1, 1, 1), variant=variant)
         r = run_execution(s, "graded-consensus", {})
         assert r.rounds_elapsed == rounds
+
+
+# ---------------------------------------------------------------------------
+# authenticated standard graded consensus: commit proofs and shared views
+# ---------------------------------------------------------------------------
+
+def auth_votes(scheme, value, signers, tag="gc"):
+    return tuple((s, value, scheme.sign(s, vote_content(tag, value))) for s in signers)
+
+
+def test_proof_digest_binds_entry_order_and_signatures():
+    scheme = SimTokenScheme(3)
+    proof = auth_votes(scheme, 1, (1, 2, 3))
+    base = proof_digest(proof)
+    assert proof_digest(auth_votes(scheme, 1, (1, 2, 3))) == base
+    assert proof_digest((proof[1], proof[0], proof[2])) != base
+    replacements = [
+        scheme.sign(4, vote_content("gc", 1)),  # another signer, same value
+        scheme.sign(3, vote_content("gc", 0)),  # same signer, another value
+        scheme.sign(3, vote_content("ph1/gc1", 1)),  # same signer and value, another tag
+    ]
+    for sig in replacements:
+        assert proof_digest(proof[:2] + ((3, 1, sig),)) != base
+
+
+@pytest.mark.parametrize("bad", [1.5, {1}], ids=["float", "set"])
+def test_faulty_commit_with_unencodable_proof_is_rejected(bad):
+    # commit_ok checks every proof entry before it digests the proof, so a
+    # proof holding a value with no canonical encoding is invalid, not a crash
+    commit = ("commit", (4, 1, (bad,), Signature(4, "00", "00")))
+    table = [((3, 4, rcv), ("gc", commit)) for rcv in (1, 2, 3)]
+    s = scenario(4, 1, {4}, (1, 1, 0, 0), adversary=table_spec(table), variant="authenticated")
+    r = run_execution(s, "graded-consensus", {})
+    assert all_pass(verify_execution(r))
+    assert set(r.decisions) >= {1, 2, 3}
+
+
+class ProofSwapper(Strategy):
+    """Member 4 sends its shadow's round-3 commit with the proof left as
+    signed, reordered, or replaced by another valid proof for the same
+    value; it records which committers each honest cfwd names."""
+
+    name = "proof-swapper"
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.forwarded = {}
+
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        if rnd != 3:
+            return [(member, tag, sends)]
+        _kind, (signer, value, proof, sig) = sends.payload
+        mode = self.params["mode"]
+        if mode == "reordered":
+            proof = (proof[1], proof[0]) + proof[2:]
+        elif mode == "replaced":
+            own = (member, value, actx.sign_as(member, vote_content(tag, value)))
+            proof = proof[:-1] + (own,)
+        payload = ("commit", (signer, value, proof, sig))
+        return [(member, tag, [(rcv, payload) for rcv, _p in sends])]
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        if rnd == 4:
+            for sender, _tag, sends in honest_items:
+                self.forwarded[sender] = {c[0] for c in sends.payload[1]}
+        return super().emit(rnd, honest_items, shadow_items, actx)
+
+
+@pytest.mark.parametrize("mode", ["as-signed", "reordered", "replaced"])
+def test_commit_proof_must_be_the_signed_one(monkeypatch, mode):
+    made = []
+
+    def make(params):
+        made.append(ProofSwapper(params))
+        return made[-1]
+
+    monkeypatch.setitem(CATALOG, "proof-swapper", make)
+    s = scenario(4, 1, {4}, (1, 1, 1, 1), variant="authenticated",
+                 adversary=AdversarySpec.make("proof-swapper", {"mode": mode}))
+    r = run_execution(s, "graded-consensus", {})
+    assert all_pass(verify_execution(r))
+    assert {p: tuple(r.decisions[p]) for p in (1, 2, 3)} == {p: (1, 1) for p in (1, 2, 3)}
+    # each honest process forwards exactly the commits it accepted
+    forwarded = made[0].forwarded
+    assert sorted(forwarded) == [1, 2, 3]
+    accepted = mode == "as-signed"
+    assert all((4 in committers) == accepted for committers in forwarded.values()), forwarded
+    assert all({1, 2, 3} <= committers for committers in forwarded.values())
+
+
+class UnforwardedVote(Strategy):
+    """Member 5 sends its vote to member 4 only and then forwards nothing;
+    member 4's inbox loses its own forward, so no forward 4 receives
+    carries 5's vote.  Records member 4's round-3 commit."""
+
+    name = "unforwarded-vote"
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.commit = None
+
+    def filter_member_inbox(self, member, inbox, rnd):
+        if member == 4 and rnd == 2:
+            return [e for e in inbox if e[0] != 4]
+        return inbox
+
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        if member == 5 and rnd == 1:
+            return [(member, tag, [(4, sends.payload)])]
+        if member == 5 and rnd == 2:
+            return []
+        if member == 4 and rnd == 3 and sends:
+            self.commit = sends.payload[1]
+        return [(member, tag, sends)]
+
+
+def test_shadow_missing_its_own_forward_commits_from_its_direct_votes(monkeypatch):
+    made = []
+
+    def make(params):
+        made.append(UnforwardedVote(params))
+        return made[-1]
+
+    monkeypatch.setitem(CATALOG, "unforwarded-vote", make)
+    # votes for 1: honest 2 and 3, faulty 5 (seen by 4 only); n - t = 3
+    s = scenario(5, 2, {4, 5}, (0, 1, 1, 0, 1), variant="authenticated",
+                 adversary=AdversarySpec.make("unforwarded-vote"))
+    r = run_execution(s, "graded-consensus", {})
+    assert all_pass(verify_execution(r))
+    signer, value, proof, _sig = made[0].commit
+    assert (signer, value) == (4, 1)
+    assert [e[0] for e in proof] == [2, 3, 5]
+
+    # negative control: reading the shared view alone, member 4 has a 2-2
+    # tally and does not commit
+    monkeypatch.setattr(blocks, "_votes_cover", lambda votes_value, entries: True)
+    run_execution(s, "graded-consensus", {})
+    assert made[1].commit is None
 
 
 # ---------------------------------------------------------------------------

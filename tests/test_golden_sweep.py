@@ -19,7 +19,7 @@ permutation changes 22 of the 64.
 import json
 from pathlib import Path
 
-from byzpred import adversaries, engine, harness
+from byzpred import adversaries, blocks, engine, harness
 
 DATA = Path(__file__).parent / "data"
 
@@ -136,3 +136,22 @@ def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     assert len(expanded) > 1000  # not vacuous: many faulty broadcasts went out as pairs
     assert len(as_pairs) == len(by_reference) > 1000
     assert as_pairs == by_reference
+
+
+def test_golden_files_replay_with_every_receiver_merging_its_own_view(monkeypatch):
+    # The signed graded consensus shares one merged vote view, commit choice
+    # and commit summary among the receivers of the same forwards; a
+    # receiver merges its own direct votes or commits in only when the view
+    # lacks one.  Forcing that merge on every receiver must give the golden
+    # records.
+    forced = []
+
+    def never_covers(view, entries):
+        forced.append(len(entries))
+        return False
+
+    monkeypatch.setattr(blocks, "_votes_cover", never_covers)
+    monkeypatch.setattr(blocks, "_commits_cover", never_covers)
+    check_replays_byte_identical("golden_sweep", 72)
+    check_replays_byte_identical("golden_order", 64)
+    assert len(forced) > 1000 and sum(forced) > 1000  # not vacuous
