@@ -311,6 +311,7 @@ def _gc_standard_auth(ctx, value):
         ctx.memo[tag] = cache
     vote_memo, fwd_memo = cache["vote"], cache["fwd"]
     commit_memo, cfwd_memo = cache["commit"], cache["cfwd"]
+    vmerge, cmerge = cache["vmerge"], cache["cmerge"]
 
     def vote_ok(entry):
         hit = vote_memo.get(id(entry))
@@ -319,6 +320,7 @@ def _gc_standard_auth(ctx, value):
         ok = (
             isinstance(entry, tuple)
             and len(entry) == 3
+            and type(entry[0]) is int
             and entry[1] in domain
             and isinstance(entry[2], Signature)
             and entry[2].signer == entry[0]
@@ -345,7 +347,8 @@ def _gc_standard_auth(ctx, value):
         if isinstance(entry, tuple) and len(entry) == 4:
             signer, val, proof, sig = entry
             ok = (
-                val in domain
+                type(signer) is int
+                and val in domain
                 and isinstance(proof, tuple)
                 and isinstance(sig, Signature)
                 and sig.signer == signer
@@ -364,6 +367,35 @@ def _gc_standard_auth(ctx, value):
         cfwd_memo[id(payload)] = (payload, entries)
         return entries
 
+    # Receivers of the same forwards share one merged view, keyed by the
+    # payload set; the view holds the payloads, keeping their ids stable.
+    def vote_view(payloads):
+        key = tuple(sorted(map(id, payloads)))
+        view = vmerge.get(key)
+        if view is None:
+            votes_value: Dict[int, Any] = {}  # signer -> sole value, or _MULTI
+            vote_bank: Dict[Tuple[int, Any], tuple] = {}
+            for payload in payloads:
+                for entry in fwd_entries(payload):
+                    _note_vote(votes_value, vote_bank, entry)
+            view = (payloads, votes_value, _commit_choice(votes_value, vote_bank, n, t))
+            vmerge[key] = view
+        return view
+
+    def commit_view(payloads):
+        key = tuple(sorted(map(id, payloads)))
+        view = cmerge.get(key)
+        if view is None:
+            commit_values: Dict[int, frozenset] = {}
+            for payload in payloads:
+                for entry in cfwd_entries(payload):
+                    prev = commit_values.get(entry[0], frozenset())
+                    if entry[1] not in prev:
+                        commit_values[entry[0]] = prev | {entry[1]}
+            view = (payloads, commit_values, _commit_summary(commit_values))
+            cmerge[key] = view
+        return view
+
     # Round 1: signed votes.
     my_vote = (ctx.pid, value, ctx.signer.sign(vote_content(tag, value)))
     inbox = yield from ctx.round(ctx.broadcast(("vote", my_vote)))
@@ -373,33 +405,21 @@ def _gc_standard_auth(ctx, value):
             direct_votes.append(p[1])
 
     # Round 2: forward everything; void double-voters, tally the rest.
-    # Receivers of the same forward set share one merged view and the
-    # commit choice made from it.  A receiver whose direct votes the view
-    # lacks (a shadow whose inbox misses its own forward) merges them in
-    # after the others and chooses for itself.
-    inbox = yield from ctx.round(ctx.broadcast(("fwd", tuple(direct_votes))))
+    # A receiver's direct votes are its own forward, which self-delivery
+    # puts in its inbox by reference.  A shadow's inbox may lack it (its
+    # strategy may replace or withhold it); if the shared view does not
+    # already cover those votes, the view is taken with them merged last.
+    own = tuple(direct_votes)
+    inbox = yield from ctx.round(ctx.broadcast(("fwd", own)))
     fwd_payloads = [
         p[1]
         for _src, p in inbox
         if isinstance(p, tuple) and len(p) == 2 and p[0] == "fwd" and isinstance(p[1], tuple)
     ]
-    merge_key = tuple(sorted(map(id, fwd_payloads)))
-    view = cache["vmerge"].get(merge_key)
-    if view is None:
-        mv: Dict[int, Any] = {}  # signer -> sole value, or _MULTI
-        mb: Dict[Tuple[int, Any], tuple] = {}
-        for payload in fwd_payloads:
-            for entry in fwd_entries(payload):
-                _note_vote(mv, mb, entry)
-        view = (fwd_payloads, mv, mb, _commit_choice(mv, mb, n, t))
-        cache["vmerge"][merge_key] = view
-    if _votes_cover(view[1], direct_votes):
-        choice = view[3]
-    else:
-        votes_value, vote_bank = dict(view[1]), dict(view[2])
-        for entry in direct_votes:
-            _note_vote(votes_value, vote_bank, entry)
-        choice = _commit_choice(votes_value, vote_bank, n, t)
+    view = vote_view(fwd_payloads)
+    if not _votes_cover(view[1], own):
+        view = vote_view(fwd_payloads + [own])
+    choice = view[2]
 
     # Round 3: commit with proof when a non-voided quorum exists.
     sends = []
@@ -416,30 +436,17 @@ def _gc_standard_auth(ctx, value):
 
     # Round 4: forward direct commits; void double-committers, then grade.
     # The commit view and its summary are shared the same way.
-    inbox = yield from ctx.round(ctx.broadcast(("cfwd", tuple(direct_commits))))
+    own = tuple(direct_commits)
+    inbox = yield from ctx.round(ctx.broadcast(("cfwd", own)))
     cfwd_payloads = [
         p[1]
         for _src, p in inbox
         if isinstance(p, tuple) and len(p) == 2 and p[0] == "cfwd" and isinstance(p[1], tuple)
     ]
-    merge_key = tuple(sorted(map(id, cfwd_payloads)))
-    cview = cache["cmerge"].get(merge_key)
-    if cview is None:
-        mcv: Dict[int, frozenset] = {}
-        for payload in cfwd_payloads:
-            for entry in cfwd_entries(payload):
-                prev = mcv.get(entry[0], frozenset())
-                if entry[1] not in prev:
-                    mcv[entry[0]] = prev | {entry[1]}
-        cview = (cfwd_payloads, mcv, _commit_summary(mcv))
-        cache["cmerge"][merge_key] = cview
-    if _commits_cover(cview[1], direct_commits):
-        all_commit_values, cvoided = cview[2]
-    else:
-        commit_values = {s: set(vals) for s, vals in cview[1].items()}
-        for entry in direct_commits:
-            commit_values.setdefault(entry[0], set()).add(entry[1])
-        all_commit_values, cvoided = _commit_summary(commit_values)
+    view = commit_view(cfwd_payloads)
+    if not _commits_cover(view[1], own):
+        view = commit_view(cfwd_payloads + [own])
+    all_commit_values, cvoided = view[2]
     per_value = Counter()
     for signer, val in {(e[0], e[1]) for e in direct_commits}:
         if signer not in cvoided:

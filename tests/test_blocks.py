@@ -14,11 +14,18 @@ from hypothesis import strategies as st
 
 from byzpred import blocks
 from byzpred.adversaries import CATALOG, SILENT, Strategy, enumerate_choice_tables
-from byzpred.blocks import es_rounds_needed, plurality_tiebreak, proof_digest, vote_content
-from byzpred.engine import run_execution
+from byzpred.blocks import (
+    commit_content,
+    es_rounds_needed,
+    graded_consensus_standard,
+    plurality_tiebreak,
+    proof_digest,
+    vote_content,
+)
+from byzpred.engine import ProcessContext, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
-from byzpred.signatures import Signature, SimTokenScheme
+from byzpred.signatures import SignOracle, Signature, SimTokenScheme, digest
 from byzpred.verify import all_pass, verify_execution
 
 
@@ -407,6 +414,51 @@ def test_faulty_commit_with_unencodable_proof_is_rejected(bad):
     assert set(r.decisions) >= {1, 2, 3}
 
 
+LISTED = ([4], 1, Signature([4], digest(vote_content("gc", 1)), "00"))
+
+
+@pytest.mark.parametrize(
+    "rnd, message",
+    [
+        (1, ("vote", LISTED)),
+        (3, ("commit", (4, 1, (LISTED,), Signature(4, "00", "00")))),
+    ],
+    ids=["vote", "proof-entry"],
+)
+def test_faulty_vote_with_unhashable_signer_is_rejected(rnd, message):
+    # a vote's signer must be a process id before its signature is checked
+    # against the scheme's registry, which hashes the signer
+    table = [((rnd, 4, rcv), ("gc", message)) for rcv in (1, 2, 3)]
+    s = scenario(4, 1, {4}, (1, 1, 0, 0), adversary=table_spec(table), variant="authenticated")
+    r = run_execution(s, "graded-consensus", {})
+    assert all_pass(verify_execution(r))
+    assert set(r.decisions) >= {1, 2, 3}
+
+
+class SignerLister(Strategy):
+    """Member 4 sends its shadow's round-3 commit, valid proof and all,
+    with the committer and the commit signature's signer made a list."""
+
+    name = "signer-lister"
+
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        if rnd != 3:
+            return [(member, tag, sends)]
+        _kind, (_signer, value, proof, sig) = sends.payload
+        listed = Signature([member], sig.message_digest, sig.token)
+        payload = ("commit", ([member], value, proof, listed))
+        return [(member, tag, [(rcv, payload) for rcv, _p in sends])]
+
+
+def test_faulty_commit_with_unhashable_signer_is_rejected(monkeypatch):
+    monkeypatch.setitem(CATALOG, "signer-lister", SignerLister)
+    s = scenario(4, 1, {4}, (1, 1, 1, 1), variant="authenticated",
+                 adversary=AdversarySpec.make("signer-lister"))
+    r = run_execution(s, "graded-consensus", {})
+    assert all_pass(verify_execution(r))
+    assert {p: tuple(r.decisions[p]) for p in (1, 2, 3)} == {p: (1, 1) for p in (1, 2, 3)}
+
+
 class ProofSwapper(Strategy):
     """Member 4 sends its shadow's round-3 commit with the proof left as
     signed, reordered, or replaced by another valid proof for the same
@@ -508,6 +560,34 @@ def test_shadow_missing_its_own_forward_commits_from_its_direct_votes(monkeypatc
     monkeypatch.setattr(blocks, "_votes_cover", lambda votes_value, entries: True)
     run_execution(s, "graded-consensus", {})
     assert made[1].commit is None
+
+
+def test_receiver_missing_its_own_commit_forward_still_sees_its_direct_commits():
+    # Process 1 of n=4 drives the authenticated graded consensus by hand.
+    # It receives direct commits for 1 from 1, 2, 3 and for 0 from 4; the
+    # forwards it receives (its own is not among them) carry only the
+    # commits for 1.  Its own forward still counts, so it sees the
+    # conflicting commit and must not grade 1.
+    scheme = SimTokenScheme(5)
+    scen = scenario(4, 1, (), (1, 1, 1, 1), variant="authenticated")
+    ctx = ProcessContext(1, scen, SignOracle(scheme, 1), None, None, {}, {})
+    ctx.tag = "gc"
+
+    def commit(signer, value, proof):
+        sig = scheme.sign(signer, commit_content("gc", value, proof_digest(proof)))
+        return (signer, value, proof, sig)
+
+    votes = auth_votes(scheme, 1, (1, 2, 3))
+    for_1 = tuple(commit(s, 1, votes) for s in (1, 2, 3))
+    for_0 = commit(4, 0, auth_votes(scheme, 0, (2, 3, 4)))
+    gen = graded_consensus_standard(ctx, 1)
+    next(gen)
+    gen.send([(s, ("vote", v)) for s, v in zip((1, 2, 3), votes)])
+    gen.send([(s, ("fwd", votes)) for s in (2, 3)])
+    gen.send([(c[0], ("commit", c)) for c in for_1 + (for_0,)])
+    with pytest.raises(StopIteration) as stop:
+        gen.send([(s, ("cfwd", for_1)) for s in (2, 3)])
+    assert stop.value.value == (1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,9 @@ def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
 def test_golden_files_replay_with_every_receiver_merging_its_own_view(monkeypatch):
     # The signed graded consensus shares one merged vote view, commit choice
     # and commit summary among the receivers of the same forwards; a
-    # receiver merges its own direct votes or commits in only when the view
-    # lacks one.  Forcing that merge on every receiver must give the golden
-    # records.
+    # receiver takes the view with its own forward merged last only when
+    # the shared view does not cover it.  Taking that view on every receiver
+    # must give the golden records.
     forced = []
 
     def never_covers(view, entries):
