@@ -189,9 +189,10 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
                 origin = getattr(payload, "origin", None)
                 if isinstance(origin, int) and 1 <= origin <= n:
                     per_origin.setdefault(origin, []).append(payload)
+            # An instance that received nothing this round has nothing to do.
             sends = []
-            for s in range(1, n + 1):
-                for chain in instances[s].absorb(j, per_origin.get(s, ())):
+            for s in sorted(per_origin):
+                for chain in instances[s].absorb(j, per_origin[s]):
                     sends.extend((rcv, chain) for rcv in range(1, n + 1))
     bb_out = [instances[s].result() for s in range(1, n + 1)]
 

@@ -223,6 +223,9 @@ class BroadcastInstance:
         sends  = inst.absorb(j, chains)        # j = 1..k: extensions for round j+1
         inst.absorb(k + 1, chains)             # final receipts, no sends
         value  = inst.result()                 # the sole accepted value or None
+
+    `absorb` with no chains changes nothing, so a round that brings none
+    needs no call.
     """
 
     def __init__(self, ctx, sender: int, k: int, my_cert, validator: ChainValidator):
@@ -232,7 +235,7 @@ class BroadcastInstance:
         self.my_cert = my_cert
         self.validator = validator
         self.accepted: List[Any] = []  # at most 2 values, in acceptance order
-        self._have: set = set()
+        self._have: Dict[Any, str] = {}  # accepted value -> its repr
         self.broadcasts_sent = 0
 
     def open(self, own_value) -> List[MessageChain]:
@@ -246,18 +249,36 @@ class BroadcastInstance:
 
     def absorb(self, j: int, chains: Sequence[Any]) -> List[MessageChain]:
         """Process round-j receipts (valid length-j chains only); returns the
-        extension broadcasts for round j+1 (empty after round k)."""
+        extension broadcasts for round j+1 (empty after round k).
+
+        A chain with an unhashable value is malformed and dropped unnoted.
+        A chain whose value is already accepted under the same repr is
+        dropped without validation: valid or not, it could only note that
+        repr again (a no-op, as it was noted on acceptance) and then stop at
+        the acceptance test, so skipping it changes no state.  Equality
+        alone is not enough: a `True` chain after `1` was accepted finds
+        `1` in `_have` (True == 1) but notes a new repr, so it is still
+        validated and noted."""
         out: List[MessageChain] = []
         final = j >= self.k + 1
         for chain in chains:
+            if not isinstance(chain, MessageChain):
+                continue
+            value = chain.value
+            try:
+                accepted_repr = self._have.get(value)
+            except TypeError:
+                continue
+            if accepted_repr == repr(value):
+                continue
             if not self.validator.chain_ok(chain, self.sender, j):
                 continue
             if len(chain) != j:
                 continue
-            self._note_seen(chain.value, j)
-            if chain.value in self._have or len(self.accepted) >= 2:
+            self._note_seen(value, j)
+            if accepted_repr is not None or len(self.accepted) >= 2:
                 continue
-            self._record(chain.value, j, chain.signers)
+            self._record(value, j, chain.signers)
             if not final and self.my_cert is not None and self.ctx.pid not in chain.signers:
                 extension = extend_chain(chain, self.my_cert, self.ctx.signer)
                 self.broadcasts_sent += 1
@@ -271,7 +292,7 @@ class BroadcastInstance:
 
     def _record(self, value, j, signers):
         self.accepted.append(value)
-        self._have.add(value)
+        self._have[value] = repr(value)
         self.ctx.check("bb-x-cardinality", len(self.accepted) <= 2, "X grew past 2")
         if j == self.k + 1 and signers:
             self.ctx.shared.setdefault("bb_late_accepts", []).append(

@@ -307,10 +307,12 @@ def _gc_standard_auth(ctx, value):
     # object identity; the cache holds the reference, keeping ids stable.
     cache = ctx.memo.get(tag)
     if cache is None:
-        cache = {"vote": {}, "fwd": {}, "commit": {}, "cfwd": {}, "vmerge": {}, "cmerge": {}}
+        cache = {
+            "vote": {}, "fwd": {}, "commit": {}, "cfwd": {}, "proof": {}, "vmerge": {}, "cmerge": {}
+        }
         ctx.memo[tag] = cache
     vote_memo, fwd_memo = cache["vote"], cache["fwd"]
-    commit_memo, cfwd_memo = cache["commit"], cache["cfwd"]
+    commit_memo, cfwd_memo, proof_memo = cache["commit"], cache["cfwd"], cache["proof"]
     vmerge, cmerge = cache["vmerge"], cache["cmerge"]
 
     def vote_ok(entry):
@@ -337,6 +339,15 @@ def _gc_standard_auth(ctx, value):
         fwd_memo[id(payload)] = (payload, entries)
         return entries
 
+    def digest_of(proof):
+        # Honest commits from one shared view carry its choice's proof
+        # object, whose digest the view registered here.
+        hit = proof_memo.get(id(proof))
+        if hit is None:
+            hit = (proof, proof_digest(proof))
+            proof_memo[id(proof)] = hit
+        return hit[1]
+
     def commit_ok(entry):
         # Structure and proof entries first: the proof is digested only
         # once every entry is a valid vote for the committed value.
@@ -354,7 +365,7 @@ def _gc_standard_auth(ctx, value):
                 and sig.signer == signer
                 and all(vote_ok(v) and v[1] == val for v in proof)
                 and len({v[0] for v in proof}) >= n - t
-                and verify(sig, signer, commit_content(tag, val, proof_digest(proof)))
+                and verify(sig, signer, commit_content(tag, val, digest_of(proof)))
             )
         commit_memo[id(entry)] = (entry, ok)
         return ok
@@ -378,7 +389,10 @@ def _gc_standard_auth(ctx, value):
             for payload in payloads:
                 for entry in fwd_entries(payload):
                     _note_vote(votes_value, vote_bank, entry)
-            view = (payloads, votes_value, _commit_choice(votes_value, vote_bank, n, t))
+            choice = _commit_choice(votes_value, vote_bank, n, t)
+            if choice is not None:
+                proof_memo[id(choice[1])] = (choice[1], choice[2])
+            view = (payloads, votes_value, choice)
             vmerge[key] = view
         return view
 

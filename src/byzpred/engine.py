@@ -34,6 +34,13 @@ unchanged gets it delivered the same way.  Every inbox still holds the
 same messages in the same order as if each broadcast had been n separate
 pairs: honest items in ascending sender order, then faulty items in
 strategy order, each pair list receiver by receiver.
+
+Most rounds carry no traffic at all (a protocol idling out its round
+budget).  A round in which no honest and no faulty item holds a send
+builds no delivery structures: every alive process still steps, with an
+empty inbox, and each member's empty inbox still passes through the
+strategy's `filter_member_inbox`.  An empty inbox is never shuffled, so
+such a round draws no random numbers either way.
 """
 
 from __future__ import annotations
@@ -454,58 +461,61 @@ def run_execution(
         # and a None placeholder for any other tag, so the shuffle sees the
         # old inbox length; a member takes full (sender, tag, payload)
         # entries.  A run of consecutive broadcasts reaches every inbox of
-        # one receiver tag with one extend per inbox.
-        inboxes: Dict[int, List[Any]] = {pid: [] for pid in alive}
-        want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
-        groups: Dict[str, List[int]] = {}
-        for pid, tag in want.items():
-            groups.setdefault(tag, []).append(pid)
-        member_boxes = [inboxes[pid] for pid in alive if pid not in honest]
+        # one receiver tag with one extend per inbox.  A round in which no
+        # item carries a send builds none of this: every inbox is empty.
+        inboxes: Dict[int, List[Any]] = {}
         holey = set()  # honest receivers holding a placeholder
+        if honest_items or any(item[2] for item in faulty_items):
+            inboxes = {pid: [] for pid in alive}
+            want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
+            groups: Dict[str, List[int]] = {}
+            for pid, tag in want.items():
+                groups.setdefault(tag, []).append(pid)
+            member_boxes = [inboxes[pid] for pid in alive if pid not in honest]
 
-        def flush(run):
-            pairs = [(sender, sends.payload) for sender, _tag, sends in run]
-            run_tags = {item[1] for item in run}
-            for tag, pids in groups.items():
-                if run_tags == {tag}:
-                    seq = pairs
-                else:
-                    seq = [pair if item[1] == tag else None for pair, item in zip(pairs, run)]
-                    holey.update(pids)
-                for pid in pids:
-                    inboxes[pid].extend(seq)
-            if member_boxes:
-                entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
-                for box in member_boxes:
-                    box.extend(entries)
+            def flush(run):
+                pairs = [(sender, sends.payload) for sender, _tag, sends in run]
+                run_tags = {item[1] for item in run}
+                for tag, pids in groups.items():
+                    if run_tags == {tag}:
+                        seq = pairs
+                    else:
+                        seq = [pair if item[1] == tag else None for pair, item in zip(pairs, run)]
+                        holey.update(pids)
+                    for pid in pids:
+                        inboxes[pid].extend(seq)
+                if member_boxes:
+                    entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
+                    for box in member_boxes:
+                        box.extend(entries)
 
-        run: List[Item] = []
-        for item in chain(honest_items, faulty_items):
-            sender, tag, sends = item
-            if type(sends) is Broadcast:
-                run.append(item)
-                continue
+            run: List[Item] = []
+            for item in chain(honest_items, faulty_items):
+                sender, tag, sends = item
+                if type(sends) is Broadcast:
+                    run.append(item)
+                    continue
+                if run:
+                    flush(run)
+                    run = []
+                for rcv, payload in sends:
+                    box = inboxes.get(rcv)
+                    if box is None:
+                        continue
+                    rtag = want.get(rcv)
+                    if rtag is None:
+                        box.append((sender, tag, payload))
+                    elif rtag == tag:
+                        box.append((sender, payload))
+                    else:
+                        box.append(None)
+                        holey.add(rcv)
             if run:
                 flush(run)
-                run = []
-            for rcv, payload in sends:
-                box = inboxes.get(rcv)
-                if box is None:
-                    continue
-                rtag = want.get(rcv)
-                if rtag is None:
-                    box.append((sender, tag, payload))
-                elif rtag == tag:
-                    box.append((sender, payload))
-                else:
-                    box.append(None)
-                    holey.add(rcv)
-        if run:
-            flush(run)
 
         seed_base = (scenario.seed * 1_000_003 + rnd) * 1_000_003
         for pid in sorted(alive):
-            inbox = inboxes[pid]
+            inbox = inboxes.get(pid) or []
             if len(inbox) > 1:
                 reseed((seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
                 _shuffle(inbox, getrandbits)

@@ -3,6 +3,7 @@
 import pytest
 
 from byzpred import harness
+from byzpred.adversaries import CATALOG, _CvoteCollector, _MemberSigner
 from byzpred.authtools import (
     ChainValidator,
     CommitteeCertificate,
@@ -228,3 +229,63 @@ def test_faulty_sender_withholder_keeps_committee_agreement():
     values = {repr(r.decisions[p]) for p in certified_honest}
     assert len(values) == 1
     assert not r.check_failures
+
+
+class _ChainInjector(_CvoteCollector):
+    """Replays the shadows and, in engine round `rnd`, also sends every
+    process a chain for `value` started by the first member and
+    extended by the others, each under the certificate its collected
+    committee votes give."""
+
+    def __init__(self, value, rnd, params=None):
+        super().__init__(params)
+        self.value = value
+        self.rnd = rnd
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        out = super().emit(rnd, honest_items, shadow_items, actx)
+        if rnd == self.rnd:
+            chain = None
+            for member in sorted(actx.fault_set):
+                sigs = self._cvotes.get(member, ())
+                cert = assemble_committee_certificate(member, "bb-standalone", sigs, actx.t,
+                                                      actx.verify)
+                signer = _MemberSigner(actx, member)
+                if chain is None:
+                    chain = start_chain(self.value, cert, signer)
+                else:
+                    chain = extend_chain(chain, cert, signer)
+            out.append((min(actx.fault_set), "bb", [(r, chain) for r in range(1, actx.n + 1)]))
+        return out
+
+
+def run_injected(monkeypatch, value, rnd, n, t, fault_set, inputs):
+    monkeypatch.setitem(CATALOG, "chain-injector", lambda params: _ChainInjector(value, rnd, params))
+    s = bb_scenario(n=n, t=t, fault_set=fault_set, inputs=inputs,
+                    adversary=AdversarySpec.make("chain-injector"))
+    return run_execution(s, "bb-committee", {"sender": 1, "k": 1, "committee": [1, 2, 3]})
+
+
+def test_chain_with_unhashable_value_is_rejected(monkeypatch):
+    # Member 1 is certified and signs a length-1 chain for the value [1] in
+    # the first broadcast round: its value cannot be accepted, so every
+    # receiver drops the chain as malformed.
+    r = run_injected(monkeypatch, [1], rnd=2, n=5, t=1, fault_set={1}, inputs=(0, 1, 1, 1, 1))
+    assert r.decisions == {p: 0 for p in range(2, 6)}  # the shadow's own chain for 0
+    assert not r.check_failures
+    seen = r.trace["bb_first_seen"]
+    assert list(seen) == [("bb-standalone", 1, "0")]
+
+
+def test_bool_chain_after_equal_int_is_still_noted(monkeypatch):
+    # The shadow of sender 1 broadcasts a chain for 1 in round j=1; in j=2
+    # members 1 and 2 send a valid length-2 chain for True.  True == 1, so
+    # the value is already accepted, but its repr is new: every honest
+    # receiver validates and notes it at j=2 without accepting it.
+    r = run_injected(monkeypatch, True, rnd=3, n=7, t=2, fault_set={1, 2},
+                     inputs=(1, 0, 0, 0, 0, 0, 0))
+    assert r.decisions == {p: 1 for p in range(3, 8)}
+    assert not r.check_failures
+    seen = r.trace["bb_first_seen"]
+    assert seen[("bb-standalone", 1, "1")] == {p: 1 for p in range(3, 8)}
+    assert seen[("bb-standalone", 1, "True")] == {p: 2 for p in range(3, 8)}

@@ -354,6 +354,63 @@ def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
     assert foreign > 20  # not vacuous: many inboxes mixed tags
 
 
+@register_protocol("test-quiet-listen")
+def _quiet_listen_protocol(ctx, scenario, params):
+    # nobody sends; the decision is every inbox the process saw
+    received = []
+    with ctx.scope("quiet"):
+        for _ in range(3):
+            inbox = yield from ctx.round([])
+            received.append(tuple(inbox))
+    return tuple(received)
+
+
+class _QuietProbe(Strategy):
+    """Replays the silent shadows (items with no sends), and as member 4
+    broadcasts in round 1, stays silent in round 2 and sends to process 1
+    alone in round 3; records each inbox handed to the member filter."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.filtered = []  # (member, rnd, inbox)
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        out = super().emit(rnd, honest_items, shadow_items, actx)
+        if rnd == 1:
+            out.append((4, "quiet", Broadcast(("all", rnd), actx.n)))
+        elif rnd == 3:
+            out.append((4, "quiet", [(1, ("one", rnd))]))
+        return out
+
+    def filter_member_inbox(self, member, inbox, rnd):
+        self.filtered.append((member, rnd, list(inbox)))
+        return inbox
+
+
+def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatch):
+    # No honest process ever sends, so the faulty items alone decide
+    # whether a round carries traffic; a round with none still steps every
+    # process with an empty inbox and still passes through the member filter.
+    probes = []
+
+    def make_probe(params):
+        probes.append(_QuietProbe(params))
+        return probes[-1]
+
+    monkeypatch.setitem(CATALOG, "quiet-probe", make_probe)
+    r = run_execution(basic(fault_set={4}, adversary="quiet-probe"), "test-quiet-listen")
+    assert r.honest_messages_total == 0
+    for pid in (1, 2, 3):
+        expected = (((4, ("all", 1)),), (), ((4, ("one", 3)),) if pid == 1 else ())
+        assert r.decisions[pid] == expected
+    (probe,) = probes
+    assert probe.filtered == [
+        (4, 1, [(4, "quiet", ("all", 1))]),
+        (4, 2, []),
+        (4, 3, []),
+    ]
+
+
 def test_inlined_shuffle_matches_random_shuffle():
     # One generator reseeded per inbox, as the engine uses it, draws the
     # permutations of a fresh Random(seed).shuffle: the inlined loop copies

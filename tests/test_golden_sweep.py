@@ -19,7 +19,7 @@ permutation changes 22 of the 64.
 import json
 from pathlib import Path
 
-from byzpred import adversaries, blocks, engine, harness
+from byzpred import adversaries, authtools, blocks, engine, harness
 
 DATA = Path(__file__).parent / "data"
 
@@ -155,3 +155,82 @@ def test_golden_files_replay_with_every_receiver_merging_its_own_view(monkeypatc
     check_replays_byte_identical("golden_sweep", 72)
     check_replays_byte_identical("golden_order", 64)
     assert len(forced) > 1000 and sum(forced) > 1000  # not vacuous
+
+
+def validate_every_chain_absorb(self, j, chains):
+    """Reference `BroadcastInstance.absorb` that validates every chain it
+    gets, with no early drop: what the instance did before it skipped the
+    chains that cannot change its state."""
+    out = []
+    final = j >= self.k + 1
+    for chain in chains:
+        if not self.validator.chain_ok(chain, self.sender, j):
+            continue
+        if len(chain) != j:
+            continue
+        self._note_seen(chain.value, j)
+        if chain.value in self._have or len(self.accepted) >= 2:
+            continue
+        self._record(chain.value, j, chain.signers)
+        if not final and self.my_cert is not None and self.ctx.pid not in chain.signers:
+            extension = authtools.extend_chain(chain, self.my_cert, self.ctx.signer)
+            self.broadcasts_sent += 1
+            out.append(extension)
+    return out
+
+
+def counting_chain_ok(monkeypatch):
+    """Count `ChainValidator.chain_ok` calls; returns the counter."""
+    calls = [0]
+    chain_ok = authtools.ChainValidator.chain_ok
+
+    def counted(self, chain, expected_origin, max_length):
+        calls[0] += 1
+        return chain_ok(self, chain, expected_origin, max_length)
+
+    monkeypatch.setattr(authtools.ChainValidator, "chain_ok", counted)
+    return calls
+
+
+def test_golden_files_replay_with_every_chain_validated(monkeypatch):
+    # The skip in absorb must be exact: with the reference absorb, which
+    # validates and notes every chain, both golden files still replay.
+    calls = counting_chain_ok(monkeypatch)
+    check_replays_byte_identical("golden_sweep", 72)
+    skipping = calls[0]
+    monkeypatch.setattr(authtools.BroadcastInstance, "absorb", validate_every_chain_absorb)
+    check_replays_byte_identical("golden_sweep", 72)
+    validating = calls[0] - skipping
+    check_replays_byte_identical("golden_order", 64)
+    assert validating > 2 * skipping > 1000  # not vacuous: most chains were skipped
+
+
+def test_auth_catalog_n16_records_match_with_every_chain_validated(monkeypatch):
+    # n=16 runs longer chains than the golden files (k up to 4, t=7).
+    doc = {
+        "schema_version": 1,
+        "protocol": "ba-with-predictions",
+        "variant": "authenticated",
+        "value_domain": [0, 1],
+        "axes": {
+            "n": [16],
+            "t": "max",
+            "f": ["max"],
+            "error_budget": ["4n"],
+            "allocation": ["adversarial-worst"],
+            "adversary": "catalog",
+            "inputs": ["alternating"],
+            "fault_placement": ["lowest"],
+            "seeds": [1],
+        },
+    }
+    points, skipped = harness.expand_sweep(doc)
+    assert len(points) == 9 and not skipped
+    calls = counting_chain_ok(monkeypatch)
+    plain = [harness.record_bytes(harness.run_point(p)) for p in points]
+    skipping = calls[0]
+    monkeypatch.setattr(authtools.BroadcastInstance, "absorb", validate_every_chain_absorb)
+    reference = [harness.record_bytes(harness.run_point(p)) for p in points]
+    validating = calls[0] - skipping
+    assert plain == reference
+    assert validating > 2 * skipping > 1000  # not vacuous: most chains were skipped
