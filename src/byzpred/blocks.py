@@ -298,6 +298,10 @@ def _commit_summary(commit_values):
     )
 
 
+def _is_tuple(x) -> bool:
+    return isinstance(x, tuple)
+
+
 def _gc_standard_auth(ctx, value):
     n, t = ctx.n, ctx.t
     domain = ctx.scenario.value_domain
@@ -378,6 +382,29 @@ def _gc_standard_auth(ctx, value):
         cfwd_memo[id(payload)] = (payload, entries)
         return entries
 
+    # An inbox payload is ``(kind, body)``, and a shared payload is checked
+    # once for every receiver.  Its record goes into the memo of its kind's
+    # bodies under ~id(payload): ids are never negative, so the record of an
+    # object taken as a payload stays apart from its record as a body.  The
+    # record holds the payload (keeping its id stable) and its body, or None
+    # if the payload is malformed, of another kind, or carries an invalid body.
+    def body_record(memo, payload, kind, body_ok):
+        body = None
+        if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == kind:
+            if body_ok(payload[1]):
+                body = payload[1]
+        record = memo[~id(payload)] = (payload, body)
+        return record
+
+    def bodies(inbox, memo, kind, body_ok):
+        """The valid bodies of `kind` in `inbox`, in inbox order."""
+        out = []
+        for _src, p in inbox:
+            body = (memo.get(~id(p)) or body_record(memo, p, kind, body_ok))[1]
+            if body is not None:
+                out.append(body)
+        return out
+
     # Receivers of the same forwards share one merged view, keyed by the
     # payload set; the view holds the payloads, keeping their ids stable.
     def vote_view(payloads):
@@ -413,10 +440,7 @@ def _gc_standard_auth(ctx, value):
     # Round 1: signed votes.
     my_vote = (ctx.pid, value, ctx.signer.sign(vote_content(tag, value)))
     inbox = yield from ctx.round(ctx.broadcast(("vote", my_vote)))
-    direct_votes: List[tuple] = []
-    for _src, p in inbox:
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == "vote" and vote_ok(p[1]):
-            direct_votes.append(p[1])
+    direct_votes = bodies(inbox, vote_memo, "vote", vote_ok)
 
     # Round 2: forward everything; void double-voters, tally the rest.
     # A receiver's direct votes are its own forward, which self-delivery
@@ -425,11 +449,7 @@ def _gc_standard_auth(ctx, value):
     # already cover those votes, the view is taken with them merged last.
     own = tuple(direct_votes)
     inbox = yield from ctx.round(ctx.broadcast(("fwd", own)))
-    fwd_payloads = [
-        p[1]
-        for _src, p in inbox
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == "fwd" and isinstance(p[1], tuple)
-    ]
+    fwd_payloads = bodies(inbox, fwd_memo, "fwd", _is_tuple)
     view = vote_view(fwd_payloads)
     if not _votes_cover(view[1], own):
         view = vote_view(fwd_payloads + [own])
@@ -444,19 +464,15 @@ def _gc_standard_auth(ctx, value):
     inbox = yield from ctx.round(sends)
     direct_commits: List[tuple] = []
     for src, p in inbox:
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == "commit" and commit_ok(p[1]):
-            if p[1][0] == src:
-                direct_commits.append(p[1])
+        commit = (commit_memo.get(~id(p)) or body_record(commit_memo, p, "commit", commit_ok))[1]
+        if commit is not None and commit[0] == src:
+            direct_commits.append(commit)
 
     # Round 4: forward direct commits; void double-committers, then grade.
     # The commit view and its summary are shared the same way.
     own = tuple(direct_commits)
     inbox = yield from ctx.round(ctx.broadcast(("cfwd", own)))
-    cfwd_payloads = [
-        p[1]
-        for _src, p in inbox
-        if isinstance(p, tuple) and len(p) == 2 and p[0] == "cfwd" and isinstance(p[1], tuple)
-    ]
+    cfwd_payloads = bodies(inbox, cfwd_memo, "cfwd", _is_tuple)
     view = commit_view(cfwd_payloads)
     if not _commits_cover(view[1], own):
         view = commit_view(cfwd_payloads + [own])

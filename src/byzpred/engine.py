@@ -45,8 +45,8 @@ such a round draws no random numbers either way.
 
 from __future__ import annotations
 
+import _random
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -127,15 +127,10 @@ class ProcessContext:
         self.shared = shared  # execution-wide trace dict; honest writers only
         self.memo = memo  # execution-wide cache for pure validation results
 
-    @contextmanager
-    def scope(self, name: str):
-        self._tag_stack.append(name)
-        self.tag = "/".join(self._tag_stack)
-        try:
-            yield self.tag
-        finally:
-            self._tag_stack.pop()
-            self.tag = "/".join(self._tag_stack)
+    def scope(self, name: str) -> "_Scope":
+        """Context manager: run the body under the sub-tag `name`; entering
+        it returns the joined tag."""
+        return _Scope(self, name)
 
     def broadcast(self, payload) -> "Broadcast":
         """One copy per process, self included (self-delivery is free)."""
@@ -183,6 +178,30 @@ class ProcessContext:
             fields["pid"] = self.pid
             fields["kind"] = kind
             self._trace.append(fields)
+
+
+class _Scope:
+    """`ProcessContext.scope`: pushes `name` on entry and restores the
+    outer tag on exit, however the body ends (a raise, or the protocol
+    generator being closed mid-scope)."""
+
+    __slots__ = ("ctx", "name", "outer")
+
+    def __init__(self, ctx: ProcessContext, name: str):
+        self.ctx = ctx
+        self.name = name
+
+    def __enter__(self) -> str:
+        ctx = self.ctx
+        self.outer = ctx.tag
+        ctx._tag_stack.append(self.name)
+        ctx.tag = tag = "/".join(ctx._tag_stack)
+        return tag
+
+    def __exit__(self, *exc_info) -> None:
+        ctx = self.ctx
+        ctx._tag_stack.pop()
+        ctx.tag = self.outer
 
 
 class Broadcast:
@@ -302,6 +321,17 @@ def _shuffle(x: list, getrandbits) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+def _shuffle_generator():
+    """(reseed, getrandbits) of one fresh generator.  Reseeded per (round,
+    receiver), it draws every inbox permutation: the same permutations as a
+    fresh ``Random(seed).shuffle``.  `reseed` is the C seed method itself;
+    for an int seed, the ``Random.seed`` wrapper only adds Python-level type
+    checks before calling it (and resets ``gauss_next``, which `_shuffle`
+    never reads)."""
+    rng = random.Random()
+    return _random.Random.seed.__get__(rng), rng.getrandbits
+
+
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
     """Return `sends` as a `Broadcast` or a list of ``(receiver, payload)``
     pairs, with the number of messages it holds for processes other than
@@ -418,6 +448,9 @@ def run_execution(
             outs.pop(pid, None)
             return
         tag = ctxs[pid].tag
+        if type(sends) is list and not sends:  # an idle step: nothing to check or count
+            outs[pid] = (pid, tag, sends)
+            return
         sends, sent = _checked(pid, sends, receivers)
         outs[pid] = (pid, tag, sends)
         if sent and pid in honest:
@@ -425,10 +458,7 @@ def run_execution(
             per_sender = sender_counts.setdefault(tag, {})
             per_sender[pid] = per_sender.get(pid, 0) + sent
 
-    # One generator, reseeded per (round, receiver), draws every inbox
-    # permutation: the same permutations as a fresh Random(seed).shuffle.
-    shuffle_rng = random.Random()
-    reseed, getrandbits = shuffle_rng.seed, shuffle_rng.getrandbits
+    reseed, getrandbits = _shuffle_generator()
 
     rnd = 0
     for pid in sorted(gens):

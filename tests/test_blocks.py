@@ -22,7 +22,7 @@ from byzpred.blocks import (
     proof_digest,
     vote_content,
 )
-from byzpred.engine import ProcessContext, run_execution
+from byzpred.engine import Broadcast, ProcessContext, register_protocol, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, Signature, SimTokenScheme, digest
@@ -588,6 +588,63 @@ def test_receiver_missing_its_own_commit_forward_still_sees_its_direct_commits()
     with pytest.raises(StopIteration) as stop:
         gen.send([(s, ("cfwd", for_1)) for s in (2, 3)])
     assert stop.value.value == (1, 0)
+
+
+@register_protocol("test-two-signed-gcs")
+def _two_signed_gcs_protocol(ctx, scenario, params):
+    with ctx.scope("first"):
+        first = yield from graded_consensus_standard(ctx, params["input"])
+    with ctx.scope("second"):
+        second = yield from graded_consensus_standard(ctx, params["input"])
+    return first, second
+
+
+class VoteReplayer(Strategy):
+    """Member 4 is silent, except that in round 1 of the second graded
+    consensus it broadcasts, under that tag, the very ``("vote", entry)``
+    payload object that process 1 broadcast in round 1 of the first one.
+    Records every honest forward by tag and sender."""
+
+    name = "vote-replayer"
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.replayed = None
+        self.forwards = {}
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        if rnd == 1:
+            self.replayed = next(sends.payload for s, _tag, sends in honest_items if s == 1)
+        for sender, tag, sends in honest_items:
+            if sends.payload[0] == "fwd":
+                self.forwards.setdefault(tag, {})[sender] = sends.payload[1]
+        if rnd == 1 + blocks.GC_ROUNDS["authenticated"]:
+            return [(4, honest_items[0][1], Broadcast(self.replayed, actx.n))]
+        return []
+
+
+def test_replayed_vote_payload_does_not_count_under_another_tag(monkeypatch):
+    # A shared vote payload is checked once per tag: the record of process
+    # 1's first-tag vote must not make the same object count as a direct
+    # vote under the second tag, where its signature is not valid.
+    made = []
+
+    def make(params):
+        made.append(VoteReplayer(params))
+        return made[-1]
+
+    monkeypatch.setitem(CATALOG, "vote-replayer", make)
+    s = scenario(4, 1, {4}, (1, 1, 1, 1), variant="authenticated",
+                 adversary=AdversarySpec.make("vote-replayer"))
+    r = run_execution(s, "test-two-signed-gcs", {})
+    assert {p: r.decisions[p] for p in (1, 2, 3)} == {p: ((1, 1), (1, 1)) for p in (1, 2, 3)}
+    (strategy,) = made
+    entry = strategy.replayed[1]
+    assert sorted(strategy.forwards) == ["first", "second"]
+    for tag, counted in (("first", True), ("second", False)):
+        forwards = strategy.forwards[tag]
+        assert sorted(forwards) == [1, 2, 3]
+        assert all((entry in own) == counted for own in forwards.values()), (tag, forwards)
 
 
 # ---------------------------------------------------------------------------

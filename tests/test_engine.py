@@ -418,15 +418,49 @@ def test_inlined_shuffle_matches_random_shuffle():
     mask = 0xFFFFFFFFFFFFFFFF
     seeds = [0, 1, 7, mask] + [((s * 1_000_003 + r) * 1_000_003 + p) & mask
                                for s in (1, 81, 2**40) for r in (1, 103) for p in (1, 64)]
-    rng = random.Random()
+    reseed, getrandbits = engine._shuffle_generator()
     for seed in seeds:
         for length in range(301):
             expected = list(range(length))
             random.Random(seed).shuffle(expected)
             got = list(range(length))
-            rng.seed(seed)
-            _shuffle(got, rng.getrandbits)
+            reseed(seed)
+            _shuffle(got, getrandbits)
             assert got == expected, (seed, length)
+
+
+def _scope_ctx():
+    return ProcessContext(1, basic(), None, None, None, {}, {})
+
+
+@pytest.mark.parametrize("ending", ["return", "raise", "close"])
+def test_scope_restores_the_tag_however_the_body_ends(ending):
+    ctx = _scope_ctx()
+
+    def program():
+        with ctx.scope("outer") as outer:
+            assert outer == ctx.tag == "outer"
+            with ctx.scope("inner") as inner:
+                assert inner == ctx.tag == "outer/inner"
+                assert ctx._tag_stack == ["outer", "inner"]
+                yield from ctx.round([])
+                if ending == "raise":
+                    raise KeyError("body")
+            assert (ctx.tag, ctx._tag_stack) == ("outer", ["outer"])
+        return ctx.tag
+
+    gen = program()
+    assert gen.send(None) == []
+    if ending == "close":
+        gen.close()  # GeneratorExit raised at the yield, inside both scopes
+    elif ending == "raise":
+        with pytest.raises(KeyError, match="body"):
+            gen.send([])
+    else:
+        with pytest.raises(StopIteration) as stop:
+            gen.send([])
+        assert stop.value.value == ""
+    assert (ctx.tag, ctx._tag_stack) == ("", [])
 
 
 def test_scenario_validation():
