@@ -125,7 +125,17 @@ def _bare_int_protocol(ctx, scenario, params):
     return 0
 
 
-@pytest.mark.parametrize("protocol", ["test-bad-receiver", "test-tagged-triple", "test-bare-int"])
+@register_protocol("test-none-send")
+def _none_send_protocol(ctx, scenario, params):
+    # empty but not a list: the idle-step shortcut must not take it
+    with ctx.scope("bad"):
+        yield from ctx.round(None)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "protocol", ["test-bad-receiver", "test-tagged-triple", "test-bare-int", "test-none-send"]
+)
 def test_illformed_send_raises_violation(protocol):
     with pytest.raises(ProtocolViolation):
         run_execution(basic(), protocol)
