@@ -38,7 +38,6 @@ unvoidable committer whose broadcast reaches everyone.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .engine import register_protocol
@@ -55,7 +54,7 @@ def plurality_tiebreak(values: Sequence[Any]) -> Any:
     """Smallest value among those occurring the largest number of times."""
     if not values:
         raise ConfigurationError("plurality of an empty multiset")
-    counts = Counter(values)
+    counts = _count(values)
     best = max(counts.values())
     return min(v for v, c in counts.items() if c == best)
 
@@ -79,8 +78,17 @@ def _domain_values(inbox, domain, allowed=None) -> Dict[int, Any]:
     }
 
 
-def _support(votes: Dict[int, Any]) -> Counter:
-    return Counter(votes.values())
+def _count(values) -> Dict[Any, int]:
+    """How often each value occurs.  A plain dict rather than a `Counter`,
+    whose constructor costs more than the counting on an inbox-sized tally."""
+    counts: Dict[Any, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
+def _support(votes: Dict[int, Any]) -> Dict[Any, int]:
+    return _count(votes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +110,7 @@ def graded_consensus_core_set(ctx, value, k: int, window: Sequence[int]):
     support = _support(votes)
     b = BOT
     if support:
-        best = support.most_common(1)[0]
-        if best[1] >= 2 * k + 1:
+        if max(support.values()) >= 2 * k + 1:
             b = plurality_tiebreak(
                 [v for v in votes.values() if support[v] >= 2 * k + 1]
             )
@@ -217,8 +224,7 @@ def _gc_standard_unauth(ctx, value):
     support = _support(votes)
     echo = BOT
     if support:
-        v, c = support.most_common(1)[0]
-        if c >= n - t:
+        if max(support.values()) >= n - t:
             echo = plurality_tiebreak([w for w in votes.values() if support[w] >= n - t])
 
     inbox = yield from ctx.round(ctx.broadcast(echo) if echo is not BOT else [])
@@ -263,7 +269,7 @@ def proof_digest(proof):
 
 def _commit_choice(votes_value, vote_bank, n, t):
     """(value, proof, proof digest) of a non-voided n-t vote quorum, or None."""
-    tally = Counter(v for v in votes_value.values() if v is not _MULTI)
+    tally = _count(v for v in votes_value.values() if v is not _MULTI)
     if not tally or max(tally.values()) < n - t:
         return None
     w = plurality_tiebreak([v for v, c in tally.items() if c >= n - t])
@@ -477,10 +483,8 @@ def _gc_standard_auth(ctx, value):
     if not _commits_cover(view[1], own):
         view = commit_view(cfwd_payloads + [own])
     all_commit_values, cvoided = view[2]
-    per_value = Counter()
-    for signer, val in {(e[0], e[1]) for e in direct_commits}:
-        if signer not in cvoided:
-            per_value[val] += 1
+    per_value = _count(val for signer, val in {(e[0], e[1]) for e in direct_commits}
+                       if signer not in cvoided)
 
     if per_value:
         top = max(per_value.values())
