@@ -439,13 +439,9 @@ def test_inlined_shuffle_matches_random_shuffle():
             assert got == expected, (seed, length)
 
 
-def _scope_ctx():
-    return ProcessContext(1, basic(), None, None, None, {}, {})
-
-
 @pytest.mark.parametrize("ending", ["return", "raise", "close"])
 def test_scope_restores_the_tag_however_the_body_ends(ending):
-    ctx = _scope_ctx()
+    ctx = ProcessContext(1, basic(), None, None, None, {}, {})
 
     def program():
         with ctx.scope("outer") as outer:
