@@ -24,7 +24,15 @@ inbox as full ``(sender, tag, payload)`` entries before its shadow steps.
 Message accounting counts messages with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inboxes
 are shuffled by a seed-derived permutation per (round, receiver); protocol
-code must not depend on inbox order.
+code must not depend on inbox order.  The permutation of an inbox of length
+L under seed s is the one ``Random(s).shuffle`` draws for L items (MT19937
+driving the Fisher-Yates walk), so it depends on (s, L) alone.  Every point
+of a sweep shares its scenario seed, so most (s, L) pairs recur across the
+executions of one process: `_shuffled` draws an inbox's permutation on the
+first sighting of its pair, keeps it from the second on, and reorders
+later inboxes from that copy without reseeding.  The kept permutations and
+the one generator that draws them are per process state, so executions in
+one process run one at a time (the sweep's workers are processes).
 
 A ``ctx.broadcast`` stays one item from send to delivery, whoever sends
 it: the engine counts an honest one as n-1 messages and puts one shared
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import _random
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -322,14 +331,52 @@ def _shuffle(x: list, getrandbits) -> None:
 
 
 def _shuffle_generator():
-    """(reseed, getrandbits) of one fresh generator.  Reseeded per (round,
-    receiver), it draws every inbox permutation: the same permutations as a
-    fresh ``Random(seed).shuffle``.  `reseed` is the C seed method itself;
-    for an int seed, the ``Random.seed`` wrapper only adds Python-level type
-    checks before calling it (and resets ``gauss_next``, which `_shuffle`
-    never reads)."""
+    """(reseed, getrandbits) of one fresh generator.  Reseeded per inbox,
+    it draws every inbox permutation: the same permutations as a fresh
+    ``Random(seed).shuffle``.  `reseed` is the C seed method itself; for an
+    int seed, the ``Random.seed`` wrapper only adds Python-level type checks
+    before calling it (and resets ``gauss_next``, which `_shuffle` never
+    reads).  `_shuffled` uses the one generator this module makes."""
     rng = random.Random()
     return _random.Random.seed.__get__(rng), rng.getrandbits
+
+
+_reseed, _getrandbits = _shuffle_generator()
+
+# Inbox permutations by packed key ``length << 64 | seed``: None once a key
+# has been seen, its permutation of indices (bytes up to length 256) from
+# the second sighting on.  Cleared whenever a new key would exceed the cap,
+# which holds the 9,273 keys of a catalog-sweep pass (n up to 16); a run
+# that never repeats a key, such as one n=64 execution, holds at most the
+# cap of None entries.
+_PERMS: Dict[int, Any] = {}
+_PERMS_CAP = 16_384
+
+
+def _shuffled(inbox: list, seed: int) -> list:
+    """`inbox` in the order ``Random(seed).shuffle`` leaves it, for a seed
+    in 0..2**64-1; may shuffle `inbox` itself and return it.
+
+    The first sighting of (seed, len(inbox)) shuffles in place, at the cost
+    of a plain reseed and walk; the second walks the indices instead and
+    keeps that permutation, which is the inbox's own because Fisher-Yates
+    swaps positions whatever they hold; later sightings only reorder."""
+    length = len(inbox)
+    key = length << 64 | seed
+    perm = _PERMS.get(key)
+    if perm is not None:
+        return [inbox[j] for j in perm]
+    _reseed(seed)
+    if key not in _PERMS:
+        if len(_PERMS) >= _PERMS_CAP:
+            _PERMS.clear()
+        _PERMS[key] = None
+        _shuffle(inbox, _getrandbits)
+        return inbox
+    order = list(range(length))
+    _shuffle(order, _getrandbits)
+    _PERMS[key] = bytes(order) if length <= 256 else array("I", order)
+    return [inbox[j] for j in order]
 
 
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
@@ -458,8 +505,6 @@ def run_execution(
             per_sender = sender_counts.setdefault(tag, {})
             per_sender[pid] = per_sender.get(pid, 0) + sent
 
-    reseed, getrandbits = _shuffle_generator()
-
     rnd = 0
     for pid in sorted(gens):
         step(pid, None)
@@ -547,8 +592,7 @@ def run_execution(
         for pid in sorted(alive):
             inbox = inboxes.get(pid) or []
             if len(inbox) > 1:
-                reseed((seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
-                _shuffle(inbox, getrandbits)
+                inbox = _shuffled(inbox, (seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
             if pid in fault_set:
                 inbox = strategy.filter_member_inbox(pid, inbox, rnd)
                 tag = ctxs[pid].tag

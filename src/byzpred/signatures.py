@@ -105,7 +105,10 @@ class SimTokenScheme:
 
     def __init__(self, seed: int):
         self._secret = hashlib.sha256(b"byzpred-scheme" + str(seed).encode()).digest()
-        self._minted = set()
+        # (signer, digest) -> its minted token, or None where verify must
+        # hash it again: a non-int signer equal to an int (True for 1)
+        # shares the int's key but its token hashes another spelling
+        self._minted = {}
         self._digest_memo = {}
 
     def _digest(self, content: Any) -> str:
@@ -129,19 +132,22 @@ class SimTokenScheme:
 
     def sign(self, signer: int, content: Any) -> Signature:
         dig = self._digest(content)
-        self._minted.add((signer, dig))
-        return Signature(signer=signer, message_digest=dig, token=self._token(signer, dig))
+        token = self._token(signer, dig)
+        self._minted[(signer, dig)] = token if type(signer) is int else None
+        return Signature(signer=signer, message_digest=dig, token=token)
 
     def verify(self, sig: Any, signer: int, content: Any) -> bool:
         if not isinstance(sig, Signature):
             return False
         dig = self._digest(content)
-        return (
-            sig.signer == signer
-            and sig.message_digest == dig
-            and (signer, dig) in self._minted
-            and sig.token == self._token(signer, dig)
-        )
+        if not (sig.signer == signer and sig.message_digest == dig):
+            return False
+        token = self._minted.get((signer, dig), False)
+        if token is False:
+            return False
+        if token is None or type(signer) is not int:
+            token = self._token(signer, dig)
+        return sig.token == token
 
 
 class SignOracle:

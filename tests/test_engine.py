@@ -43,15 +43,48 @@ def test_determinism_byte_identical():
     assert result_bytes(a) == result_bytes(b)
 
 
+def salted_shuffles(salt, calls):
+    """A stand-in for `engine._shuffled` drawing unrelated permutations."""
+    rng = random.Random(salt)
+
+    def shuffled(inbox, _seed):
+        calls.append(len(inbox))
+        inbox = list(inbox)
+        rng.shuffle(inbox)
+        return inbox
+
+    return shuffled
+
+
 def test_inbox_order_independence_metamorphic(monkeypatch):
     # the seed's inbox permutations and two unrelated ones give one result
     s = basic(fault_set={4}, inputs=(0, 1, 0, 1), adversary="equivocator", budget=3)
     results = [result_bytes(run_execution(s, "ba-with-predictions"))]
     for salt in (101, 202):
-        rng = random.Random(salt)
-        monkeypatch.setattr(engine, "_shuffle", lambda inbox, _bits, rng=rng: rng.shuffle(inbox))
+        calls = []
+        monkeypatch.setattr(engine, "_shuffled", salted_shuffles(salt, calls))
         results.append(result_bytes(run_execution(s, "ba-with-predictions")))
+        assert len(calls) > 20  # the stand-in ordered the inboxes
     assert results[0] == results[1] == results[2]
+
+
+def test_no_permutation_outlives_a_patched_run(monkeypatch):
+    # selective-ignorer drops the head of each member's shuffled inbox, so
+    # other permutations change this record; a run under a stand-in shuffle
+    # must leave nothing behind that a later seed-exact run would reuse.
+    s = Scenario(n=10, t=3, fault_set=frozenset({1, 2, 3}), inputs=(0, 1) * 5, seed=3,
+                 error_budget=10, error_allocation="adversarial-worst",
+                 adversary=AdversarySpec.make("selective-ignorer"))
+    engine._PERMS.clear()
+    fresh = result_bytes(run_execution(s, "ba-with-predictions"))
+    again = result_bytes(run_execution(s, "ba-with-predictions"))  # the second sightings
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_shuffled", salted_shuffles(5, calls))
+        salted = result_bytes(run_execution(s, "ba-with-predictions"))
+    assert calls and salted != fresh
+    assert any(perm is not None for perm in engine._PERMS.values())
+    assert result_bytes(run_execution(s, "ba-with-predictions")) == again == fresh
 
 
 def test_classify_round_message_count():
@@ -437,6 +470,43 @@ def test_inlined_shuffle_matches_random_shuffle():
             reseed(seed)
             _shuffle(got, getrandbits)
             assert got == expected, (seed, length)
+
+
+def test_kept_permutations_match_random_shuffle():
+    # Every sighting of a (seed, length) pair orders an inbox as a fresh
+    # Random(seed).shuffle does: the first (a plain shuffle), the second
+    # (the kept permutation is drawn), later ones (reordered from it), and
+    # the first again once the cap has cleared the memo.
+    mask = 0xFFFFFFFFFFFFFFFF
+    seeds = [0, 1, 7, mask] + [((s * 1_000_003 + r) * 1_000_003 + p) & mask
+                               for s in (5, 2**40) for r in (1, 103) for p in (1, 64, 128)]
+    assert len(seeds) == 16
+    expected = {}
+    for seed in seeds:
+        for length in range(301):
+            items = [("m", i) for i in range(length)]
+            random.Random(seed).shuffle(items)
+            expected[seed, length] = items
+
+    def check_all():
+        for (seed, length), items in expected.items():
+            inbox = [("m", i) for i in range(length)]
+            assert engine._shuffled(inbox, seed) == items, (seed, length)
+            assert len(engine._PERMS) <= engine._PERMS_CAP
+
+    engine._PERMS.clear()
+    check_all()
+    assert set(engine._PERMS.values()) == {None}
+    check_all()
+    assert None not in engine._PERMS.values()
+    check_all()
+    filler = 1
+    while len(engine._PERMS) >= len(expected):  # other keys until the cap clears it
+        engine._shuffled([0, 1], mask - filler)
+        assert len(engine._PERMS) <= engine._PERMS_CAP
+        filler += 1
+    assert filler > engine._PERMS_CAP - len(expected)
+    check_all()
 
 
 @pytest.mark.parametrize("ending", ["return", "raise", "close"])

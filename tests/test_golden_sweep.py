@@ -52,14 +52,14 @@ def inboxes_and_replay(monkeypatch, records):
     """Replay `records`, recording every inbox as it stands before its
     shuffle; returns the inboxes and each record's replay verdict."""
     seen = []
-    shuffle = engine._shuffle
+    shuffled = engine._shuffled
 
-    def recording_shuffle(inbox, getrandbits):
+    def recording_shuffled(inbox, seed):
         seen.append(list(inbox))
-        shuffle(inbox, getrandbits)
+        return shuffled(inbox, seed)
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_shuffle", recording_shuffle)
+        patch.setattr(engine, "_shuffled", recording_shuffled)
         replayed = [harness.replay_record(r) for r in records]
     return seen, replayed
 

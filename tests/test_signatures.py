@@ -101,3 +101,33 @@ def test_signature_encoding_is_cached_canonical_bytes():
 def test_encode_rejects_unknown_types():
     with pytest.raises(TypeError):
         encode(3.14)
+
+
+@pytest.mark.parametrize("minters", [(1,), (True,), (1, True), (True, 1), (1.0,)])
+def test_kept_tokens_give_the_verdicts_of_rehashing(minters):
+    # verify compares with the token kept at signing time; a signer equal
+    # to another but spelled differently (True, 1.0 for 1) has a token of
+    # its own, so every verdict must match rehashing the token each time
+    scheme = SimTokenScheme(seed=5)
+    content = ("vote", "gc", 1)
+    dig = digest(content)
+    sigs = [scheme.sign(m, content) for m in minters]
+    sigs.append(Signature(signer=1, message_digest=dig, token=scheme._token(True, dig)))
+    for sig in sigs:
+        for signer in (1, True, 1.0, 2):
+            expected = (
+                sig.signer == signer
+                and sig.message_digest == dig
+                and (signer, dig) in scheme._minted
+                and sig.token == scheme._token(signer, dig)
+            )
+            assert scheme.verify(sig, signer, content) == expected, (sig, signer)
+
+
+def test_unhashable_signer_raises_after_the_signer_check():
+    scheme = SimTokenScheme(seed=5)
+    sig = scheme.sign(1, ("m",))
+    assert not scheme.verify(sig, [1], ("m",))  # signer mismatch decides first
+    with pytest.raises(TypeError):
+        scheme.verify(Signature(signer=[1], message_digest=sig.message_digest, token="0"),
+                      [1], ("m",))
