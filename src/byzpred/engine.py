@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import _random
 import random
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -343,13 +342,13 @@ def _shuffle_generator():
 
 _reseed, _getrandbits = _shuffle_generator()
 
-# Inbox permutations by packed key ``length << 64 | seed``: None once a key
-# has been seen, its permutation of indices (bytes up to length 256) from
-# the second sighting on.  Cleared whenever a new key would exceed the cap,
-# which holds the 9,273 keys of a catalog-sweep pass (n up to 16); a run
-# that never repeats a key, such as one n=64 execution, holds at most the
-# cap of None entries.
-_PERMS: Dict[int, Any] = {}
+# Inbox permutations by packed key ``seed << 8 | length`` (length < 256):
+# None once a key has been seen, the bytes of its permutation of indices
+# from the second sighting on.  Cleared whenever a new key would exceed the
+# cap, which holds the 9,273 keys of a catalog-sweep pass (n up to 16); a
+# run that never repeats a key, such as one n=64 execution, holds at most
+# the cap of None entries.
+_PERMS: Dict[int, Optional[bytes]] = {}
 _PERMS_CAP = 16_384
 
 
@@ -360,23 +359,26 @@ def _shuffled(inbox: list, seed: int) -> list:
     The first sighting of (seed, len(inbox)) shuffles in place, at the cost
     of a plain reseed and walk; the second walks the indices instead and
     keeps that permutation, which is the inbox's own because Fisher-Yates
-    swaps positions whatever they hold; later sightings only reorder."""
+    swaps positions whatever they hold; later sightings only reorder.  An
+    inbox of 256 or more entries is always shuffled in place."""
     length = len(inbox)
-    key = length << 64 | seed
-    perm = _PERMS.get(key)
-    if perm is not None:
-        return [inbox[j] for j in perm]
-    _reseed(seed)
-    if key not in _PERMS:
+    if length < 256:
+        key = seed << 8 | length
+        perm = _PERMS.get(key)
+        if perm is not None:
+            return [inbox[j] for j in perm]
+        if key in _PERMS:
+            _reseed(seed)
+            order = list(range(length))
+            _shuffle(order, _getrandbits)
+            _PERMS[key] = bytes(order)
+            return [inbox[j] for j in order]
         if len(_PERMS) >= _PERMS_CAP:
             _PERMS.clear()
         _PERMS[key] = None
-        _shuffle(inbox, _getrandbits)
-        return inbox
-    order = list(range(length))
-    _shuffle(order, _getrandbits)
-    _PERMS[key] = bytes(order) if length <= 256 else array("I", order)
-    return [inbox[j] for j in order]
+    _reseed(seed)
+    _shuffle(inbox, _getrandbits)
+    return inbox
 
 
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:

@@ -500,12 +500,14 @@ def test_kept_permutations_match_random_shuffle():
     check_all()
     assert None not in engine._PERMS.values()
     check_all()
+    held = len(engine._PERMS)
+    assert held == len(seeds) * 256  # 256 entries and longer are never kept
     filler = 1
-    while len(engine._PERMS) >= len(expected):  # other keys until the cap clears it
+    while len(engine._PERMS) >= held:  # other keys until the cap clears it
         engine._shuffled([0, 1], mask - filler)
         assert len(engine._PERMS) <= engine._PERMS_CAP
         filler += 1
-    assert filler > engine._PERMS_CAP - len(expected)
+    assert filler > engine._PERMS_CAP - held
     check_all()
 
 
