@@ -31,8 +31,9 @@ of a sweep shares its scenario seed, so most (s, L) pairs recur across the
 executions of one process: `_shuffled` draws an inbox's permutation on the
 first sighting of its pair, keeps it from the second on, and reorders
 later inboxes from that copy without reseeding.  The kept permutations and
-the one generator that draws them are per process state, so executions in
-one process run one at a time (the sweep's workers are processes).
+the one generator that draws them are shared by every execution in the
+process; a lock keeps each reseed and its walk together, so executions in
+threads draw the same permutations too.
 
 A ``ctx.broadcast`` stays one item from send to delivery, whoever sends
 it: the engine counts an honest one as n-1 messages and puts one shared
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import _random
 import random
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -341,6 +343,7 @@ def _shuffle_generator():
 
 
 _reseed, _getrandbits = _shuffle_generator()
+_DRAW_LOCK = threading.Lock()  # held from a reseed to the end of its walk
 
 # Inbox permutations by packed key ``seed << 8 | length`` (length < 256):
 # None once a key has been seen, the bytes of its permutation of indices
@@ -362,22 +365,23 @@ def _shuffled(inbox: list, seed: int) -> list:
     swaps positions whatever they hold; later sightings only reorder.  An
     inbox of 256 or more entries is always shuffled in place."""
     length = len(inbox)
+    key = seed << 8 | length  # exact while length < 256
     if length < 256:
-        key = seed << 8 | length
         perm = _PERMS.get(key)
         if perm is not None:
             return [inbox[j] for j in perm]
-        if key in _PERMS:
-            _reseed(seed)
-            order = list(range(length))
-            _shuffle(order, _getrandbits)
-            _PERMS[key] = bytes(order)
-            return [inbox[j] for j in order]
-        if len(_PERMS) >= _PERMS_CAP:
-            _PERMS.clear()
-        _PERMS[key] = None
-    _reseed(seed)
-    _shuffle(inbox, _getrandbits)
+    with _DRAW_LOCK:
+        _reseed(seed)
+        if length < 256:
+            if key in _PERMS:
+                order = list(range(length))
+                _shuffle(order, _getrandbits)
+                _PERMS[key] = perm = bytes(order)
+                return [inbox[j] for j in perm]
+            if len(_PERMS) >= _PERMS_CAP:
+                _PERMS.clear()
+            _PERMS[key] = None
+        _shuffle(inbox, _getrandbits)
     return inbox
 
 

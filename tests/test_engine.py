@@ -3,6 +3,8 @@
 import json
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -509,6 +511,44 @@ def test_kept_permutations_match_random_shuffle():
         filler += 1
     assert filler > engine._PERMS_CAP - held
     check_all()
+
+
+def test_threads_draw_the_seed_exact_permutations():
+    # Executions in threads share the one generator and the kept
+    # permutations; with a thread switch every microsecond, a reseed that
+    # another thread's walk could interleave would give other orders.
+    rng = random.Random(3)
+    cases = [(rng.getrandbits(64), rng.choice([2, 9, 40, 255, 256, 300])) for _ in range(48)]
+    expected = {}
+    for seed, length in cases:
+        items = list(range(length))
+        random.Random(seed).shuffle(items)
+        expected[seed, length] = items
+    wrong, errors = [], []
+
+    def worker(salt):
+        try:
+            for _ in range(3):  # first, second and later sightings, across threads
+                for seed, length in random.Random(salt).sample(cases, len(cases)):
+                    if engine._shuffled(list(range(length)), seed) != expected[seed, length]:
+                        wrong.append((seed, length))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    engine._PERMS.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(salt,)) for salt in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
+    assert len(engine._PERMS) <= engine._PERMS_CAP
 
 
 @pytest.mark.parametrize("ending", ["return", "raise", "close"])
