@@ -62,8 +62,10 @@ def plurality_tiebreak(values: Sequence[Any]) -> Any:
 def distinct_by_sender(inbox, allowed=None) -> Dict[int, Any]:
     """First payload per sender, optionally restricted to allowed senders.
 
-    The dict is built from the reversed inbox, so its key order is not the
-    inbox order; every caller reads it as a mapping or a multiset."""
+    Inbox order only decides between entries of one sender: the first one
+    counts, and an honest inbox is in delivery order.  The dict is built
+    from the reversed inbox, so its key order is not the inbox order; every
+    caller reads it as a mapping or a multiset."""
     seen = dict(reversed(inbox))
     if allowed is None:
         return seen

@@ -22,18 +22,17 @@ sender raises `ProtocolViolation`.  The strategy also sees each member's
 inbox as full ``(sender, tag, payload)`` entries before its shadow steps.
 
 Message accounting counts messages with an honest sender and a receiver
-other than the sender; self-delivery is instantaneous and free.  Inboxes
-are shuffled by a seed-derived permutation per (round, receiver); protocol
-code must not depend on inbox order.  The permutation of an inbox of length
-L under seed s is the one ``Random(s).shuffle`` draws for L items (MT19937
-driving the Fisher-Yates walk), so it depends on (s, L) alone.  Every point
-of a sweep shares its scenario seed, so most (s, L) pairs recur across the
-executions of one process: `_shuffled` draws an inbox's permutation on the
-first sighting of its pair, keeps it from the second on, and reorders
-later inboxes from that copy without reseeding.  The kept permutations and
-the one generator that draws them are shared by every execution in the
-process; a lock keeps each reseed and its walk together, so executions in
-threads draw the same permutations too.
+other than the sender; self-delivery is instantaneous and free.  Inbox
+order is not part of the synchronous model.  An honest receiver gets its
+inbox in delivery order: honest items in ascending sender order, then
+faulty items in strategy order, each pair list receiver by receiver, an
+order a rushing adversary could choose anyway.  Where a result depends on
+order at all (which of one sender's payloads counts, which two values a
+broadcast instance accepts first), delivery order decides it.  Only a
+member's inbox is shuffled, before its strategy filters it: an inbox of
+length L in round r of receiver p gets the permutation
+``Random(s).shuffle`` draws for L items, with s derived from (scenario
+seed, r, p), so it is a pure function of the point.
 
 A ``ctx.broadcast`` stays one item from send to delivery, whoever sends
 it: the engine counts an honest one as n-1 messages and puts one shared
@@ -41,22 +40,20 @@ it: the engine counts an honest one as n-1 messages and puts one shared
 a tuple per receiver.  A strategy that passes a shadow's broadcast on
 unchanged gets it delivered the same way.  Every inbox still holds the
 same messages in the same order as if each broadcast had been n separate
-pairs: honest items in ascending sender order, then faulty items in
-strategy order, each pair list receiver by receiver.
+pairs.
 
 Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
 builds no delivery structures: every alive process still steps, with an
 empty inbox, and each member's empty inbox still passes through the
 strategy's `filter_member_inbox`.  An empty inbox is never shuffled, so
-such a round draws no random numbers either way.
+such a round draws no random numbers.
 """
 
 from __future__ import annotations
 
 import _random
 import random
-import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -332,57 +329,14 @@ def _shuffle(x: list, getrandbits) -> None:
 
 
 def _shuffle_generator():
-    """(reseed, getrandbits) of one fresh generator.  Reseeded per inbox,
-    it draws every inbox permutation: the same permutations as a fresh
-    ``Random(seed).shuffle``.  `reseed` is the C seed method itself; for an
-    int seed, the ``Random.seed`` wrapper only adds Python-level type checks
-    before calling it (and resets ``gauss_next``, which `_shuffle` never
-    reads).  `_shuffled` uses the one generator this module makes."""
+    """(reseed, getrandbits) of one fresh generator.  Reseeded per member
+    inbox, it draws the same permutations as a fresh ``Random(seed).shuffle``.
+    `reseed` is the C seed method itself; for an int seed, the
+    ``Random.seed`` wrapper only adds Python-level type checks before calling
+    it (and resets ``gauss_next``, which `_shuffle` never reads).  Each
+    execution makes its own."""
     rng = random.Random()
     return _random.Random.seed.__get__(rng), rng.getrandbits
-
-
-_reseed, _getrandbits = _shuffle_generator()
-_DRAW_LOCK = threading.Lock()  # held from a reseed to the end of its walk
-
-# Inbox permutations by packed key ``seed << 8 | length`` (length < 256):
-# None once a key has been seen, the bytes of its permutation of indices
-# from the second sighting on.  Cleared whenever a new key would exceed the
-# cap, which holds the 9,273 keys of a catalog-sweep pass (n up to 16); a
-# run that never repeats a key, such as one n=64 execution, holds at most
-# the cap of None entries.
-_PERMS: Dict[int, Optional[bytes]] = {}
-_PERMS_CAP = 16_384
-
-
-def _shuffled(inbox: list, seed: int) -> list:
-    """`inbox` in the order ``Random(seed).shuffle`` leaves it, for a seed
-    in 0..2**64-1; may shuffle `inbox` itself and return it.
-
-    The first sighting of (seed, len(inbox)) shuffles in place, at the cost
-    of a plain reseed and walk; the second walks the indices instead and
-    keeps that permutation, which is the inbox's own because Fisher-Yates
-    swaps positions whatever they hold; later sightings only reorder.  An
-    inbox of 256 or more entries is always shuffled in place."""
-    length = len(inbox)
-    key = seed << 8 | length  # exact while length < 256
-    if length < 256:
-        perm = _PERMS.get(key)
-        if perm is not None:
-            return [inbox[j] for j in perm]
-    with _DRAW_LOCK:
-        _reseed(seed)
-        if length < 256:
-            if key in _PERMS:
-                order = list(range(length))
-                _shuffle(order, _getrandbits)
-                _PERMS[key] = perm = bytes(order)
-                return [inbox[j] for j in perm]
-            if len(_PERMS) >= _PERMS_CAP:
-                _PERMS.clear()
-            _PERMS[key] = None
-        _shuffle(inbox, _getrandbits)
-    return inbox
 
 
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
@@ -482,6 +436,7 @@ def run_execution(
     receivers = range(1, scenario.n + 1)
     msg_counts: Dict[str, int] = {}
     sender_counts: Dict[str, Dict[int, int]] = {}
+    reseed, getrandbits = _shuffle_generator()  # draws the member permutations
 
     def step(pid: int, inbox):
         gen = gens[pid]
@@ -537,15 +492,15 @@ def run_execution(
                 raise ProtocolViolation(f"adversary tried to send as honest process {sender!r}")
             faulty_items.append((sender, tag, _checked(sender, sends, receivers)[0]))
 
-        # Honest items in ascending pid, then faulty items in strategy
-        # order.  An honest receiver takes (sender, payload) in its own tag
-        # and a None placeholder for any other tag, so the shuffle sees the
-        # old inbox length; a member takes full (sender, tag, payload)
-        # entries.  A run of consecutive broadcasts reaches every inbox of
-        # one receiver tag with one extend per inbox.  A round in which no
-        # item carries a send builds none of this: every inbox is empty.
+        # Delivery order: honest items in ascending pid, then faulty items
+        # in strategy order.  An honest receiver takes (sender, payload) in
+        # its own tag and nothing of any other tag, and steps on its inbox in
+        # this order; a member takes full (sender, tag, payload) entries,
+        # shuffled seed-exact before its strategy filters them.  A run of
+        # consecutive broadcasts reaches every inbox of one receiver tag with
+        # one extend per inbox.  A round in which no item carries a send
+        # builds none of this: every inbox is empty.
         inboxes: Dict[int, List[Any]] = {}
-        holey = set()  # honest receivers holding a placeholder
         if honest_items or any(item[2] for item in faulty_items):
             inboxes = {pid: [] for pid in alive}
             want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
@@ -555,16 +510,12 @@ def run_execution(
             member_boxes = [inboxes[pid] for pid in alive if pid not in honest]
 
             def flush(run):
-                pairs = [(sender, sends.payload) for sender, _tag, sends in run]
-                run_tags = {item[1] for item in run}
-                for tag, pids in groups.items():
-                    if run_tags == {tag}:
-                        seq = pairs
-                    else:
-                        seq = [pair if item[1] == tag else None for pair, item in zip(pairs, run)]
-                        holey.update(pids)
-                    for pid in pids:
-                        inboxes[pid].extend(seq)
+                by_tag: Dict[str, List[Send]] = {}
+                for sender, tag, sends in run:
+                    by_tag.setdefault(tag, []).append((sender, sends.payload))
+                for tag, pairs in by_tag.items():
+                    for pid in groups.get(tag, ()):
+                        inboxes[pid].extend(pairs)
                 if member_boxes:
                     entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
                     for box in member_boxes:
@@ -588,23 +539,19 @@ def run_execution(
                         box.append((sender, tag, payload))
                     elif rtag == tag:
                         box.append((sender, payload))
-                    else:
-                        box.append(None)
-                        holey.add(rcv)
             if run:
                 flush(run)
 
         seed_base = (scenario.seed * 1_000_003 + rnd) * 1_000_003
         for pid in sorted(alive):
             inbox = inboxes.get(pid) or []
-            if len(inbox) > 1:
-                inbox = _shuffled(inbox, (seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
             if pid in fault_set:
+                if len(inbox) > 1:
+                    reseed((seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
+                    _shuffle(inbox, getrandbits)
                 inbox = strategy.filter_member_inbox(pid, inbox, rnd)
                 tag = ctxs[pid].tag
                 inbox = [(sender, payload) for sender, mtag, payload in inbox if mtag == tag]
-            elif pid in holey:
-                inbox = [pair for pair in inbox if pair is not None]
             step(pid, inbox)
 
     rounds_elapsed = max(finished_round.values(), default=0)

@@ -5,8 +5,8 @@ Scenario file (JSON, schema_version 1):
     {
       "schema_version": 1,
       "protocol": "ba-with-predictions",
-      "variant": "unauthenticated",
-      "value_domain": [0, 1],
+      "variant": "unauthenticated",  # or a list of variants
+      "value_domain": [0, 1],        # ascending distinct ints or strings
       "params": {},
       "axes": {
         "n": [4, 7],
@@ -48,7 +48,7 @@ from .agreement import (
 from .blocks import es_rounds_needed
 from .engine import run_execution
 from .errors import ConfigurationError, ScenarioFileError
-from .scenario import AUTHENTICATED, UNAUTHENTICATED, AdversarySpec, Scenario
+from .scenario import AUTHENTICATED, UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
 from .verify import Verdict, all_pass, verify_execution
 
 SCHEMA_VERSION = 1
@@ -189,14 +189,24 @@ def _is_adversary(entry) -> bool:
     return isinstance(entry, str) and entry in CATALOG
 
 
-def _check_axis(axis: str, entries, accepts: Callable[[Any], bool], expected: str) -> None:
-    """Reject an axis that is not a list, or an entry `accepts` refuses,
-    with an error naming the axis and the entry's position."""
+def _check_list(where: str, entries, accepts: Callable[[Any], bool], expected: str) -> None:
+    """Reject `entries` (an axis or a top-level key, named by `where`) if it
+    is not a list or holds an entry `accepts` refuses, with an error naming
+    it and the entry's position."""
     if not isinstance(entries, (list, tuple)):
-        raise ScenarioFileError(f"axis {axis!r} must be a list, got {entries!r}")
+        raise ScenarioFileError(f"{where} must be a list, got {entries!r}")
     for pos, entry in enumerate(entries):
         if not accepts(entry):
-            raise ScenarioFileError(f"axis {axis!r} entry {pos}: expected {expected}, got {entry!r}")
+            raise ScenarioFileError(f"{where} entry {pos}: expected {expected}, got {entry!r}")
+
+
+def _is_domain(domain) -> bool:
+    """A non-empty ascending list of distinct integers or of distinct strings."""
+    if not isinstance(domain, (list, tuple)) or not domain:
+        return False
+    if not (all(map(_is_int, domain)) or all(isinstance(v, str) for v in domain)):
+        return False
+    return list(domain) == sorted(set(domain))
 
 
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
@@ -204,8 +214,18 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     variants = doc.get("variant", UNAUTHENTICATED)
     if isinstance(variants, str):
         variants = [variants]
-    domain = tuple(doc.get("value_domain", (0, 1)))
+    _check_list("key 'variant'", variants, lambda e: e in VARIANTS,
+                "one of " + ", ".join(VARIANTS))
+    domain = doc.get("value_domain", (0, 1))
+    if not _is_domain(domain):
+        raise ScenarioFileError(
+            "key 'value_domain' must be a non-empty ascending list of distinct integers"
+            f" or of distinct strings, got {domain!r}"
+        )
+    domain = tuple(domain)
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
     axes = doc.get("axes", {})
     if not isinstance(axes, dict):
         raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")
@@ -220,22 +240,23 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     inputs = axes.get("inputs", ["alternating"])
     placements = axes.get("fault_placement", ["lowest"])
     seeds = axes.get("seeds", [0])
-    _check_axis("n", ns, _is_int, "an integer")
-    _check_axis("t", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
-    _check_axis("f", f_specs, lambda e: e in ("half", "max") or _is_int(e),
+    _check_list("axis 'n'", ns, _is_int, "an integer")
+    _check_list("axis 't'", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
+    _check_list("axis 'f'", f_specs, lambda e: e in ("half", "max") or _is_int(e),
                 "an integer, \"half\" or \"max\"")
-    _check_axis("error_budget", budgets, lambda e: isinstance(e, str) or _is_int(e),
+    _check_list("axis 'error_budget'", budgets, lambda e: isinstance(e, str) or _is_int(e),
                 "an integer or \"<k>n\"")
-    _check_axis("allocation", allocations, lambda e: e in predictions.ALLOCATION_POLICIES,
+    _check_list("axis 'allocation'", allocations, lambda e: e in predictions.ALLOCATION_POLICIES,
                 "one of " + ", ".join(predictions.ALLOCATION_POLICIES))
     if adversary_specs != "catalog":
-        _check_axis("adversary", adversary_specs, _is_adversary,
+        _check_list("axis 'adversary'", adversary_specs, _is_adversary,
                     "a catalog strategy name or an object with one as \"name\"")
-    _check_axis("inputs", inputs, lambda e: e in INPUT_PATTERNS or isinstance(e, (list, tuple)),
+    _check_list("axis 'inputs'", inputs,
+                lambda e: e in INPUT_PATTERNS or isinstance(e, (list, tuple)),
                 "one of " + ", ".join(INPUT_PATTERNS) + " or a list of inputs")
-    _check_axis("fault_placement", placements, lambda e: e in FAULT_PLACEMENTS,
+    _check_list("axis 'fault_placement'", placements, lambda e: e in FAULT_PLACEMENTS,
                 "one of " + ", ".join(FAULT_PLACEMENTS))
-    _check_axis("seeds", seeds, _is_int, "an integer")
+    _check_list("axis 'seeds'", seeds, _is_int, "an integer")
     adversaries = resolve_adversaries(adversary_specs)
 
     points: List[SweepPoint] = []

@@ -5,14 +5,17 @@ import random
 import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from byzpred import engine
+from byzpred import engine, harness
 from byzpred.adversaries import CATALOG, Strategy, entries
 from byzpred.engine import Broadcast, ProcessContext, _shuffle, register_protocol, run_execution
 from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
+
+GOLDEN_ORDER = Path(__file__).parent / "data" / "golden_order.jsonl"
 
 
 def result_bytes(result):
@@ -45,29 +48,15 @@ def test_determinism_byte_identical():
     assert result_bytes(a) == result_bytes(b)
 
 
-def salted_shuffles(salt, calls):
-    """A stand-in for `engine._shuffled` drawing unrelated permutations."""
+def salted_shuffle(salt, calls):
+    """A stand-in for `engine._shuffle` drawing unrelated permutations."""
     rng = random.Random(salt)
 
-    def shuffled(inbox, _seed):
-        calls.append(len(inbox))
-        inbox = list(inbox)
-        rng.shuffle(inbox)
-        return inbox
+    def shuffle(x, _getrandbits):
+        calls.append(len(x))
+        rng.shuffle(x)
 
-    return shuffled
-
-
-def test_inbox_order_independence_metamorphic(monkeypatch):
-    # the seed's inbox permutations and two unrelated ones give one result
-    s = basic(fault_set={4}, inputs=(0, 1, 0, 1), adversary="equivocator", budget=3)
-    results = [result_bytes(run_execution(s, "ba-with-predictions"))]
-    for salt in (101, 202):
-        calls = []
-        monkeypatch.setattr(engine, "_shuffled", salted_shuffles(salt, calls))
-        results.append(result_bytes(run_execution(s, "ba-with-predictions")))
-        assert len(calls) > 20  # the stand-in ordered the inboxes
-    assert results[0] == results[1] == results[2]
+    return shuffle
 
 
 def test_no_permutation_outlives_a_patched_run(monkeypatch):
@@ -77,15 +66,13 @@ def test_no_permutation_outlives_a_patched_run(monkeypatch):
     s = Scenario(n=10, t=3, fault_set=frozenset({1, 2, 3}), inputs=(0, 1) * 5, seed=3,
                  error_budget=10, error_allocation="adversarial-worst",
                  adversary=AdversarySpec.make("selective-ignorer"))
-    engine._PERMS.clear()
     fresh = result_bytes(run_execution(s, "ba-with-predictions"))
-    again = result_bytes(run_execution(s, "ba-with-predictions"))  # the second sightings
+    again = result_bytes(run_execution(s, "ba-with-predictions"))
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_shuffled", salted_shuffles(5, calls))
+        patch.setattr(engine, "_shuffle", salted_shuffle(5, calls))
         salted = result_bytes(run_execution(s, "ba-with-predictions"))
     assert calls and salted != fresh
-    assert any(perm is not None for perm in engine._PERMS.values())
     assert result_bytes(run_execution(s, "ba-with-predictions")) == again == fresh
 
 
@@ -371,14 +358,15 @@ def test_round_traffic_is_the_old_envelope_list(monkeypatch):
         assert list(entries(items)) == collapsed
 
 
-def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
-    # Reference: deliver full (sender, tag, payload) triples in the old order
-    # (honest senders ascending, then faulty traffic in strategy order),
-    # shuffle each inbox with a fresh Random(seed), then keep the entries in
-    # the receiver's tag as (sender, payload).  Other-tag entries here are
-    # the other scope's messages and the faulty sends under a foreign tag;
-    # the shadows' broadcasts and the foreign one go out as faulty
-    # Broadcast items.
+def test_inbox_holds_shuffled_member_triples_and_honest_pairs_in_delivery_order(monkeypatch):
+    # Reference: deliver full (sender, tag, payload) triples in delivery
+    # order (honest senders ascending, then faulty traffic in strategy
+    # order).  A member's inbox holds them shuffled with a fresh
+    # Random(seed); an honest inbox holds the entries in the receiver's tag
+    # as (sender, payload), unshuffled.  Other-tag entries here are the
+    # other scope's messages and the faulty sends under a foreign tag; the
+    # shadows' broadcasts and the foreign one go out as faulty Broadcast
+    # items.
     n, seed = 7, 11
     s, r, rec = run_recorded(monkeypatch, seed)
     foreign = 0
@@ -386,13 +374,12 @@ def test_inbox_holds_the_receiver_tag_pairs_in_shuffled_order(monkeypatch):
         wire = split_scopes_envelopes(n, range(1, 6), rnd) + envelopes(rec.sent[rnd])
         for pid in range(1, n + 1):
             triples = [(snd, tag, payload) for snd, rcv, tag, payload in wire if rcv == pid]
-            seed_of = (((seed * 1_000_003 + rnd) * 1_000_003) + pid) & 0xFFFFFFFFFFFFFFFF
-            if len(triples) > 1:
-                random.Random(seed_of).shuffle(triples)
             tag = f"s{(pid + rnd - 1) % 2}"
             pairs = tuple((snd, payload) for snd, mtag, payload in triples if mtag == tag)
             foreign += len(triples) - len(pairs)
             if pid in s.fault_set:
+                seed_of = (((seed * 1_000_003 + rnd) * 1_000_003) + pid) & 0xFFFFFFFFFFFFFFFF
+                random.Random(seed_of).shuffle(triples)
                 assert rec.member_inboxes[(pid, rnd)] == triples
             else:
                 assert r.decisions[pid][rnd - 1] == (tag, pairs)
@@ -474,68 +461,22 @@ def test_inlined_shuffle_matches_random_shuffle():
             assert got == expected, (seed, length)
 
 
-def test_kept_permutations_match_random_shuffle():
-    # Every sighting of a (seed, length) pair orders an inbox as a fresh
-    # Random(seed).shuffle does: the first (a plain shuffle), the second
-    # (the kept permutation is drawn), later ones (reordered from it), and
-    # the first again once the cap has cleared the memo.
-    mask = 0xFFFFFFFFFFFFFFFF
-    seeds = [0, 1, 7, mask] + [((s * 1_000_003 + r) * 1_000_003 + p) & mask
-                               for s in (5, 2**40) for r in (1, 103) for p in (1, 64, 128)]
-    assert len(seeds) == 16
-    expected = {}
-    for seed in seeds:
-        for length in range(301):
-            items = [("m", i) for i in range(length)]
-            random.Random(seed).shuffle(items)
-            expected[seed, length] = items
-
-    def check_all():
-        for (seed, length), items in expected.items():
-            inbox = [("m", i) for i in range(length)]
-            assert engine._shuffled(inbox, seed) == items, (seed, length)
-            assert len(engine._PERMS) <= engine._PERMS_CAP
-
-    engine._PERMS.clear()
-    check_all()
-    assert set(engine._PERMS.values()) == {None}
-    check_all()
-    assert None not in engine._PERMS.values()
-    check_all()
-    held = len(engine._PERMS)
-    assert held == len(seeds) * 256  # 256 entries and longer are never kept
-    filler = 1
-    while len(engine._PERMS) >= held:  # other keys until the cap clears it
-        engine._shuffled([0, 1], mask - filler)
-        assert len(engine._PERMS) <= engine._PERMS_CAP
-        filler += 1
-    assert filler > engine._PERMS_CAP - held
-    check_all()
-
-
 def test_threads_draw_the_seed_exact_permutations():
-    # Executions in threads share the one generator and the kept
-    # permutations; with a thread switch every microsecond, a reseed that
-    # another thread's walk could interleave would give other orders.
-    rng = random.Random(3)
-    cases = [(rng.getrandbits(64), rng.choice([2, 9, 40, 255, 256, 300])) for _ in range(48)]
-    expected = {}
-    for seed, length in cases:
-        items = list(range(length))
-        random.Random(seed).shuffle(items)
-        expected[seed, length] = items
+    # Each execution draws its member permutations from a generator of its
+    # own: golden_order executions (whose records pin member order) run in
+    # four threads, with a thread switch every microsecond, give their
+    # serial bytes.
+    records = harness.load_records(str(GOLDEN_ORDER))
     wrong, errors = [], []
 
     def worker(salt):
         try:
-            for _ in range(3):  # first, second and later sightings, across threads
-                for seed, length in random.Random(salt).sample(cases, len(cases)):
-                    if engine._shuffled(list(range(length)), seed) != expected[seed, length]:
-                        wrong.append((seed, length))
+            for record in random.Random(salt).sample(records, len(records)):
+                if not harness.replay_record(record):
+                    wrong.append(record["index"])
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
 
-    engine._PERMS.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -543,12 +484,11 @@ def test_threads_draw_the_seed_exact_permutations():
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(timeout=60)
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and wrong == []
-    assert len(engine._PERMS) <= engine._PERMS_CAP
 
 
 @pytest.mark.parametrize("ending", ["return", "raise", "close"])

@@ -12,11 +12,12 @@ signing, hashing or validation internals must leave every line unchanged.
 `data/golden_order.json` (unauthenticated, selective-ignorer, n in {10, 13},
 f in {half, max}, B in {n, 4n}, alternating and split-half inputs, seeds
 1-4).  Selective-ignorer drops the first messages of each member's shuffled
-inbox, so these records pin inbox order: a shuffle that draws a different
-permutation changes 22 of the 64.
+inbox, so these records pin member inbox order: a shuffle that draws a
+different permutation changes 22 of the 64.
 """
 
 import json
+import random
 from pathlib import Path
 
 from byzpred import adversaries, authtools, blocks, engine, harness
@@ -49,19 +50,42 @@ def check_replays_byte_identical(name, count):
 
 
 def inboxes_and_replay(monkeypatch, records):
-    """Replay `records`, recording every inbox as it stands before its
-    shuffle; returns the inboxes and each record's replay verdict."""
+    """Replay `records`, recording every non-empty inbox as a process gets
+    it; returns the inboxes and each record's replay verdict."""
     seen = []
-    shuffled = engine._shuffled
+    round_ = engine.ProcessContext.round
 
-    def recording_shuffled(inbox, seed):
-        seen.append(list(inbox))
-        return shuffled(inbox, seed)
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        if inbox:
+            seen.append(list(inbox))
+        return inbox
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "_shuffled", recording_shuffled)
+        patch.setattr(engine.ProcessContext, "round", recording_round)
         replayed = [harness.replay_record(r) for r in records]
     return seen, replayed
+
+
+def salted_round(salt, counts):
+    """A stand-in for `ProcessContext.round` that hands each honest process
+    its inbox in an order drawn from `salt`, not in delivery order.  Counts
+    the inboxes of two or more entries in `counts[0]`, and those whose
+    order it changed in `counts[1]`."""
+    rng = random.Random(salt)
+    round_ = engine.ProcessContext.round
+
+    def round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        if len(inbox) > 1 and ctx.pid not in ctx.scenario.fault_set:
+            shuffled = list(inbox)
+            rng.shuffle(shuffled)
+            counts[0] += 1
+            counts[1] += any(a is not b for a, b in zip(shuffled, inbox))
+            inbox = shuffled
+        return inbox
+
+    return round
 
 
 def test_golden_sweep_covers_its_sweep_file():
@@ -82,11 +106,26 @@ def test_golden_order_replays_byte_identical():
     check_replays_byte_identical("golden_order", 64)
 
 
+def test_golden_files_replay_with_honest_inboxes_reordered(monkeypatch):
+    # Metamorphic: inbox order is not part of the synchronous model, so
+    # honest processes handed their inboxes in salted orders instead of
+    # delivery order must give the golden records.  Members keep their
+    # seed-exact order, which golden_order pins.
+    for name, count in (("golden_sweep", 72), ("golden_order", 64)):
+        for salt in (1, 2):
+            counts = [0, 0]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine.ProcessContext, "round", salted_round(salt, counts))
+                check_replays_byte_identical(name, count)
+            salted, changed = counts
+            assert salted > 10_000 and changed > 0.9 * salted, (name, salt)  # not vacuous
+
+
 def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     # Metamorphic: the engine delivers a ctx.broadcast by reference; the same
     # broadcast yielded as a plain list of (receiver, payload) pairs takes the
     # per-pair path.  Both paths must fill every inbox with the same entries
-    # in the same order before it is shuffled, and give the golden records.
+    # in the same order, and give the golden records.
     chosen = ("equivocator", "selective-ignorer", "vote-poisoner", "grade-splitter")
     records = [
         r for r in harness.load_records(str(DATA / "golden_sweep.jsonl"))
@@ -111,8 +150,8 @@ def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     # Metamorphic, the faulty side of the test above: a strategy that passes
     # a shadow's Broadcast on gets it delivered by reference.  Handing every
     # faulty Broadcast over as its plain list of (receiver, payload) pairs
-    # instead must fill every inbox with the same entries in the same order
-    # before it is shuffled, and give the golden records.
+    # instead must fill every inbox with the same entries in the same order,
+    # and give the golden records.
     records = harness.load_records(str(DATA / "golden_sweep.jsonl")) + harness.load_records(
         str(DATA / "golden_order.jsonl")
     )

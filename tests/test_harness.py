@@ -101,6 +101,12 @@ def _with_axis(axis, entries):
     return doc
 
 
+def _with_key(key, value):
+    doc = sweep_doc()
+    doc[key] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, located",
     [
@@ -122,6 +128,15 @@ def _with_axis(axis, entries):
         (_with_axis("inputs", "alternating"), "axis 'inputs' must be a list"),
         (_with_axis("inputs", ["alternating", 7]), "axis 'inputs' entry 1"),
         (_with_axis("fault_placement", ["lowest", "middle"]), "axis 'fault_placement' entry 1"),
+        (_with_key("variant", 5), "key 'variant' must be a list"),
+        (_with_key("variant", ["quantum"]), "key 'variant' entry 0"),
+        (_with_key("variant", ["unauthenticated", ["authenticated"]]), "key 'variant' entry 1"),
+        (_with_key("value_domain", []), "key 'value_domain' must be"),
+        (_with_key("value_domain", 5), "key 'value_domain' must be"),
+        (_with_key("value_domain", [0, "a"]), "key 'value_domain' must be"),
+        (_with_key("value_domain", [[0], [1]]), "key 'value_domain' must be"),
+        (_with_key("value_domain", [1, 0]), "key 'value_domain' must be"),
+        (_with_key("params", 5), "key 'params' must be a JSON object"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
