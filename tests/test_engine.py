@@ -444,7 +444,7 @@ def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatc
 
 
 def test_inlined_shuffle_matches_random_shuffle():
-    # One generator reseeded per inbox, as the engine uses it, draws the
+    # One generator reseeded per member inbox, as the engine uses it, draws the
     # permutations of a fresh Random(seed).shuffle: the inlined loop copies
     # CPython's algorithm, so this must pass on every supported interpreter.
     mask = 0xFFFFFFFFFFFFFFFF
