@@ -95,6 +95,9 @@ class Strategy:
         return value, prediction
 
     def filter_member_inbox(self, member, inbox, rnd):
+        """Return what `member`'s shadow receives in round `rnd`, given the
+        ``(sender, tag, payload)`` entries addressed to it, in delivery
+        order; the engine keeps those of the shadow's tag."""
         return inbox
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
@@ -201,7 +204,13 @@ class VotePoisonerStrategy(Strategy):
 class SelectiveIgnorerStrategy(Strategy):
     """Drops the first floor(t/2) messages, then follows the protocol while
     pretending a prediction that trusts everyone and an input of the
-    smallest domain value."""
+    smallest domain value.
+
+    While a member's quota lasts, "first" is in a seeded order: an inbox of
+    two or more entries in round r is shuffled by ``Random(s).shuffle`` with
+    ``s = ((seed * 1_000_003 + r) * 1_000_003 + member) & (2**64 - 1)``,
+    `seed` the scenario's, before its head is dropped.
+    """
 
     name = "selective-ignorer"
 
@@ -219,14 +228,20 @@ class SelectiveIgnorerStrategy(Strategy):
         dropped = self._dropped.get(member, 0)
         if dropped >= quota:
             return inbox
+        if len(inbox) > 1:
+            inbox = list(inbox)
+            s = (self.scenario.seed * 1_000_003 + rnd) * 1_000_003 + member
+            random.Random(s & 0xFFFFFFFFFFFFFFFF).shuffle(inbox)
         take = min(quota - dropped, len(inbox))
         self._dropped[member] = dropped + take
         return inbox[take:]
 
 
 class _CvoteCollector(Strategy):
-    """Keeps the committee-vote signatures each member has received, in
-    arrival order, for strategies that certify their own members."""
+    """Keeps the committee-vote signatures each member has received, for
+    strategies that certify their own members.  Arrival order does not
+    matter: `assemble_committee_certificate` takes the t+1 smallest valid
+    signers."""
 
     def __init__(self, params=None):
         super().__init__(params)

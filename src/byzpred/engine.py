@@ -23,16 +23,14 @@ inbox as full ``(sender, tag, payload)`` entries before its shadow steps.
 
 Message accounting counts messages with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inbox
-order is not part of the synchronous model.  An honest receiver gets its
-inbox in delivery order: honest items in ascending sender order, then
-faulty items in strategy order, each pair list receiver by receiver, an
-order a rushing adversary could choose anyway.  Where a result depends on
-order at all (which of one sender's payloads counts, which two values a
-broadcast instance accepts first), delivery order decides it.  Only a
-member's inbox is shuffled, before its strategy filters it: an inbox of
-length L in round r of receiver p gets the permutation
-``Random(s).shuffle`` draws for L items, with s derived from (scenario
-seed, r, p), so it is a pure function of the point.
+order is not part of the synchronous model, and every inbox, honest or
+member, arrives in delivery order: honest items in ascending sender order,
+then faulty items in strategy order, each pair list receiver by receiver,
+an order a rushing adversary could choose anyway.  Where a result depends
+on order at all (which of one sender's payloads counts, which two values a
+broadcast instance accepts first), delivery order decides it.  A strategy
+that wants another order for its members draws it itself in
+`filter_member_inbox`; the engine draws no random numbers.
 
 A ``ctx.broadcast`` stays one item from send to delivery, whoever sends
 it: the engine counts an honest one as n-1 messages and puts one shared
@@ -46,14 +44,11 @@ Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
 builds no delivery structures: every alive process still steps, with an
 empty inbox, and each member's empty inbox still passes through the
-strategy's `filter_member_inbox`.  An empty inbox is never shuffled, so
-such a round draws no random numbers.
+strategy's `filter_member_inbox`.
 """
 
 from __future__ import annotations
 
-import _random
-import random
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -315,30 +310,6 @@ def _jsonable(obj):
     return repr(obj)
 
 
-def _shuffle(x: list, getrandbits) -> None:
-    """Shuffle `x` in place exactly as ``Random.shuffle`` does when
-    `getrandbits` is that generator's method: the same Fisher-Yates walk
-    and the same rejection loop as ``Random._randbelow_with_getrandbits``,
-    without two Python method calls per element."""
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
-
-
-def _shuffle_generator():
-    """(reseed, getrandbits) of one fresh generator.  Reseeded per member
-    inbox, it draws the same permutations as a fresh ``Random(seed).shuffle``.
-    `reseed` is the C seed method itself; for an int seed, the
-    ``Random.seed`` wrapper only adds Python-level type checks before calling
-    it (and resets ``gauss_next``, which `_shuffle` never reads).  Each
-    execution makes its own."""
-    rng = random.Random()
-    return _random.Random.seed.__get__(rng), rng.getrandbits
-
-
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
     """Return `sends` as a `Broadcast` or a list of ``(receiver, payload)``
     pairs, with the number of messages it holds for processes other than
@@ -436,7 +407,6 @@ def run_execution(
     receivers = range(1, scenario.n + 1)
     msg_counts: Dict[str, int] = {}
     sender_counts: Dict[str, Dict[int, int]] = {}
-    reseed, getrandbits = _shuffle_generator()  # draws the member permutations
 
     def step(pid: int, inbox):
         gen = gens[pid]
@@ -495,8 +465,8 @@ def run_execution(
         # Delivery order: honest items in ascending pid, then faulty items
         # in strategy order.  An honest receiver takes (sender, payload) in
         # its own tag and nothing of any other tag, and steps on its inbox in
-        # this order; a member takes full (sender, tag, payload) entries,
-        # shuffled seed-exact before its strategy filters them.  A run of
+        # this order; a member takes full (sender, tag, payload) entries in
+        # the same order, which its strategy filters.  A run of
         # consecutive broadcasts reaches every inbox of one receiver tag with
         # one extend per inbox.  A round in which no item carries a send
         # builds none of this: every inbox is empty.
@@ -542,13 +512,9 @@ def run_execution(
             if run:
                 flush(run)
 
-        seed_base = (scenario.seed * 1_000_003 + rnd) * 1_000_003
         for pid in sorted(alive):
             inbox = inboxes.get(pid) or []
             if pid in fault_set:
-                if len(inbox) > 1:
-                    reseed((seed_base + pid) & 0xFFFFFFFFFFFFFFFF)
-                    _shuffle(inbox, getrandbits)
                 inbox = strategy.filter_member_inbox(pid, inbox, rnd)
                 tag = ctxs[pid].tag
                 inbox = [(sender, payload) for sender, mtag, payload in inbox if mtag == tag]

@@ -1,13 +1,17 @@
 """Strategy catalog behaviour and the enumeration machinery."""
 
 import json
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from byzpred import adversaries, harness
 from byzpred.adversaries import (
     CATALOG,
     SILENT,
+    SelectiveIgnorerStrategy,
     Strategy,
     enumerate_choice_tables,
     make_strategy,
@@ -26,6 +30,8 @@ from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
 from byzpred.verify import all_pass, failures, verify_execution
+
+GOLDEN_ORDER = Path(__file__).parent / "data" / "golden_order.jsonl"
 
 
 def scenario(adversary, n=7, t=2, fault_set=(6, 7), inputs=None, variant="unauthenticated",
@@ -94,6 +100,54 @@ def test_every_sender_uses_one_tag_per_round(monkeypatch, variant):
             assert senders == sorted(set(senders))
     # not vacuous: the execution moves through several scopes
     assert len({tag for honest, _shadow in rec.rounds for _sender, tag in honest}) > 3
+
+
+def test_selective_ignorer_drops_the_head_of_its_seeded_permutation(monkeypatch):
+    # The engine hands each member inbox over in delivery order.  While the
+    # member's quota lasts, selective-ignorer drops the head of
+    # Random(s).shuffle of that inbox; once it is spent, the inbox passes
+    # through untouched.  golden_order (selective-ignorer only) pins the
+    # permutation: another one changes some of its records.
+    records = harness.load_records(str(GOLDEN_ORDER))
+    calls = []  # (strategy, member, rnd, inbox as given, inbox after the call, result)
+    filter_member_inbox = SelectiveIgnorerStrategy.filter_member_inbox
+
+    def recording(self, member, inbox, rnd):
+        given = list(inbox)
+        out = filter_member_inbox(self, member, inbox, rnd)
+        calls.append((self, member, rnd, given, inbox, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SelectiveIgnorerStrategy, "filter_member_inbox", recording)
+        assert all(harness.replay_record(r) for r in records)
+    spent = {}
+    shuffled = passed = 0
+    for strategy, member, rnd, given, inbox, out in calls:
+        assert inbox == given  # the engine's list is left as it was
+        quota = strategy.scenario.t // 2
+        dropped = spent.get((strategy, member), 0)
+        if dropped >= quota:
+            assert out is inbox
+            passed += 1
+            continue
+        expected = list(given)
+        if len(expected) > 1:
+            seed = strategy.scenario.seed
+            s = ((seed * 1_000_003 + rnd) * 1_000_003 + member) & 0xFFFFFFFFFFFFFFFF
+            random.Random(s).shuffle(expected)
+            shuffled += expected != given
+        take = min(quota - dropped, len(given))
+        assert out == expected[take:]
+        spent[(strategy, member)] = dropped + take
+    assert len(spent) == sum(len(r["scenario"]["fault_set"]) for r in records)
+    assert all(used == strategy.scenario.t // 2 for (strategy, _m), used in spent.items())
+    assert shuffled > 100 and passed > 1000  # not vacuous: both branches ran
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adversaries, "random", SimpleNamespace(Random=lambda s: random.Random(s ^ 1)))
+        changed = [r["index"] for r in records if not harness.replay_record(r)]
+    assert changed
 
 
 def test_unknown_strategy_rejected():

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from byzpred import engine, harness
+from byzpred import harness
 from byzpred.adversaries import CATALOG, Strategy, entries
-from byzpred.engine import Broadcast, ProcessContext, _shuffle, register_protocol, run_execution
+from byzpred.engine import Broadcast, ProcessContext, register_protocol, run_execution
 from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
 
@@ -46,34 +46,6 @@ def test_determinism_byte_identical():
     a = run_execution(s, "ba-with-predictions")
     b = run_execution(s, "ba-with-predictions")
     assert result_bytes(a) == result_bytes(b)
-
-
-def salted_shuffle(salt, calls):
-    """A stand-in for `engine._shuffle` drawing unrelated permutations."""
-    rng = random.Random(salt)
-
-    def shuffle(x, _getrandbits):
-        calls.append(len(x))
-        rng.shuffle(x)
-
-    return shuffle
-
-
-def test_no_permutation_outlives_a_patched_run(monkeypatch):
-    # selective-ignorer drops the head of each member's shuffled inbox, so
-    # other permutations change this record; a run under a stand-in shuffle
-    # must leave nothing behind that a later seed-exact run would reuse.
-    s = Scenario(n=10, t=3, fault_set=frozenset({1, 2, 3}), inputs=(0, 1) * 5, seed=3,
-                 error_budget=10, error_allocation="adversarial-worst",
-                 adversary=AdversarySpec.make("selective-ignorer"))
-    fresh = result_bytes(run_execution(s, "ba-with-predictions"))
-    again = result_bytes(run_execution(s, "ba-with-predictions"))
-    calls = []
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "_shuffle", salted_shuffle(5, calls))
-        salted = result_bytes(run_execution(s, "ba-with-predictions"))
-    assert calls and salted != fresh
-    assert result_bytes(run_execution(s, "ba-with-predictions")) == again == fresh
 
 
 def test_classify_round_message_count():
@@ -228,10 +200,9 @@ def _mixed_sends_protocol(ctx, scenario, params):
 
 
 def test_broadcast_by_reference_keeps_inbox_order(monkeypatch):
-    # The inbox a process returns is shuffled by a permutation that depends
-    # only on the seed and its length, so equal decisions mean equal inboxes
-    # before the shuffle: runs of broadcasters and targeted senders interleave
-    # as if every broadcast were n separate pairs.
+    # Each process returns every inbox it got, in delivery order, so equal
+    # decisions mean equal inboxes: runs of broadcasters and targeted senders
+    # interleave as if every broadcast were n separate pairs.
     s = basic(n=7, t=2, fault_set={6, 7}, inputs=(0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
     by_reference = run_execution(s, "test-mixed-sends")
     monkeypatch.setattr(
@@ -358,15 +329,14 @@ def test_round_traffic_is_the_old_envelope_list(monkeypatch):
         assert list(entries(items)) == collapsed
 
 
-def test_inbox_holds_shuffled_member_triples_and_honest_pairs_in_delivery_order(monkeypatch):
+def test_inbox_holds_member_triples_and_honest_pairs_in_delivery_order(monkeypatch):
     # Reference: deliver full (sender, tag, payload) triples in delivery
     # order (honest senders ascending, then faulty traffic in strategy
-    # order).  A member's inbox holds them shuffled with a fresh
-    # Random(seed); an honest inbox holds the entries in the receiver's tag
-    # as (sender, payload), unshuffled.  Other-tag entries here are the
-    # other scope's messages and the faulty sends under a foreign tag; the
-    # shadows' broadcasts and the foreign one go out as faulty Broadcast
-    # items.
+    # order).  A member's inbox holds them all in that order; an honest
+    # inbox holds the entries in the receiver's tag as (sender, payload),
+    # in the same order.  Other-tag entries here are the other scope's
+    # messages and the faulty sends under a foreign tag; the shadows'
+    # broadcasts and the foreign one go out as faulty Broadcast items.
     n, seed = 7, 11
     s, r, rec = run_recorded(monkeypatch, seed)
     foreign = 0
@@ -378,8 +348,6 @@ def test_inbox_holds_shuffled_member_triples_and_honest_pairs_in_delivery_order(
             pairs = tuple((snd, payload) for snd, mtag, payload in triples if mtag == tag)
             foreign += len(triples) - len(pairs)
             if pid in s.fault_set:
-                seed_of = (((seed * 1_000_003 + rnd) * 1_000_003) + pid) & 0xFFFFFFFFFFFFFFFF
-                random.Random(seed_of).shuffle(triples)
                 assert rec.member_inboxes[(pid, rnd)] == triples
             else:
                 assert r.decisions[pid][rnd - 1] == (tag, pairs)
@@ -443,29 +411,11 @@ def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatc
     ]
 
 
-def test_inlined_shuffle_matches_random_shuffle():
-    # One generator reseeded per member inbox, as the engine uses it, draws the
-    # permutations of a fresh Random(seed).shuffle: the inlined loop copies
-    # CPython's algorithm, so this must pass on every supported interpreter.
-    mask = 0xFFFFFFFFFFFFFFFF
-    seeds = [0, 1, 7, mask] + [((s * 1_000_003 + r) * 1_000_003 + p) & mask
-                               for s in (1, 81, 2**40) for r in (1, 103) for p in (1, 64)]
-    reseed, getrandbits = engine._shuffle_generator()
-    for seed in seeds:
-        for length in range(301):
-            expected = list(range(length))
-            random.Random(seed).shuffle(expected)
-            got = list(range(length))
-            reseed(seed)
-            _shuffle(got, getrandbits)
-            assert got == expected, (seed, length)
-
-
 def test_threads_draw_the_seed_exact_permutations():
-    # Each execution draws its member permutations from a generator of its
-    # own: golden_order executions (whose records pin member order) run in
-    # four threads, with a thread switch every microsecond, give their
-    # serial bytes.
+    # An execution shares no state with another: golden_order executions
+    # (selective-ignorer draws a seeded permutation per member inbox, and
+    # the records pin it) run in four threads, with a thread switch every
+    # microsecond, give their serial bytes.
     records = harness.load_records(str(GOLDEN_ORDER))
     wrong, errors = [], []
 

@@ -11,9 +11,10 @@ signing, hashing or validation internals must leave every line unchanged.
 `data/golden_order.jsonl` comes from the same command on
 `data/golden_order.json` (unauthenticated, selective-ignorer, n in {10, 13},
 f in {half, max}, B in {n, 4n}, alternating and split-half inputs, seeds
-1-4).  Selective-ignorer drops the first messages of each member's shuffled
-inbox, so these records pin member inbox order: a shuffle that draws a
-different permutation changes 22 of the 64.
+1-4).  Selective-ignorer shuffles a member's inbox with a generator seeded
+from (seed, round, member) and drops its head, so these records pin that
+permutation: a draw from another seed changes some of the 64 (18 for the
+seed xor 1).
 """
 
 import json
@@ -67,23 +68,28 @@ def inboxes_and_replay(monkeypatch, records):
     return seen, replayed
 
 
+def salted(rng, inbox, counts):
+    """`inbox` in an order drawn from `rng` if it has two or more entries,
+    counted in `counts[0]`, and in `counts[1]` if the order changed."""
+    if len(inbox) < 2:
+        return inbox
+    shuffled = list(inbox)
+    rng.shuffle(shuffled)
+    counts[0] += 1
+    counts[1] += any(a is not b for a, b in zip(shuffled, inbox))
+    return shuffled
+
+
 def salted_round(salt, counts):
-    """A stand-in for `ProcessContext.round` that hands each honest process
-    its inbox in an order drawn from `salt`, not in delivery order.  Counts
-    the inboxes of two or more entries in `counts[0]`, and those whose
-    order it changed in `counts[1]`."""
+    """A stand-in for `ProcessContext.round` that hands every process,
+    honest or shadow, its inbox in an order drawn from `salt`, not in
+    delivery order."""
     rng = random.Random(salt)
     round_ = engine.ProcessContext.round
 
     def round(ctx, sends):
         inbox = yield from round_(ctx, sends)
-        if len(inbox) > 1 and ctx.pid not in ctx.scenario.fault_set:
-            shuffled = list(inbox)
-            rng.shuffle(shuffled)
-            counts[0] += 1
-            counts[1] += any(a is not b for a, b in zip(shuffled, inbox))
-            inbox = shuffled
-        return inbox
+        return salted(rng, inbox, counts)
 
     return round
 
@@ -108,17 +114,45 @@ def test_golden_order_replays_byte_identical():
 
 def test_golden_files_replay_with_honest_inboxes_reordered(monkeypatch):
     # Metamorphic: inbox order is not part of the synchronous model, so
-    # honest processes handed their inboxes in salted orders instead of
-    # delivery order must give the golden records.  Members keep their
-    # seed-exact order, which golden_order pins.
+    # processes handed their inboxes in salted orders instead of delivery
+    # order must give the golden records.  This covers the shadows too:
+    # what a member's shadow steps on is already filtered, so
+    # selective-ignorer's drops, which golden_order pins, stay as they were.
     for name, count in (("golden_sweep", 72), ("golden_order", 64)):
         for salt in (1, 2):
             counts = [0, 0]
             with monkeypatch.context() as patch:
                 patch.setattr(engine.ProcessContext, "round", salted_round(salt, counts))
                 check_replays_byte_identical(name, count)
-            salted, changed = counts
-            assert salted > 10_000 and changed > 0.9 * salted, (name, salt)  # not vacuous
+            reordered, changed = counts
+            assert reordered > 10_000 and changed > 0.9 * reordered, (name, salt)  # not vacuous
+
+
+def test_golden_files_replay_with_member_inboxes_reordered_before_the_filter(monkeypatch):
+    # Metamorphic, the member side: only selective-ignorer reads a member
+    # inbox by position, so every other strategy, handed each member inbox
+    # in a salted order instead of delivery order, must give the golden
+    # records.
+    make_strategy = adversaries.make_strategy
+    rng = random.Random(3)
+    counts = [0, 0]
+
+    def salting_make_strategy(spec):
+        strategy = make_strategy(spec)
+        if strategy.name != "selective-ignorer":
+            filter_member_inbox = strategy.filter_member_inbox
+
+            def salted_filter(member, inbox, rnd):
+                return filter_member_inbox(member, salted(rng, inbox, counts), rnd)
+
+            strategy.filter_member_inbox = salted_filter
+        return strategy
+
+    monkeypatch.setattr(adversaries, "make_strategy", salting_make_strategy)
+    check_replays_byte_identical("golden_sweep", 72)
+    check_replays_byte_identical("golden_order", 64)
+    reordered, changed = counts
+    assert reordered > 1000 and changed > 0.9 * reordered  # not vacuous
 
 
 def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
