@@ -89,9 +89,15 @@ def classify(ctx, prediction):
     """Broadcast predictions and majority-vote a classification vector."""
     n = ctx.n
     inbox = yield from ctx.round(ctx.broadcast(tuple(prediction)))
-    c = predictions.tally_classification(distinct_by_sender(inbox).values(), n)
-    ctx.shared.setdefault("classifications", {})[ctx.pid] = predictions.bits_to_string(c)
+    c, bits = ctx.per_inbox(inbox, "classify", lambda box: _classification_of(box, n))
+    ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
     return c
+
+
+def _classification_of(inbox, n: int):
+    """The majority-vote classification of one inbox, and its bit string."""
+    c = predictions.tally_classification(distinct_by_sender(inbox).values(), n)
+    return c, predictions.bits_to_string(c)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Contents:
 All tallies count distinct senders: a sender's first well-formed payload
 per round wins, duplicates are ignored.  Values are filtered against the
 scenario's finite, totally ordered value domain; anything else is treated
-as a malformed payload (equivalent to silence).
+as a malformed payload (equivalent to silence).  What a round's rule
+derives from an inbox alone (an echo, a grade, a leader graph) is computed
+once per inbox object through `ctx.per_inbox`, so the honest receivers that
+share one inbox share one tally.
 
 The authenticated standard graded consensus works as follows.  Round 1:
 everyone broadcasts a signed vote for its input.  Round 2: everyone
@@ -63,9 +66,11 @@ def distinct_by_sender(inbox, allowed=None) -> Dict[int, Any]:
     """First payload per sender, optionally restricted to allowed senders.
 
     Inbox order only decides between entries of one sender: the first one
-    counts, and an honest inbox is in delivery order.  The dict is built
-    from the reversed inbox, so its key order is not the inbox order; every
-    caller reads it as a mapping or a multiset."""
+    counts, and an honest inbox is in delivery order.  The inbox is only
+    read (an honest one is a tuple that other receivers share), and the
+    dict is new on every call.  It is built from the reversed inbox, so its
+    key order is not the inbox order; every caller reads it as a mapping or
+    a multiset."""
     seen = dict(reversed(inbox))
     if allowed is None:
         return seen
@@ -107,26 +112,33 @@ def graded_consensus_core_set(ctx, value, k: int, window: Sequence[int]):
     domain = ctx.scenario.value_domain
     mine = ctx.pid in members
 
+    def vote_of(inbox):
+        votes = _domain_values(inbox, domain, members)
+        support = _support(votes)
+        if support and max(support.values()) >= 2 * k + 1:
+            return plurality_tiebreak([v for v in votes.values() if support[v] >= 2 * k + 1])
+        return BOT
+
+    def echoes_of(inbox):
+        """The echo support, and the plurality echo if it reaches k+1."""
+        echoes = _domain_values(inbox, domain, members)
+        esupport = _support(echoes)
+        if esupport and max(esupport.values()) >= k + 1:
+            return esupport, plurality_tiebreak(list(echoes.values()))
+        return esupport, BOT
+
     inbox = yield from ctx.round(ctx.broadcast(value) if mine else [])
-    votes = _domain_values(inbox, domain, members)
-    support = _support(votes)
-    b = BOT
-    if support:
-        if max(support.values()) >= 2 * k + 1:
-            b = plurality_tiebreak(
-                [v for v in votes.values() if support[v] >= 2 * k + 1]
-            )
+    b = ctx.per_inbox(inbox, ("gc-core-vote", members, k), vote_of)
 
     sends = ctx.broadcast(b) if (mine and b is not BOT) else []
     inbox = yield from ctx.round(sends)
-    echoes = _domain_values(inbox, domain, members)
-    esupport = _support(echoes)
+    esupport, top = ctx.per_inbox(inbox, ("gc-core-echo", members, k), echoes_of)
     if b is not BOT:
         if esupport.get(b, 0) >= 2 * k + 1:
             return b, 1
         return b, 0
-    if esupport and max(esupport.values()) >= k + 1:
-        return plurality_tiebreak(list(echoes.values())), 0
+    if top is not BOT:
+        return top, 0
     return value, 0
 
 
@@ -142,11 +154,28 @@ def conciliate(ctx, value, k: int, window: Sequence[int]):
     """
     members = frozenset(window)
     domain = ctx.scenario.value_domain
-    expected_size = len(members)
+    n = ctx.n
+    fault_set = ctx.scenario.fault_set
 
     payload = (value, tuple(sorted(members)))
     inbox = yield from ctx.round(ctx.broadcast(payload) if ctx.pid in members else [])
+    outcome, lemma_ok = ctx.per_inbox(
+        inbox,
+        ("conciliate", members),
+        lambda box: _leader_graph_outcome(box, members, n, domain, fault_set),
+    )
+    ctx.check(
+        "conciliation-path-lemma",
+        lemma_ok,
+        "a source outside the honest broadcaster set reaches an honest broadcaster",
+    )
+    return outcome[0] if outcome else value
 
+
+def _leader_graph_outcome(inbox, members, n, domain, fault_set):
+    """((plurality of the per-leader minima,) or () if there are none,
+    whether the path lemma holds) for one conciliation inbox."""
+    expected_size = len(members)
     heard: Dict[int, Tuple[Any, frozenset]] = {}
     for src, p in distinct_by_sender(inbox).items():
         if (
@@ -155,14 +184,14 @@ def conciliate(ctx, value, k: int, window: Sequence[int]):
             and p[0] in domain
             and isinstance(p[1], tuple)
             and len(p[1]) == expected_size
-            and all(isinstance(x, int) and 1 <= x <= ctx.n for x in p[1])
+            and all(isinstance(x, int) and 1 <= x <= n for x in p[1])
         ):
             heard[src] = (p[0], frozenset(p[1]))
 
     vertices = set(heard)
     declared = {y for y in vertices if y in heard[y][1]}
     # Edge (y, z) iff y is in z's declared window; path search runs backwards
-    # from each of my own leaders.
+    # from each of the window's leaders.
     preds = {z: [y for y in vertices if y != z and y in heard[z][1]] for z in vertices}
 
     minima: List[Any] = []
@@ -179,20 +208,13 @@ def conciliate(ctx, value, k: int, window: Sequence[int]):
         if sources:
             minima.append(min(sources))
 
-    ctx.check(
-        "conciliation-path-lemma",
-        _path_lemma_holds(ctx, vertices, declared, preds),
-        "a source outside the honest broadcaster set reaches an honest broadcaster",
-    )
-    if not minima:
-        return value
-    return plurality_tiebreak(minima)
+    outcome = (plurality_tiebreak(minima),) if minima else ()
+    return outcome, _path_lemma_holds(fault_set, vertices, declared, preds)
 
 
-def _path_lemma_holds(ctx, vertices, declared, preds) -> bool:
+def _path_lemma_holds(fault_set, vertices, declared, preds) -> bool:
     # Oracle: any vertex with a path to an honest broadcaster is itself an
     # honest broadcaster (checked with ground truth the protocol cannot use).
-    fault_set = ctx.scenario.fault_set
     honest_bcast = {y for y in declared if y not in fault_set}
     reaches_honest = set(honest_bcast)
     changed = True
@@ -221,24 +243,31 @@ def _gc_standard_unauth(ctx, value):
     n, t = ctx.n, ctx.t
     domain = ctx.scenario.value_domain
 
+    def echo_of(inbox):
+        votes = _domain_values(inbox, domain)
+        support = _support(votes)
+        if support and max(support.values()) >= n - t:
+            return plurality_tiebreak([w for w in votes.values() if support[w] >= n - t])
+        return BOT
+
+    def grade_of(inbox):
+        """(value, grade) as the echoes decide, or None to keep the input."""
+        echoes = _domain_values(inbox, domain)
+        esupport = _support(echoes)
+        if esupport:
+            best = plurality_tiebreak(list(echoes.values()))
+            if esupport[best] >= n - t:
+                return best, 1
+            if esupport[best] >= t + 1:
+                return best, 0
+        return None
+
     inbox = yield from ctx.round(ctx.broadcast(value))
-    votes = _domain_values(inbox, domain)
-    support = _support(votes)
-    echo = BOT
-    if support:
-        if max(support.values()) >= n - t:
-            echo = plurality_tiebreak([w for w in votes.values() if support[w] >= n - t])
+    echo = ctx.per_inbox(inbox, "gc-echo", echo_of)
 
     inbox = yield from ctx.round(ctx.broadcast(echo) if echo is not BOT else [])
-    echoes = _domain_values(inbox, domain)
-    esupport = _support(echoes)
-    if esupport:
-        best = plurality_tiebreak(list(echoes.values()))
-        if esupport[best] >= n - t:
-            return best, 1
-        if esupport[best] >= t + 1:
-            return best, 0
-    return value, 0
+    graded = ctx.per_inbox(inbox, "gc-grade", grade_of)
+    return graded if graded is not None else (value, 0)
 
 
 _MULTI = object()  # sentinel: signer seen voting for more than one value
@@ -414,14 +443,17 @@ def _gc_standard_auth(ctx, value):
         return out
 
     # Receivers of the same forwards share one merged view, keyed by the
-    # payload set; the view holds the payloads, keeping their ids stable.
+    # set of distinct payloads; the view holds them, keeping their ids
+    # stable.  Noting a payload twice changes nothing, so each is merged
+    # once, in the order of its first occurrence.
     def vote_view(payloads):
-        key = tuple(sorted(map(id, payloads)))
+        distinct = {id(p): p for p in payloads}
+        key = tuple(sorted(distinct))
         view = vmerge.get(key)
         if view is None:
             votes_value: Dict[int, Any] = {}  # signer -> sole value, or _MULTI
             vote_bank: Dict[Tuple[int, Any], tuple] = {}
-            for payload in payloads:
+            for payload in distinct.values():
                 for entry in fwd_entries(payload):
                     _note_vote(votes_value, vote_bank, entry)
             choice = _commit_choice(votes_value, vote_bank, n, t)
@@ -432,11 +464,12 @@ def _gc_standard_auth(ctx, value):
         return view
 
     def commit_view(payloads):
-        key = tuple(sorted(map(id, payloads)))
+        distinct = {id(p): p for p in payloads}
+        key = tuple(sorted(distinct))
         view = cmerge.get(key)
         if view is None:
             commit_values: Dict[int, frozenset] = {}
-            for payload in payloads:
+            for payload in distinct.values():
                 for entry in cfwd_entries(payload):
                     prev = commit_values.get(entry[0], frozenset())
                     if entry[1] not in prev:
@@ -445,23 +478,60 @@ def _gc_standard_auth(ctx, value):
             cmerge[key] = view
         return view
 
+    # Each round's result is a function of the inbox (and, in rounds 2 and
+    # 4, of the receiver's own forward), computed once per inbox object.
+    # Receivers of one round-1 inbox share one tuple of direct votes, so
+    # their forwards carry the same body and are checked once.
+    def direct_votes_of(inbox):
+        return tuple(bodies(inbox, vote_memo, "vote", vote_ok))
+
+    def choice_of(inbox, own):
+        # A receiver's direct votes are its own forward, which self-delivery
+        # puts in its inbox by reference.  A shadow's inbox may lack it (its
+        # strategy may replace or withhold it); if the shared view does not
+        # already cover those votes, the view is taken with them merged last.
+        fwd_payloads = bodies(inbox, fwd_memo, "fwd", _is_tuple)
+        view = vote_view(fwd_payloads)
+        if not _votes_cover(view[1], own):
+            view = vote_view(fwd_payloads + [own])
+        return view[2]
+
+    def direct_commits_of(inbox):
+        out = []
+        for src, p in inbox:
+            commit = (commit_memo.get(~id(p)) or body_record(commit_memo, p, "commit", commit_ok))[1]
+            if commit is not None and commit[0] == src:
+                out.append(commit)
+        return tuple(out)
+
+    def grade_of(inbox, own):
+        """(value, grade), or None to keep the input."""
+        cfwd_payloads = bodies(inbox, cfwd_memo, "cfwd", _is_tuple)
+        view = commit_view(cfwd_payloads)
+        if not _commits_cover(view[1], own):
+            view = commit_view(cfwd_payloads + [own])
+        all_commit_values, cvoided = view[2]
+        per_value = _count(val for signer, val in {(e[0], e[1]) for e in own}
+                           if signer not in cvoided)
+        if not per_value:
+            return None
+        top = max(per_value.values())
+        best = min(v for v, c in per_value.items() if c == top)
+        if per_value[best] >= n - t and all_commit_values == {best}:
+            return best, 1
+        return best, 0
+
     # Round 1: signed votes.
     my_vote = (ctx.pid, value, ctx.signer.sign(vote_content(tag, value)))
     inbox = yield from ctx.round(ctx.broadcast(("vote", my_vote)))
-    direct_votes = bodies(inbox, vote_memo, "vote", vote_ok)
+    own = ctx.per_inbox(inbox, (tag, "vote"), direct_votes_of)
 
-    # Round 2: forward everything; void double-voters, tally the rest.
-    # A receiver's direct votes are its own forward, which self-delivery
-    # puts in its inbox by reference.  A shadow's inbox may lack it (its
-    # strategy may replace or withhold it); if the shared view does not
-    # already cover those votes, the view is taken with them merged last.
-    own = tuple(direct_votes)
+    # Round 2: forward everything; void double-voters, tally the rest.  The
+    # entry holds `own`, keeping its id stable for the round.
     inbox = yield from ctx.round(ctx.broadcast(("fwd", own)))
-    fwd_payloads = bodies(inbox, fwd_memo, "fwd", _is_tuple)
-    view = vote_view(fwd_payloads)
-    if not _votes_cover(view[1], own):
-        view = vote_view(fwd_payloads + [own])
-    choice = view[2]
+    choice = ctx.per_inbox(
+        inbox, (tag, "fwd", id(own)), lambda box: (own, choice_of(box, own))
+    )[1]
 
     # Round 3: commit with proof when a non-voided quorum exists.
     sends = []
@@ -470,31 +540,15 @@ def _gc_standard_auth(ctx, value):
         sig = ctx.signer.sign(commit_content(tag, w, proof_dig))
         sends = ctx.broadcast(("commit", (ctx.pid, w, proof, sig)))
     inbox = yield from ctx.round(sends)
-    direct_commits: List[tuple] = []
-    for src, p in inbox:
-        commit = (commit_memo.get(~id(p)) or body_record(commit_memo, p, "commit", commit_ok))[1]
-        if commit is not None and commit[0] == src:
-            direct_commits.append(commit)
+    own = ctx.per_inbox(inbox, (tag, "commit"), direct_commits_of)
 
     # Round 4: forward direct commits; void double-committers, then grade.
     # The commit view and its summary are shared the same way.
-    own = tuple(direct_commits)
     inbox = yield from ctx.round(ctx.broadcast(("cfwd", own)))
-    cfwd_payloads = bodies(inbox, cfwd_memo, "cfwd", _is_tuple)
-    view = commit_view(cfwd_payloads)
-    if not _commits_cover(view[1], own):
-        view = commit_view(cfwd_payloads + [own])
-    all_commit_values, cvoided = view[2]
-    per_value = _count(val for signer, val in {(e[0], e[1]) for e in direct_commits}
-                       if signer not in cvoided)
-
-    if per_value:
-        top = max(per_value.values())
-        best = min(v for v, c in per_value.items() if c == top)
-        if per_value[best] >= n - t and all_commit_values == {best}:
-            return best, 1
-        return best, 0
-    return value, 0
+    graded = ctx.per_inbox(
+        inbox, (tag, "cfwd", id(own)), lambda box: (own, grade_of(box, own))
+    )[1]
+    return graded if graded is not None else (value, 0)
 
 
 # ---------------------------------------------------------------------------

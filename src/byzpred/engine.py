@@ -40,6 +40,16 @@ unchanged gets it delivered the same way.  Every inbox still holds the
 same messages in the same order as if each broadcast had been n separate
 pairs.
 
+Honest receivers of one tag without per-receiver traffic share one
+read-only inbox per round: the engine fills one list per tag, and a
+receiver forks its own copy only at the first targeted pair delivered to
+it, after which later broadcasts extend both.  Every honest inbox is
+handed over as a tuple, so no process can change what its peers see.
+Protocol code that derives something from an inbox alone computes it once
+per inbox object through `ProcessContext.per_inbox`, a memo the engine
+clears at the start of every round's delivery.  Members' shadows always
+get their own lists, whatever their strategy filtered.
+
 Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
 builds no delivery structures: every alive process still steps, with an
@@ -112,9 +122,10 @@ class ProcessContext:
         "_checks",
         "shared",
         "memo",
+        "round_memo",
     )
 
-    def __init__(self, pid, scenario, signer, trace_sink, check_sink, shared, memo):
+    def __init__(self, pid, scenario, signer, trace_sink, check_sink, shared, memo, round_memo):
         self.pid = pid
         self.n = scenario.n
         self.t = scenario.t
@@ -128,6 +139,7 @@ class ProcessContext:
         self._checks = check_sink
         self.shared = shared  # execution-wide trace dict; honest writers only
         self.memo = memo  # execution-wide cache for pure validation results
+        self.round_memo = round_memo  # per-inbox results; the engine clears it every round
 
     def scope(self, name: str) -> "_Scope":
         """Context manager: run the body under the sub-tag `name`; entering
@@ -139,17 +151,36 @@ class ProcessContext:
         return Broadcast(payload, self.n)
 
     def round(self, sends: List[Send]):
-        """Perform one communication round; returns [(sender, payload)]
-        for the messages sent to this process under its current tag.
+        """Perform one communication round; returns the read-only sequence
+        of (sender, payload) for the messages sent to this process under its
+        current tag.
 
         `sends` holds (receiver, payload) pairs, or is a `broadcast`, and is
         yielded as is; the engine stamps them with this process's id and
         current tag, so every message of a process in one round carries the
         same tag.  The engine also filters the inbox by the receiver's tag,
-        so the inbox comes back as delivered."""
+        so the inbox comes back as delivered.  Honest receivers of one tag
+        without per-receiver traffic share one read-only inbox per round: a
+        tuple, the same object for each of them.  A shadow gets a list of
+        its own."""
         inbox = yield sends
         self.rounds_used += 1
         return inbox
+
+    def per_inbox(self, inbox, key, compute):
+        """``compute(inbox)``, computed once per inbox object and `key` in
+        this round and shared by every receiver of that object.
+
+        `compute` may depend on the inbox, on what `key` names and on the
+        execution's constants (n, t, the value domain, the fault set), but
+        on nothing a receiver holds alone.  The entry holds the inbox, so
+        its id is not reused while the entry lives, and the engine clears
+        the memo at the start of every round's delivery."""
+        slot = (id(inbox), key)
+        hit = self.round_memo.get(slot)
+        if hit is None:
+            hit = self.round_memo[slot] = (inbox, compute(inbox))
+        return hit[1]
 
     def idle(self, rounds: int):
         for _ in range(rounds):
@@ -374,6 +405,7 @@ def run_execution(
     strategy.prepare(scenario)
 
     shared_memo: Dict[Any, Any] = {}  # cross-process cache for pure validation results
+    round_memo: Dict[Any, Any] = {}  # per-inbox results of the current round
     ctxs: Dict[int, ProcessContext] = {}
     gens: Dict[int, Any] = {}
     for pid in range(1, scenario.n + 1):
@@ -389,6 +421,7 @@ def run_execution(
             None if faulty else checks,
             {} if faulty else shared_trace,
             shared_memo,
+            round_memo,
         )
         ctxs[pid] = ctx
         value, prediction = scenario.input_of(pid), pred_vectors[pid]
@@ -466,29 +499,35 @@ def run_execution(
         # in strategy order.  An honest receiver takes (sender, payload) in
         # its own tag and nothing of any other tag, and steps on its inbox in
         # this order; a member takes full (sender, tag, payload) entries in
-        # the same order, which its strategy filters.  A run of
-        # consecutive broadcasts reaches every inbox of one receiver tag with
-        # one extend per inbox.  A round in which no item carries a send
-        # builds none of this: every inbox is empty.
-        inboxes: Dict[int, List[Any]] = {}
+        # the same order, which its strategy filters.  The honest receivers
+        # of one tag share one list until a targeted pair reaches one of
+        # them, which then forks its own copy; a run of consecutive
+        # broadcasts extends every list of one receiver tag once.  A round in
+        # which no item carries a send builds none of this: every inbox is
+        # empty.
+        round_memo.clear()
+        inboxes: Dict[int, Tuple[Any, ...]] = {}
+        member_boxes: Dict[int, List[Any]] = {}
         if honest_items or any(item[2] for item in faulty_items):
-            inboxes = {pid: [] for pid in alive}
             want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
-            groups: Dict[str, List[int]] = {}
-            for pid, tag in want.items():
-                groups.setdefault(tag, []).append(pid)
-            member_boxes = [inboxes[pid] for pid in alive if pid not in honest]
+            groups: Dict[str, List[Send]] = {tag: [] for tag in want.values()}
+            forks: Dict[int, List[Send]] = {}  # honest receiver -> its own list
+            forked: Dict[str, List[List[Send]]] = {}  # tag -> the forks of that tag
+            member_boxes = {pid: [] for pid in alive if pid not in honest}
 
             def flush(run):
                 by_tag: Dict[str, List[Send]] = {}
                 for sender, tag, sends in run:
                     by_tag.setdefault(tag, []).append((sender, sends.payload))
                 for tag, pairs in by_tag.items():
-                    for pid in groups.get(tag, ()):
-                        inboxes[pid].extend(pairs)
+                    box = groups.get(tag)
+                    if box is not None:
+                        box.extend(pairs)
+                        for own in forked.get(tag, ()):
+                            own.extend(pairs)
                 if member_boxes:
                     entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
-                    for box in member_boxes:
+                    for box in member_boxes.values():
                         box.extend(entries)
 
             run: List[Item] = []
@@ -501,23 +540,31 @@ def run_execution(
                     flush(run)
                     run = []
                 for rcv, payload in sends:
-                    box = inboxes.get(rcv)
-                    if box is None:
-                        continue
                     rtag = want.get(rcv)
                     if rtag is None:
-                        box.append((sender, tag, payload))
+                        box = member_boxes.get(rcv)
+                        if box is not None:
+                            box.append((sender, tag, payload))
                     elif rtag == tag:
+                        box = forks.get(rcv)
+                        if box is None:
+                            box = forks[rcv] = list(groups[tag])
+                            forked.setdefault(tag, []).append(box)
                         box.append((sender, payload))
             if run:
                 flush(run)
+            shared = {tag: tuple(box) for tag, box in groups.items()}
+            for pid, tag in want.items():
+                own = forks.get(pid)
+                inboxes[pid] = shared[tag] if own is None else tuple(own)
 
         for pid in sorted(alive):
-            inbox = inboxes.get(pid) or []
             if pid in fault_set:
-                inbox = strategy.filter_member_inbox(pid, inbox, rnd)
+                inbox = strategy.filter_member_inbox(pid, member_boxes.get(pid) or [], rnd)
                 tag = ctxs[pid].tag
                 inbox = [(sender, payload) for sender, mtag, payload in inbox if mtag == tag]
+            else:
+                inbox = inboxes.get(pid, ())
             step(pid, inbox)
 
     rounds_elapsed = max(finished_round.values(), default=0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from byzpred import agreement, harness
+from byzpred import agreement, harness, predictions
 from byzpred.agreement import (
     compute_alpha,
     conditional_round_budget,
@@ -29,6 +29,25 @@ def scenario(n, t, fault_set=(), inputs=None, adversary="silent", variant="unaut
         adversary=AdversarySpec.make(adversary, adv_params),
         variant=variant,
     )
+
+
+def test_classify_tallies_each_distinct_inbox_once(monkeypatch):
+    # The honest receivers of the classify round share one inbox, so the
+    # tally runs once per distinct honest inbox, plus once per shadow, whose
+    # inbox is a list of its own.
+    calls = []
+    tally = predictions.tally_classification
+
+    def counted(received, n):
+        calls.append(n)
+        return tally(received, n)
+
+    monkeypatch.setattr(predictions, "tally_classification", counted)
+    run_execution(scenario(16, 5, (), (1,) * 16), "classify")
+    assert len(calls) == 1  # not 16
+    calls.clear()
+    run_execution(scenario(16, 5, range(12, 17), (1,) * 16), "classify")
+    assert len(calls) == 1 + 5
 
 
 # ---------------------------------------------------------------------------

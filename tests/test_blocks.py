@@ -60,6 +60,53 @@ def test_plurality_empty_rejected():
         plurality_tiebreak([])
 
 
+def first_seen_plurality(values):
+    """Mutant of `plurality_tiebreak`: the first-seen value among those
+    occurring most often, not the smallest."""
+    counts = Counter(values)
+    best = max(counts.values())
+    return next(v for v in values if counts[v] == best)
+
+
+def drive(gen, inboxes):
+    """Run a protocol generator by hand on `inboxes`; returns its result."""
+    gen.send(None)
+    for inbox in inboxes[:-1]:
+        gen.send(inbox)
+    with pytest.raises(StopIteration) as stop:
+        gen.send(inboxes[-1])
+    return stop.value.value
+
+
+def echo_tie_outcomes():
+    """Process 1 of n=4, t=1 in both unauthenticated graded consensus
+    variants, echoing nothing itself, then receiving echoes that tie 2-2
+    between 0 and 1, in both orders."""
+    scen = scenario(4, 1, (), (1, 1, 1, 1))
+    outcomes = []
+    for echoes in ((1, 1, 0, 0), (0, 0, 1, 1)):
+        tie = list(zip((1, 2, 3, 4), echoes))
+        # standard: the votes split 2-2, short of n - t = 3
+        ctx = ProcessContext(1, scen, None, None, None, {}, {}, {})
+        split = [(1, 1), (2, 1), (3, 0), (4, 0)]
+        outcomes.append(drive(graded_consensus_standard(ctx, 1), [split, tie]))
+        # core set, k=1: one vote each, short of 2k + 1 = 3
+        ctx = ProcessContext(1, scen, None, None, None, {}, {}, {})
+        gen = blocks.graded_consensus_core_set(ctx, 1, 1, (1, 2, 3, 4))
+        outcomes.append(drive(gen, [[(1, 1), (2, 0)], tie]))
+    return outcomes
+
+
+def test_an_echo_tie_goes_to_the_smallest_value(monkeypatch):
+    # Two echoes for each value reach t + 1 (standard) and k + 1 (core set),
+    # so process 1 adopts the plurality echo with grade 0; on a tie that is
+    # the smallest value, whatever the inbox order.
+    assert echo_tie_outcomes() == [(0, 0)] * 4
+    # negative control: a tie-break that takes the first-seen value fails
+    monkeypatch.setattr(blocks, "plurality_tiebreak", first_seen_plurality)
+    assert (1, 0) in echo_tie_outcomes()
+
+
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=30))
 def test_plurality_is_smallest_argmax(values):
     got = plurality_tiebreak(values)
@@ -570,7 +617,7 @@ def test_receiver_missing_its_own_commit_forward_still_sees_its_direct_commits()
     # conflicting commit and must not grade 1.
     scheme = SimTokenScheme(5)
     scen = scenario(4, 1, (), (1, 1, 1, 1), variant="authenticated")
-    ctx = ProcessContext(1, scen, SignOracle(scheme, 1), None, None, {}, {})
+    ctx = ProcessContext(1, scen, SignOracle(scheme, 1), None, None, {}, {}, {})
     ctx.tag = "gc"
 
     def commit(signer, value, proof):

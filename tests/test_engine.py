@@ -224,6 +224,28 @@ def test_broadcast_by_reference_keeps_inbox_order(monkeypatch):
     assert by_reference.honest_messages_total == expected
 
 
+def test_an_honest_inbox_is_read_only(monkeypatch):
+    # Honest receivers of one tag may share one inbox object, so no process
+    # may change it: every honest inbox, shared or forked by targeted pairs,
+    # refuses an append.
+    honest_inboxes = []
+    round_ = ProcessContext.round
+
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        if ctx.pid not in ctx.scenario.fault_set:
+            honest_inboxes.append(inbox)
+        return inbox
+
+    monkeypatch.setattr(ProcessContext, "round", recording_round)
+    s = basic(n=7, t=2, fault_set={6, 7}, inputs=(0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
+    run_execution(s, "test-mixed-sends")
+    assert len(honest_inboxes) == 5 * 4 and all(honest_inboxes)
+    for inbox in honest_inboxes:
+        with pytest.raises(AttributeError):
+            inbox.append((1, "forged"))
+
+
 @register_protocol("test-split-scopes")
 def _split_scopes_protocol(ctx, scenario, params):
     # like test-mixed-sends, but in every round half of the processes sit in
@@ -443,7 +465,7 @@ def test_threads_draw_the_seed_exact_permutations():
 
 @pytest.mark.parametrize("ending", ["return", "raise", "close"])
 def test_scope_restores_the_tag_however_the_body_ends(ending):
-    ctx = ProcessContext(1, basic(), None, None, None, {}, {})
+    ctx = ProcessContext(1, basic(), None, None, None, {}, {}, {})
 
     def program():
         with ctx.scope("outer") as outer:

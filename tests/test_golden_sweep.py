@@ -22,6 +22,7 @@ import random
 from pathlib import Path
 
 from byzpred import adversaries, authtools, blocks, engine, harness
+from byzpred.scenario import AdversarySpec, Scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +127,43 @@ def test_golden_files_replay_with_honest_inboxes_reordered(monkeypatch):
                 check_replays_byte_identical(name, count)
             reordered, changed = counts
             assert reordered > 10_000 and changed > 0.9 * reordered, (name, salt)  # not vacuous
+
+
+def test_golden_files_replay_with_a_copy_of_every_inbox_per_receiver(monkeypatch):
+    # Reference for shared inboxes: the honest receivers of one tag share one
+    # inbox object, and what protocol code derives from an inbox alone is
+    # computed once per object.  Handing every process its own fresh copy
+    # of its inbox must give the golden records.
+    copies = [0]
+    round_ = engine.ProcessContext.round
+
+    def copying_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        copies[0] += bool(inbox)
+        return list(inbox)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine.ProcessContext, "round", copying_round)
+        check_replays_byte_identical("golden_sweep", 72)
+        check_replays_byte_identical("golden_order", 64)
+    assert copies[0] > 10_000  # not vacuous: non-empty inboxes copied
+
+    # Without the copies, sharing really happens: in a no-fault run every
+    # honest receiver of the classify round gets the same inbox object.
+    classify_inboxes = []
+
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        if ctx.tag == "classify":
+            classify_inboxes.append(inbox)
+        return inbox
+
+    monkeypatch.setattr(engine.ProcessContext, "round", recording_round)
+    s = Scenario(n=16, t=5, fault_set=frozenset(), inputs=(1,) * 16, seed=1,
+                 adversary=AdversarySpec.make("silent"), variant="unauthenticated")
+    engine.run_execution(s, "ba-with-predictions")
+    assert len(classify_inboxes) == 16 and len(classify_inboxes[0]) == 16
+    assert all(inbox is classify_inboxes[0] for inbox in classify_inboxes)
 
 
 def test_golden_files_replay_with_member_inboxes_reordered_before_the_filter(monkeypatch):
