@@ -97,7 +97,12 @@ class Strategy:
     def filter_member_inbox(self, member, inbox, rnd):
         """Return what `member`'s shadow receives in round `rnd`, given the
         ``(sender, tag, payload)`` entries addressed to it, in delivery
-        order; the engine keeps those of the shadow's tag."""
+        order; the engine keeps those of the shadow's tag.
+
+        A member without targeted pairs this round gets a read-only tuple
+        shared by every such member; returning it unchanged lets the shadow
+        share its tag's inbox.  A member with targeted pairs gets a list of
+        its own."""
         return inbox
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
@@ -184,7 +189,12 @@ def _perturb(payload, member, receiver, rnd, tag, actx):
 
 
 class VotePoisonerStrategy(Strategy):
-    """Classification round: complement or per-receiver tailored vectors."""
+    """Classification round: complement or per-receiver tailored vectors.
+
+    In complement mode every receiver gets the same vector, so a shadow's
+    classify `Broadcast` goes out as one broadcast of the complement; in
+    per-receiver mode, and for a classify send that is not a broadcast,
+    the member sends one pair per receiver."""
 
     name = "vote-poisoner"
 
@@ -196,9 +206,16 @@ class VotePoisonerStrategy(Strategy):
                 (r, tuple((1 - b) if (j + r) % 2 else b for j, b in enumerate(actx.truth)))
                 for r, _payload in sends
             ]
-        else:
-            pairs = [(r, actx.complement) for r, _payload in sends]
-        return [(member, tag, pairs)]
+            return [(member, tag, pairs)]
+        return [(member, tag, _complement_of(sends, actx))]
+
+
+def _complement_of(sends, actx):
+    """`sends` with every payload replaced by the complement vector: one
+    broadcast for a `Broadcast`, one pair per receiver otherwise."""
+    if type(sends) is Broadcast:
+        return Broadcast(actx.complement, sends.n)
+    return [(r, actx.complement) for r, _payload in sends]
 
 
 class SelectiveIgnorerStrategy(Strategy):
@@ -369,7 +386,7 @@ class GradeSplitterStrategy(Strategy):
         if not sends or not self._active:
             return [(member, tag, sends)]
         if tag.endswith("classify"):
-            return [(member, tag, [(r, actx.complement) for r, _payload in sends])]
+            return [(member, tag, _complement_of(sends, actx))]
         head, _, _ = tag.partition("/")
         phase = int(head[2:]) if head.startswith("ph") and head[2:].isdigit() else None
         leaf = tag.rsplit("/", 1)[-1]

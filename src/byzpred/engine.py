@@ -47,8 +47,14 @@ it, after which later broadcasts extend both.  Every honest inbox is
 handed over as a tuple, so no process can change what its peers see.
 Protocol code that derives something from an inbox alone computes it once
 per inbox object through `ProcessContext.per_inbox`, a memo the engine
-clears at the start of every round's delivery.  Members' shadows always
-get their own lists, whatever their strategy filtered.
+clears at the start of every round's delivery.  Members share the same
+way: one list of entries for every member, forked at a member's first
+targeted pair.  The strategy gets the unforked box as one read-only tuple
+and a fork as the member's own list.  A shadow whose strategy returns the
+shared tuple unchanged steps on the honest inbox of its tag, the same
+object, or, with no honest receiver at that tag, on one tuple per tag;
+any other shadow gets a list of its own, filtered from what its strategy
+returned.
 
 Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
@@ -159,9 +165,10 @@ class ProcessContext:
         yielded as is; the engine stamps them with this process's id and
         current tag, so every message of a process in one round carries the
         same tag.  The engine also filters the inbox by the receiver's tag,
-        so the inbox comes back as delivered.  Honest receivers of one tag
-        without per-receiver traffic share one read-only inbox per round: a
-        tuple, the same object for each of them.  A shadow gets a list of
+        so the inbox comes back as delivered.  Receivers of one tag without
+        per-receiver traffic share one read-only inbox per round: a tuple,
+        the same object for each honest receiver and for each shadow whose
+        strategy passed its inbox through.  Any other shadow gets a list of
         its own."""
         inbox = yield sends
         self.rounds_used += 1
@@ -500,20 +507,23 @@ def run_execution(
         # its own tag and nothing of any other tag, and steps on its inbox in
         # this order; a member takes full (sender, tag, payload) entries in
         # the same order, which its strategy filters.  The honest receivers
-        # of one tag share one list until a targeted pair reaches one of
-        # them, which then forks its own copy; a run of consecutive
-        # broadcasts extends every list of one receiver tag once.  A round in
-        # which no item carries a send builds none of this: every inbox is
-        # empty.
+        # of one tag share one list, and the members one list of entries,
+        # until a targeted pair reaches one of them, which then forks its
+        # own copy; a run of consecutive broadcasts extends every list once.
+        # A round in which no item carries a send builds none of this: every
+        # inbox is empty.
         round_memo.clear()
         inboxes: Dict[int, Tuple[Any, ...]] = {}
-        member_boxes: Dict[int, List[Any]] = {}
+        shared: Dict[str, Tuple[Send, ...]] = {}
+        common: Tuple[Any, ...] = ()  # the box of every member without targeted pairs
+        member_forks: Dict[int, List[Any]] = {}  # member -> its own list of entries
         if honest_items or any(item[2] for item in faulty_items):
             want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
             groups: Dict[str, List[Send]] = {tag: [] for tag in want.values()}
             forks: Dict[int, List[Send]] = {}  # honest receiver -> its own list
             forked: Dict[str, List[List[Send]]] = {}  # tag -> the forks of that tag
-            member_boxes = {pid: [] for pid in alive if pid not in honest}
+            members = {pid for pid in alive if pid not in honest}
+            member_box: List[Any] = []
 
             def flush(run):
                 by_tag: Dict[str, List[Send]] = {}
@@ -525,10 +535,11 @@ def run_execution(
                         box.extend(pairs)
                         for own in forked.get(tag, ()):
                             own.extend(pairs)
-                if member_boxes:
+                if members:
                     entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
-                    for box in member_boxes.values():
-                        box.extend(entries)
+                    member_box.extend(entries)
+                    for own in member_forks.values():
+                        own.extend(entries)
 
             run: List[Item] = []
             for item in chain(honest_items, faulty_items):
@@ -542,8 +553,10 @@ def run_execution(
                 for rcv, payload in sends:
                     rtag = want.get(rcv)
                     if rtag is None:
-                        box = member_boxes.get(rcv)
-                        if box is not None:
+                        if rcv in members:
+                            box = member_forks.get(rcv)
+                            if box is None:
+                                box = member_forks[rcv] = list(member_box)
                             box.append((sender, tag, payload))
                     elif rtag == tag:
                         box = forks.get(rcv)
@@ -557,14 +570,31 @@ def run_execution(
             for pid, tag in want.items():
                 own = forks.get(pid)
                 inboxes[pid] = shared[tag] if own is None else tuple(own)
+            common = tuple(member_box)
 
+        # A shadow whose strategy passes the common box through unchanged
+        # steps on the honest inbox of its tag, which holds exactly the
+        # common box's broadcast entries of that tag, or, with no honest
+        # receiver at that tag, on one tuple per tag filtered once.
+        member_only: Dict[str, Tuple[Send, ...]] = {}
         for pid in sorted(alive):
-            if pid in fault_set:
-                inbox = strategy.filter_member_inbox(pid, member_boxes.get(pid) or [], rnd)
-                tag = ctxs[pid].tag
-                inbox = [(sender, payload) for sender, mtag, payload in inbox if mtag == tag]
+            if pid not in fault_set:
+                step(pid, inboxes.get(pid, ()))
+                continue
+            given = strategy.filter_member_inbox(pid, member_forks.get(pid, common), rnd)
+            tag = ctxs[pid].tag
+            if given is not common:
+                inbox = [(sender, payload) for sender, mtag, payload in given if mtag == tag]
+            elif not common:
+                inbox = ()
             else:
-                inbox = inboxes.get(pid, ())
+                inbox = shared.get(tag)
+                if inbox is None:
+                    inbox = member_only.get(tag)
+                    if inbox is None:
+                        inbox = member_only[tag] = tuple(
+                            (sender, payload) for sender, mtag, payload in common if mtag == tag
+                        )
             step(pid, inbox)
 
     rounds_elapsed = max(finished_round.values(), default=0)

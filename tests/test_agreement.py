@@ -32,9 +32,11 @@ def scenario(n, t, fault_set=(), inputs=None, adversary="silent", variant="unaut
 
 
 def test_classify_tallies_each_distinct_inbox_once(monkeypatch):
-    # The honest receivers of the classify round share one inbox, so the
-    # tally runs once per distinct honest inbox, plus once per shadow, whose
-    # inbox is a list of its own.
+    # The honest receivers of the classify round share one inbox, and a
+    # shadow whose strategy passes its inbox through steps on that same
+    # inbox, so the tally runs once per distinct inbox.  vote-poisoner's
+    # complement vector goes out as one broadcast, so no receiver forks;
+    # its per-receiver vectors fork every receiver, honest or shadow.
     calls = []
     tally = predictions.tally_classification
 
@@ -43,11 +45,16 @@ def test_classify_tallies_each_distinct_inbox_once(monkeypatch):
         return tally(received, n)
 
     monkeypatch.setattr(predictions, "tally_classification", counted)
-    run_execution(scenario(16, 5, (), (1,) * 16), "classify")
-    assert len(calls) == 1  # not 16
-    calls.clear()
-    run_execution(scenario(16, 5, range(12, 17), (1,) * 16), "classify")
-    assert len(calls) == 1 + 5
+    for faulty, adversary, params, expected in (
+        ((), "silent", None, 1),  # not 16
+        (range(12, 17), "silent", None, 1),  # not 1 + 5
+        (range(12, 17), "vote-poisoner", {"mode": "complement"}, 1),  # not 16
+        (range(12, 17), "vote-poisoner", {"mode": "per-receiver"}, 16),
+    ):
+        calls.clear()
+        s = scenario(16, 5, faulty, (1,) * 16, adversary=adversary, adv_params=params)
+        run_execution(s, "classify")
+        assert len(calls) == expected, (adversary, params)
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,121 @@ def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatc
     ]
 
 
+def shared_members_tag(pid, fault_set):
+    """The scope of `pid` in test-shared-members: its parity, except that
+    the odd members sit in a scope of their own, where no honest process
+    listens."""
+    return "m" if pid % 2 and pid in fault_set else f"s{pid % 2}"
+
+
+@register_protocol("test-shared-members")
+def _shared_members_protocol(ctx, scenario, params):
+    # everyone broadcasts in its scope, three rounds
+    received = []
+    for rnd in range(3):
+        with ctx.scope(shared_members_tag(ctx.pid, scenario.fault_set)):
+            inbox = yield from ctx.round(ctx.broadcast(("b", ctx.pid, rnd)))
+            received.append(tuple(inbox))
+    return tuple(received)
+
+
+class _ShareProbe(Strategy):
+    """Replays the shadows, and in round 2 first sends one targeted pair to
+    the highest member and one to the lowest honest process, each under
+    its receiver's tag, so the shadows' broadcasts reach the forks after
+    the fork; records every box handed to the member filter and passes it
+    through."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.sent = {}  # rnd -> faulty items
+        self.boxes = {}  # (member, rnd) -> the box as handed over
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        out = super().emit(rnd, honest_items, shadow_items, actx)
+        if rnd == 2:
+            member = max(actx.fault_set)
+            target = min(p for p in range(1, actx.n + 1) if p not in actx.fault_set)
+            out = [
+                (member, shared_members_tag(rcv, actx.fault_set), [(rcv, ("t", rcv))])
+                for rcv in (member, target)
+            ] + out
+        self.sent[rnd] = out
+        return out
+
+    def filter_member_inbox(self, member, inbox, rnd):
+        self.boxes[(member, rnd)] = inbox
+        return inbox
+
+
+@pytest.mark.parametrize("placement", ["lowest", "highest", "spread"])
+def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, placement):
+    # Members without targeted pairs share one read-only box of entries,
+    # and a shadow whose strategy passes it through steps on the very inbox
+    # its honest tag-mates get, or, at a tag no honest process holds, on
+    # one inbox per tag.  A receiver that gets a targeted pair forks: a
+    # member's box is then a list of exactly its own entries in delivery
+    # order.  Where the members sit decides whether shadows or honest
+    # receivers step first, which must not matter.
+    n = 10
+    fault_set = harness.fault_ids(n, 3, placement)
+    probes = []
+
+    def make_probe(params):
+        probes.append(_ShareProbe(params))
+        return probes[-1]
+
+    stepped = {}  # pid -> [(tag, inbox)] in round order
+    round_ = ProcessContext.round
+
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        stepped.setdefault(ctx.pid, []).append((ctx.tag, inbox))
+        return inbox
+
+    monkeypatch.setitem(CATALOG, "share-probe", make_probe)
+    monkeypatch.setattr(ProcessContext, "round", recording_round)
+    s = basic(n=n, t=3, fault_set=fault_set, inputs=(1,) * n, adversary="share-probe")
+    r = run_execution(s, "test-shared-members")
+    (probe,) = probes
+    honest = [p for p in range(1, n + 1) if p not in fault_set]
+    members = sorted(fault_set)
+    member_only = 0
+    for rnd in range(1, 4):
+        # each process sends under the tag at which it steps
+        wire = [
+            (p, rcv, stepped[p][rnd - 1][0], ("b", p, rnd - 1))
+            for p in honest
+            for rcv in range(1, n + 1)
+        ] + envelopes(probe.sent[rnd])
+        targeted = {rcv for _s, _t, sends in probe.sent[rnd] if type(sends) is list
+                    for rcv, _p in sends}
+        assert len(targeted) == (2 if rnd == 2 else 0)
+        by_tag = {}  # tag -> inbox objects of unforked receivers
+        common = {id(probe.boxes[(m, rnd)]) for m in members if m not in targeted}
+        assert len(common) == 1  # one box for every member without targeted pairs
+        for pid in range(1, n + 1):
+            tag, inbox = stepped[pid][rnd - 1]
+            triples = [(snd, t, payload) for snd, rcv, t, payload in wire if rcv == pid]
+            assert list(inbox) == [(snd, payload) for snd, t, payload in triples if t == tag]
+            if pid in fault_set:
+                box = probe.boxes[(pid, rnd)]
+                assert list(box) == triples
+                if pid in targeted:
+                    assert type(box) is list  # its own entries, no copy into a tuple
+                    continue
+                assert type(box) is tuple
+                with pytest.raises(AttributeError):
+                    box.append((1, tag, "forged"))
+                member_only += tag == "m"
+            elif pid in targeted:
+                continue
+            by_tag.setdefault(tag, set()).add(id(inbox))
+        assert all(len(ids) == 1 for ids in by_tag.values()), by_tag
+    assert member_only >= 3  # not vacuous: some shadows sat at a tag of their own
+    assert r.honest_messages_total == 3 * len(honest) * (n - 1)
+
+
 def test_threads_draw_the_seed_exact_permutations():
     # An execution shares no state with another: golden_order executions
     # (selective-ignorer draws a seeded permutation per member inbox, and

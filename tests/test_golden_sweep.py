@@ -249,6 +249,80 @@ def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     assert as_pairs == by_reference
 
 
+def complement_as_pairs(monkeypatch):
+    """Make vote-poisoner and grade-splitter send their complement vectors
+    as one (receiver, complement) pair per receiver, not as one broadcast;
+    returns the count of broadcasts so expanded."""
+    expanded = [0]
+
+    def as_pairs(transform):
+        def patched(self, member, tag, sends, rnd, honest_items, actx):
+            out = []
+            for sender, mtag, msends in transform(self, member, tag, sends, rnd, honest_items, actx):
+                if type(msends) is engine.Broadcast and msends.payload is actx.complement:
+                    expanded[0] += 1
+                    msends = list(msends)
+                out.append((sender, mtag, msends))
+            return out
+
+        return patched
+
+    for cls in (adversaries.VotePoisonerStrategy, adversaries.GradeSplitterStrategy):
+        monkeypatch.setattr(cls, "transform", as_pairs(cls.transform))
+    return expanded
+
+
+VOTE_POISONER_MODES = {
+    "schema_version": 1,
+    "protocol": "ba-with-predictions",
+    "variant": ["unauthenticated", "authenticated"],
+    "value_domain": [0, 1],
+    "axes": {
+        "n": [7, 16],
+        "t": "max",
+        "f": ["half", "max"],
+        "error_budget": [0, "n"],
+        "allocation": ["adversarial-worst"],
+        "adversary": [
+            {"name": "vote-poisoner", "params": {"mode": "complement"}},
+            {"name": "vote-poisoner", "params": {"mode": "per-receiver"}},
+        ],
+        "inputs": ["alternating"],
+        "fault_placement": ["lowest", "highest", "spread"],
+        "seeds": [1],
+    },
+}
+
+
+def test_complement_vectors_as_one_broadcast_give_the_records_of_pair_lists(monkeypatch):
+    # Reference for a faulty broadcast in content: vote-poisoner (complement
+    # mode) and grade-splitter send the same complement vector to every
+    # receiver, as one Broadcast, so no inbox forks in the classify round.
+    # Sent as one pair per receiver, as they once were, the vectors must
+    # give the golden records of both strategies byte for byte.
+    names = [r["scenario"]["adversary"]["name"] for r in harness.load_records(
+        str(DATA / "golden_sweep.jsonl"))]
+    assert names.count("vote-poisoner") == names.count("grade-splitter") == 8
+    with monkeypatch.context() as patch:
+        expanded = complement_as_pairs(patch)
+        check_replays_byte_identical("golden_sweep", 72)
+    assert expanded[0] >= 16  # not vacuous: at least one per record of the two
+
+    # vote-poisoner's per-receiver mode, which no golden file holds, next to
+    # its complement mode, over both variants and every fault placement:
+    # every record is ok, replays, and equals the pair-list reference.
+    points, skipped = harness.expand_sweep(VOTE_POISONER_MODES)
+    assert len(points) == 96 and not skipped
+    plain = [harness.run_point(p) for p in points]
+    assert all(r["ok"] for r in plain)
+    assert all(harness.replay_record(r) for r in plain)
+    with monkeypatch.context() as patch:
+        expanded = complement_as_pairs(patch)
+        reference = [harness.run_point(p) for p in points]
+    assert expanded[0] >= 48  # at least one per complement-mode point
+    assert [harness.record_bytes(r) for r in reference] == [harness.record_bytes(r) for r in plain]
+
+
 def test_golden_files_replay_with_every_receiver_merging_its_own_view(monkeypatch):
     # The signed graded consensus shares one merged vote view, commit choice
     # and commit summary among the receivers of the same forwards; a
