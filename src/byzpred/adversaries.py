@@ -96,13 +96,11 @@ class Strategy:
 
     def filter_member_inbox(self, member, inbox, rnd):
         """Return what `member`'s shadow receives in round `rnd`, given the
-        ``(sender, tag, payload)`` entries addressed to it, in delivery
-        order; the engine keeps those of the shadow's tag.
-
-        A member without targeted pairs this round gets a read-only tuple
-        shared by every such member; returning it unchanged lets the shadow
-        share its tag's inbox.  A member with targeted pairs gets a list of
-        its own."""
+        inbox the engine delivered to it: the ``(sender, payload)`` pairs
+        under the shadow's tag, in delivery order, as a read-only tuple,
+        exactly as an honest receiver of that tag gets them.  The shadow
+        steps on what this returns; returning the inbox unchanged lets the
+        shadow share it, and its per-inbox results, with its tag-mates."""
         return inbox
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
@@ -223,9 +221,10 @@ class SelectiveIgnorerStrategy(Strategy):
     pretending a prediction that trusts everyone and an input of the
     smallest domain value.
 
-    While a member's quota lasts, "first" is in a seeded order: an inbox of
-    two or more entries in round r is shuffled by ``Random(s).shuffle`` with
-    ``s = ((seed * 1_000_003 + r) * 1_000_003 + member) & (2**64 - 1)``,
+    The quota counts only messages the member's shadow receives, those
+    under its tag.  While it lasts, "first" is in a seeded order: an inbox
+    of two or more pairs in round r is shuffled by ``Random(s).shuffle``
+    with ``s = ((seed * 1_000_003 + r) * 1_000_003 + member) & (2**64 - 1)``,
     `seed` the scenario's, before its head is dropped.
     """
 
@@ -255,10 +254,10 @@ class SelectiveIgnorerStrategy(Strategy):
 
 
 class _CvoteCollector(Strategy):
-    """Keeps the committee-vote signatures each member has received, for
-    strategies that certify their own members.  Arrival order does not
-    matter: `assemble_committee_certificate` takes the t+1 smallest valid
-    signers."""
+    """Keeps the committee-vote signatures each member's shadow has
+    received, for strategies that certify their own members.  Arrival order
+    does not matter: `assemble_committee_certificate` takes the t+1
+    smallest valid signers."""
 
     def __init__(self, params=None):
         super().__init__(params)
@@ -266,7 +265,7 @@ class _CvoteCollector(Strategy):
 
     def filter_member_inbox(self, member, inbox, rnd):
         sigs = self._cvotes.setdefault(member, [])
-        for _src, _tag, payload in inbox:
+        for _src, payload in inbox:
             if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == "cvote":
                 sigs.append(payload[1])
         return inbox
@@ -356,11 +355,11 @@ class GradeSplitterStrategy(Strategy):
     check the faction's value quorum (faction plus all faulty votes) pushes
     exactly one target to grade 1, so a single process decides u.
 
-    Phase 2: the same window play hands out the rotated value instead, so
-    the conditional BA output flips; a wrapper that adopts that output
-    despite its grade-1 guard walks every undecided process to the other
-    value and violates Agreement.  With the guards intact the adoption is
-    skipped and every property holds, which the criterion-1 grid checks.
+    Phase 2 on: the same window play hands the smallest domain value to a
+    second faction instead, in the first window's `gca` and `gcb` rounds.
+    Every property holds under this play at every point the tests run.  No
+    point found so far shows a wrapper without its grade-1 guard breaking
+    Agreement under it either: that mutant survives every grid tried.
     """
 
     name = "grade-splitter"

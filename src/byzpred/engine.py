@@ -18,15 +18,16 @@ transmit is produced by the adversary strategy, which sees the honest
 round-r send items before choosing the faulty round-r items (rushing
 adversary).  Honest and faulty items share one format and one check: a
 malformed send, a receiver outside 1..n or a faulty item with an honest
-sender raises `ProtocolViolation`.  The strategy also sees each member's
-inbox as full ``(sender, tag, payload)`` entries before its shadow steps.
+sender raises `ProtocolViolation`.  A member receives exactly as an
+honest process does; the strategy sees each member's inbox before its
+shadow steps, and the shadow steps on what the strategy returns.
 
 Message accounting counts messages with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inbox
-order is not part of the synchronous model, and every inbox, honest or
-member, arrives in delivery order: honest items in ascending sender order,
-then faulty items in strategy order, each pair list receiver by receiver,
-an order a rushing adversary could choose anyway.  Where a result depends
+order is not part of the synchronous model, and every inbox arrives in
+delivery order: honest items in ascending sender order, then faulty items
+in strategy order, each pair list receiver by receiver, an order a rushing
+adversary could choose anyway.  Where a result depends
 on order at all (which of one sender's payloads counts, which two values a
 broadcast instance accepts first), delivery order decides it.  A strategy
 that wants another order for its members draws it itself in
@@ -40,21 +41,17 @@ unchanged gets it delivered the same way.  Every inbox still holds the
 same messages in the same order as if each broadcast had been n separate
 pairs.
 
-Honest receivers of one tag without per-receiver traffic share one
-read-only inbox per round: the engine fills one list per tag, and a
-receiver forks its own copy only at the first targeted pair delivered to
-it, after which later broadcasts extend both.  Every honest inbox is
-handed over as a tuple, so no process can change what its peers see.
-Protocol code that derives something from an inbox alone computes it once
-per inbox object through `ProcessContext.per_inbox`, a memo the engine
-clears at the start of every round's delivery.  Members share the same
-way: one list of entries for every member, forked at a member's first
-targeted pair.  The strategy gets the unforked box as one read-only tuple
-and a fork as the member's own list.  A shadow whose strategy returns the
-shared tuple unchanged steps on the honest inbox of its tag, the same
-object, or, with no honest receiver at that tag, on one tuple per tag;
-any other shadow gets a list of its own, filtered from what its strategy
-returned.
+The receivers of one tag without per-receiver traffic, honest or member,
+share one read-only inbox per round: the engine fills one list per tag,
+and a receiver forks its own copy only at the first targeted pair
+delivered to it, after which later broadcasts extend both.  Every inbox is
+handed over as a tuple, so no process can change what its peers see.  A
+member's inbox passes through the strategy's `filter_member_inbox`, and
+its shadow steps on exactly what that returns: a shadow whose strategy
+passes its inbox through shares it with its tag-mates.  Protocol code that
+derives something from an inbox alone computes it once per inbox object
+through `ProcessContext.per_inbox`, a memo the engine clears at the start
+of every round's delivery.
 
 Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
@@ -167,9 +164,9 @@ class ProcessContext:
         same tag.  The engine also filters the inbox by the receiver's tag,
         so the inbox comes back as delivered.  Receivers of one tag without
         per-receiver traffic share one read-only inbox per round: a tuple,
-        the same object for each honest receiver and for each shadow whose
-        strategy passed its inbox through.  Any other shadow gets a list of
-        its own."""
+        the same object for each of them.  A shadow gets whatever its
+        strategy's `filter_member_inbox` returned for the inbox it was
+        delivered, which is that tuple if the strategy passed it through."""
         inbox = yield sends
         self.rounds_used += 1
         return inbox
@@ -503,27 +500,20 @@ def run_execution(
             faulty_items.append((sender, tag, _checked(sender, sends, receivers)[0]))
 
         # Delivery order: honest items in ascending pid, then faulty items
-        # in strategy order.  An honest receiver takes (sender, payload) in
-        # its own tag and nothing of any other tag, and steps on its inbox in
-        # this order; a member takes full (sender, tag, payload) entries in
-        # the same order, which its strategy filters.  The honest receivers
-        # of one tag share one list, and the members one list of entries,
-        # until a targeted pair reaches one of them, which then forks its
-        # own copy; a run of consecutive broadcasts extends every list once.
-        # A round in which no item carries a send builds none of this: every
-        # inbox is empty.
+        # in strategy order.  Every alive receiver, honest or member, takes
+        # (sender, payload) in its own tag and nothing of any other tag, in
+        # this order.  The receivers of one tag share one list until a
+        # targeted pair reaches one of them, which then forks its own copy;
+        # a run of consecutive broadcasts extends every list once.  A round
+        # in which no item carries a send builds none of this: every inbox
+        # is empty.
         round_memo.clear()
-        inboxes: Dict[int, Tuple[Any, ...]] = {}
-        shared: Dict[str, Tuple[Send, ...]] = {}
-        common: Tuple[Any, ...] = ()  # the box of every member without targeted pairs
-        member_forks: Dict[int, List[Any]] = {}  # member -> its own list of entries
+        inboxes: Dict[int, Tuple[Send, ...]] = {}
         if honest_items or any(item[2] for item in faulty_items):
-            want = {pid: ctxs[pid].tag for pid in alive if pid in honest}
+            want = {pid: ctxs[pid].tag for pid in alive}
             groups: Dict[str, List[Send]] = {tag: [] for tag in want.values()}
-            forks: Dict[int, List[Send]] = {}  # honest receiver -> its own list
+            forks: Dict[int, List[Send]] = {}  # receiver -> its own list
             forked: Dict[str, List[List[Send]]] = {}  # tag -> the forks of that tag
-            members = {pid for pid in alive if pid not in honest}
-            member_box: List[Any] = []
 
             def flush(run):
                 by_tag: Dict[str, List[Send]] = {}
@@ -535,11 +525,6 @@ def run_execution(
                         box.extend(pairs)
                         for own in forked.get(tag, ()):
                             own.extend(pairs)
-                if members:
-                    entries = [(sender, tag, sends.payload) for sender, tag, sends in run]
-                    member_box.extend(entries)
-                    for own in member_forks.values():
-                        own.extend(entries)
 
             run: List[Item] = []
             for item in chain(honest_items, faulty_items):
@@ -551,14 +536,7 @@ def run_execution(
                     flush(run)
                     run = []
                 for rcv, payload in sends:
-                    rtag = want.get(rcv)
-                    if rtag is None:
-                        if rcv in members:
-                            box = member_forks.get(rcv)
-                            if box is None:
-                                box = member_forks[rcv] = list(member_box)
-                            box.append((sender, tag, payload))
-                    elif rtag == tag:
+                    if want.get(rcv) == tag:
                         box = forks.get(rcv)
                         if box is None:
                             box = forks[rcv] = list(groups[tag])
@@ -570,31 +548,11 @@ def run_execution(
             for pid, tag in want.items():
                 own = forks.get(pid)
                 inboxes[pid] = shared[tag] if own is None else tuple(own)
-            common = tuple(member_box)
 
-        # A shadow whose strategy passes the common box through unchanged
-        # steps on the honest inbox of its tag, which holds exactly the
-        # common box's broadcast entries of that tag, or, with no honest
-        # receiver at that tag, on one tuple per tag filtered once.
-        member_only: Dict[str, Tuple[Send, ...]] = {}
         for pid in sorted(alive):
-            if pid not in fault_set:
-                step(pid, inboxes.get(pid, ()))
-                continue
-            given = strategy.filter_member_inbox(pid, member_forks.get(pid, common), rnd)
-            tag = ctxs[pid].tag
-            if given is not common:
-                inbox = [(sender, payload) for sender, mtag, payload in given if mtag == tag]
-            elif not common:
-                inbox = ()
-            else:
-                inbox = shared.get(tag)
-                if inbox is None:
-                    inbox = member_only.get(tag)
-                    if inbox is None:
-                        inbox = member_only[tag] = tuple(
-                            (sender, payload) for sender, mtag, payload in common if mtag == tag
-                        )
+            inbox = inboxes.get(pid, ())
+            if pid in fault_set:
+                inbox = strategy.filter_member_inbox(pid, inbox, rnd)
             step(pid, inbox)
 
     rounds_elapsed = max(finished_round.values(), default=0)

@@ -181,12 +181,23 @@ def _is_int(entry) -> bool:
 
 
 def _is_adversary(entry) -> bool:
+    """A catalog strategy name, or an object naming one whose "params", if
+    given, are an object the strategy can run with."""
+    params = {}
     if isinstance(entry, dict):
         params = entry.get("params")
-        if not (params is None or isinstance(params, dict)):
-            return False
+        if params is None:
+            params = {}
         entry = entry.get("name")
-    return isinstance(entry, str) and entry in CATALOG
+    if not (isinstance(entry, str) and entry in CATALOG and isinstance(params, dict)):
+        return False
+    count = {"crash": "round", "selective-ignorer": "ignore"}.get(entry)
+    if count in params and not (_is_int(params[count]) and params[count] >= 0):
+        return False
+    return entry != "vote-poisoner" or params.get("mode", "complement") in (
+        "complement",
+        "per-receiver",
+    )
 
 
 def _check_list(where: str, entries, accepts: Callable[[Any], bool], expected: str) -> None:
@@ -250,7 +261,7 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
                 "one of " + ", ".join(predictions.ALLOCATION_POLICIES))
     if adversary_specs != "catalog":
         _check_list("axis 'adversary'", adversary_specs, _is_adversary,
-                    "a catalog strategy name or an object with one as \"name\"")
+                    "a catalog strategy name or an object with one as \"name\" and valid \"params\"")
     _check_list("axis 'inputs'", inputs,
                 lambda e: e in INPUT_PATTERNS or isinstance(e, (list, tuple)),
                 "one of " + ", ".join(INPUT_PATTERNS) + " or a list of inputs")

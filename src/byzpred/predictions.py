@@ -220,11 +220,6 @@ def ordering(c: Bits) -> Tuple[int, ...]:
     return tuple(first + second)
 
 
-def position_of(c: Bits, i: int) -> int:
-    """1-based position of identifier i in the ordering of c."""
-    return ordering(c).index(i) + 1
-
-
 def misclassification_report(
     classifications: Mapping[int, Bits], n: int, fault_set: Set[int]
 ) -> MisclassificationReport:

@@ -25,7 +25,7 @@ from byzpred.authtools import (
     start_chain,
     validate_chain,
 )
-from byzpred.engine import run_execution
+from byzpred.engine import ProcessContext, register_protocol, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
@@ -124,7 +124,7 @@ def test_selective_ignorer_drops_the_head_of_its_seeded_permutation(monkeypatch)
     spent = {}
     shuffled = passed = 0
     for strategy, member, rnd, given, inbox, out in calls:
-        assert list(inbox) == given  # the engine's box is left as it was
+        assert list(inbox) == given  # the engine's inbox is left as it was
         quota = strategy.scenario.t // 2
         dropped = spent.get((strategy, member), 0)
         if dropped >= quota:
@@ -148,6 +148,42 @@ def test_selective_ignorer_drops_the_head_of_its_seeded_permutation(monkeypatch)
         patch.setattr(adversaries, "random", SimpleNamespace(Random=lambda s: random.Random(s ^ 1)))
         changed = [r["index"] for r in records if not harness.replay_record(r)]
     assert changed
+
+
+@register_protocol("test-own-scope")
+def _own_scope_protocol(ctx, scenario, params):
+    # round 1: the honest processes broadcast under "h" while the members'
+    # shadows sit at "m"; rounds 2 and 3: the honest processes broadcast
+    # under "m" too
+    member = ctx.pid in scenario.fault_set
+    for rnd in range(3):
+        with ctx.scope("m" if member or rnd else "h"):
+            yield from ctx.round([] if member else ctx.broadcast(("b", ctx.pid, rnd)))
+
+
+def test_selective_ignorer_spends_its_quota_only_on_its_shadows_messages(monkeypatch):
+    # A member's shadow receives only the messages under its own tag, and
+    # so does its filter: the round-1 broadcasts under another tag leave a
+    # quota of 2 untouched, the round-2 inbox loses two of its three pairs,
+    # and once the quota is spent the shadow shares its honest tag-mates'
+    # inbox.
+    stepped = {}  # pid -> [inbox] in round order
+    round_ = ProcessContext.round
+
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        stepped.setdefault(ctx.pid, []).append(inbox)
+        return inbox
+
+    monkeypatch.setattr(ProcessContext, "round", recording_round)
+    s = Scenario(n=4, t=1, fault_set=frozenset({4}), inputs=(0, 1, 0, 1), seed=3,
+                 adversary=AdversarySpec.make("selective-ignorer", {"ignore": 2}))
+    run_execution(s, "test-own-scope")
+    assert [len(inbox) for inbox in stepped[1]] == [3, 3, 3]
+    kept = [len(inbox) for inbox in stepped[4]]
+    assert kept == [0, 1, 3], kept
+    assert set(stepped[4][1]) < set(stepped[1][1])
+    assert stepped[4][2] is stepped[1][2]
 
 
 def test_unknown_strategy_rejected():

@@ -286,18 +286,35 @@ def split_scopes_envelopes(n, senders, rnd):
     return envs
 
 
+def record_steps(monkeypatch):
+    """Patch `ProcessContext.round` to record, per process and round, the
+    tag it stepped at and the very inbox object it stepped on."""
+    stepped = {}  # pid -> [(tag, inbox)] in round order
+    round_ = ProcessContext.round
+
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        stepped.setdefault(ctx.pid, []).append((ctx.tag, inbox))
+        return inbox
+
+    monkeypatch.setattr(ProcessContext, "round", recording_round)
+    return stepped
+
+
 class _TrafficRecorder(Strategy):
     """Replays the shadows, adds a broadcast and a send to one honest
-    receiver under a foreign tag each round, and records what it saw, sent
-    and delivered to the members.  The foreign broadcast follows the
-    shadows' items, so where member 7's shadow broadcasts, one run of
-    broadcasts mixes two tags."""
+    receiver under a foreign tag each round, and records what it saw, sent,
+    was handed for each member and returned.  The foreign broadcast follows
+    the shadows' items, so where member 7's shadow broadcasts, one run of
+    broadcasts mixes two tags.  Member 6's inbox passes through; member 7's
+    shadow gets its inbox reversed, as a list of its own."""
 
     def __init__(self, params=None):
         super().__init__(params)
         self.seen = {}  # rnd -> honest items
         self.sent = {}  # rnd -> faulty items
-        self.member_inboxes = {}  # (member, rnd) -> (sender, tag, payload) inbox
+        self.member_inboxes = {}  # (member, rnd) -> the inbox as handed over
+        self.returned = {}  # (member, rnd) -> what the filter returned
 
     def emit(self, rnd, honest_items, shadow_items, actx):
         self.seen[rnd] = list(honest_items)
@@ -309,8 +326,9 @@ class _TrafficRecorder(Strategy):
         return out
 
     def filter_member_inbox(self, member, inbox, rnd):
-        self.member_inboxes[(member, rnd)] = list(inbox)
-        return inbox
+        self.member_inboxes[(member, rnd)] = inbox
+        out = self.returned[(member, rnd)] = inbox if member == 6 else list(inbox)[::-1]
+        return out
 
 
 def run_recorded(monkeypatch, seed):
@@ -351,17 +369,19 @@ def test_round_traffic_is_the_old_envelope_list(monkeypatch):
         assert list(entries(items)) == collapsed
 
 
-def test_inbox_holds_member_triples_and_honest_pairs_in_delivery_order(monkeypatch):
+def test_every_inbox_holds_its_tags_pairs_in_delivery_order(monkeypatch):
     # Reference: deliver full (sender, tag, payload) triples in delivery
     # order (honest senders ascending, then faulty traffic in strategy
-    # order).  A member's inbox holds them all in that order; an honest
-    # inbox holds the entries in the receiver's tag as (sender, payload),
-    # in the same order.  Other-tag entries here are the other scope's
-    # messages and the faulty sends under a foreign tag; the shadows'
-    # broadcasts and the foreign one go out as faulty Broadcast items.
+    # order).  Every inbox, honest or member, holds the entries in the
+    # receiver's tag as (sender, payload), in that order, and a shadow
+    # steps on exactly what its strategy's filter returned.  Other-tag
+    # entries here are the other scope's messages and the faulty sends
+    # under a foreign tag; the shadows' broadcasts and the foreign one go
+    # out as faulty Broadcast items.
+    stepped = record_steps(monkeypatch)
     n, seed = 7, 11
     s, r, rec = run_recorded(monkeypatch, seed)
-    foreign = 0
+    foreign = member_foreign = 0
     for rnd in range(1, 5):
         wire = split_scopes_envelopes(n, range(1, 6), rnd) + envelopes(rec.sent[rnd])
         for pid in range(1, n + 1):
@@ -370,10 +390,15 @@ def test_inbox_holds_member_triples_and_honest_pairs_in_delivery_order(monkeypat
             pairs = tuple((snd, payload) for snd, mtag, payload in triples if mtag == tag)
             foreign += len(triples) - len(pairs)
             if pid in s.fault_set:
-                assert rec.member_inboxes[(pid, rnd)] == triples
+                member_foreign += len(triples) - len(pairs)
+                inbox = rec.member_inboxes[(pid, rnd)]
+                assert type(inbox) is tuple and inbox == pairs
+                step_tag, stepped_on = stepped[pid][rnd - 1]
+                assert step_tag == tag and stepped_on is rec.returned[(pid, rnd)]
             else:
                 assert r.decisions[pid][rnd - 1] == (tag, pairs)
     assert foreign > 20  # not vacuous: many inboxes mixed tags
+    assert member_foreign >= 8  # every member inbox left foreign entries behind
 
 
 @register_protocol("test-quiet-listen")
@@ -405,7 +430,7 @@ class _QuietProbe(Strategy):
         return out
 
     def filter_member_inbox(self, member, inbox, rnd):
-        self.filtered.append((member, rnd, list(inbox)))
+        self.filtered.append((member, rnd, inbox))
         return inbox
 
 
@@ -427,9 +452,9 @@ def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatc
         assert r.decisions[pid] == expected
     (probe,) = probes
     assert probe.filtered == [
-        (4, 1, [(4, "quiet", ("all", 1))]),
-        (4, 2, []),
-        (4, 3, []),
+        (4, 1, ((4, ("all", 1)),)),
+        (4, 2, ()),
+        (4, 3, ()),
     ]
 
 
@@ -455,13 +480,13 @@ class _ShareProbe(Strategy):
     """Replays the shadows, and in round 2 first sends one targeted pair to
     the highest member and one to the lowest honest process, each under
     its receiver's tag, so the shadows' broadcasts reach the forks after
-    the fork; records every box handed to the member filter and passes it
+    the fork; records every inbox handed to the member filter and passes it
     through."""
 
     def __init__(self, params=None):
         super().__init__(params)
         self.sent = {}  # rnd -> faulty items
-        self.boxes = {}  # (member, rnd) -> the box as handed over
+        self.boxes = {}  # (member, rnd) -> the inbox as handed over
 
     def emit(self, rnd, honest_items, shadow_items, actx):
         out = super().emit(rnd, honest_items, shadow_items, actx)
@@ -482,13 +507,14 @@ class _ShareProbe(Strategy):
 
 @pytest.mark.parametrize("placement", ["lowest", "highest", "spread"])
 def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, placement):
-    # Members without targeted pairs share one read-only box of entries,
-    # and a shadow whose strategy passes it through steps on the very inbox
+    # Members receive as honest processes do: the receivers of one tag
+    # without targeted pairs, honest or member, share one read-only inbox,
+    # so a shadow whose strategy passes it through steps on the very inbox
     # its honest tag-mates get, or, at a tag no honest process holds, on
     # one inbox per tag.  A receiver that gets a targeted pair forks: a
-    # member's box is then a list of exactly its own entries in delivery
-    # order.  Where the members sit decides whether shadows or honest
-    # receivers step first, which must not matter.
+    # read-only inbox of its own, in delivery order.  Where the members sit
+    # decides whether shadows or honest receivers step first, which must
+    # not matter.
     n = 10
     fault_set = harness.fault_ids(n, 3, placement)
     probes = []
@@ -497,22 +523,13 @@ def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, placement):
         probes.append(_ShareProbe(params))
         return probes[-1]
 
-    stepped = {}  # pid -> [(tag, inbox)] in round order
-    round_ = ProcessContext.round
-
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
-        stepped.setdefault(ctx.pid, []).append((ctx.tag, inbox))
-        return inbox
-
+    stepped = record_steps(monkeypatch)
     monkeypatch.setitem(CATALOG, "share-probe", make_probe)
-    monkeypatch.setattr(ProcessContext, "round", recording_round)
     s = basic(n=n, t=3, fault_set=fault_set, inputs=(1,) * n, adversary="share-probe")
     r = run_execution(s, "test-shared-members")
     (probe,) = probes
     honest = [p for p in range(1, n + 1) if p not in fault_set]
-    members = sorted(fault_set)
-    member_only = 0
+    member_only = mixed = 0
     for rnd in range(1, 4):
         # each process sends under the tag at which it steps
         wire = [
@@ -523,28 +540,31 @@ def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, placement):
         targeted = {rcv for _s, _t, sends in probe.sent[rnd] if type(sends) is list
                     for rcv, _p in sends}
         assert len(targeted) == (2 if rnd == 2 else 0)
-        by_tag = {}  # tag -> inbox objects of unforked receivers
-        common = {id(probe.boxes[(m, rnd)]) for m in members if m not in targeted}
-        assert len(common) == 1  # one box for every member without targeted pairs
+        by_tag = {}  # tag -> {pid: inbox object} of unforked receivers
+        forks = {}  # pid -> its forked inbox
         for pid in range(1, n + 1):
             tag, inbox = stepped[pid][rnd - 1]
             triples = [(snd, t, payload) for snd, rcv, t, payload in wire if rcv == pid]
-            assert list(inbox) == [(snd, payload) for snd, t, payload in triples if t == tag]
+            assert type(inbox) is tuple
+            assert inbox == tuple((snd, payload) for snd, t, payload in triples if t == tag)
+            with pytest.raises(AttributeError):
+                inbox.append((1, "forged"))
             if pid in fault_set:
-                box = probe.boxes[(pid, rnd)]
-                assert list(box) == triples
-                if pid in targeted:
-                    assert type(box) is list  # its own entries, no copy into a tuple
-                    continue
-                assert type(box) is tuple
-                with pytest.raises(AttributeError):
-                    box.append((1, tag, "forged"))
-                member_only += tag == "m"
-            elif pid in targeted:
+                # the shadow steps on exactly what the filter returned
+                assert inbox is probe.boxes[(pid, rnd)]
+            if pid in targeted:
+                forks[pid] = inbox
                 continue
-            by_tag.setdefault(tag, set()).add(id(inbox))
-        assert all(len(ids) == 1 for ids in by_tag.values()), by_tag
+            by_tag.setdefault(tag, {})[pid] = inbox
+            member_only += tag == "m"
+        for tag, inboxes in by_tag.items():
+            assert len({id(inbox) for inbox in inboxes.values()}) == 1, (tag, sorted(inboxes))
+            mixed += bool(fault_set & set(inboxes)) and not set(inboxes) <= fault_set
+        for pid, own in forks.items():
+            tag_mates = by_tag.get(stepped[pid][rnd - 1][0], {}).values()
+            assert all(own is not inbox for inbox in tag_mates)
     assert member_only >= 3  # not vacuous: some shadows sat at a tag of their own
+    assert mixed >= 3  # not vacuous: some members shared a tag with honest receivers
     assert r.honest_messages_total == 3 * len(honest) * (n - 1)
 
 

@@ -137,6 +137,13 @@ def _with_key(key, value):
         (_with_key("value_domain", [[0], [1]]), "key 'value_domain' must be"),
         (_with_key("value_domain", [1, 0]), "key 'value_domain' must be"),
         (_with_key("params", 5), "key 'params' must be a JSON object"),
+        # strategy params the strategy cannot run with
+        (_with_axis("adversary", ["silent", {"name": "crash", "params": {"round": "x"}}]),
+         "axis 'adversary' entry 1"),
+        (_with_axis("adversary", [{"name": "selective-ignorer", "params": {"ignore": -1}}]),
+         "axis 'adversary' entry 0"),
+        (_with_axis("adversary", [{"name": "vote-poisoner", "params": {"mode": "inverse"}}]),
+         "axis 'adversary' entry 0"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
