@@ -471,7 +471,6 @@ CATALOG: Dict[str, type] = {
     )
 }
 CATALOG["honest-shadow"] = Strategy
-CATALOG["choice-table"] = None  # placeholder; set after class definition
 
 
 def strategy_catalog() -> List[AdversarySpec]:

@@ -19,7 +19,7 @@ compute expected round envelopes instead of fitting constants.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 from . import predictions
 from .authtools import (
@@ -28,6 +28,7 @@ from .authtools import (
     ChainValidator,
     certificate_from_inbox,
     committee_vote_payloads,
+    relay_rounds,
 )
 from .blocks import (
     GC_ROUNDS,
@@ -183,23 +184,7 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
     }
 
     with ctx.scope("bb"):
-        sends = [
-            (rcv, chain)
-            for chain in instances[ctx.pid].open(value)
-            for rcv in range(1, n + 1)
-        ]
-        for j in range(1, k + 2):
-            inbox = yield from ctx.round(sends)
-            per_origin: Dict[int, List[Any]] = {}
-            for _src, payload in inbox:
-                origin = getattr(payload, "origin", None)
-                if isinstance(origin, int) and 1 <= origin <= n:
-                    per_origin.setdefault(origin, []).append(payload)
-            # An instance that received nothing this round has nothing to do.
-            sends = []
-            for s in sorted(per_origin):
-                for chain in instances[s].absorb(j, per_origin[s]):
-                    sends.extend((rcv, chain) for rcv in range(1, n + 1))
+        yield from relay_rounds(ctx, instances, k, value)
     bb_out = [instances[s].result() for s in range(1, n + 1)]
 
     with ctx.scope("plur"):

@@ -217,7 +217,7 @@ def validate_chain(chain, expected_origin, max_length, t, context, verify) -> bo
 class BroadcastInstance:
     """Per-process state of one broadcast-with-implicit-committee instance.
 
-    Driven round by round by the owning protocol:
+    Driven round by round by `relay_rounds`:
 
         sends  = inst.open(own_value)          # round 1 payloads
         sends  = inst.absorb(j, chains)        # j = 1..k: extensions for round j+1
@@ -328,6 +328,30 @@ def certificate_from_inbox(ctx, context: str, inbox) -> Optional[CommitteeCertif
     return assemble_committee_certificate(ctx.pid, context, sigs, ctx.t, ctx.signer.verify)
 
 
+def relay_rounds(ctx, instances: Dict[int, BroadcastInstance], k: int, own_value):
+    """Rounds 1..k+1 of the broadcast instances in `instances`, keyed by
+    origin.  Opens this process's own instance, if there is one; then, each
+    round, hands each origin's instance that origin's chains and relays
+    every extension it returns to processes 1..n."""
+    receivers = range(1, ctx.n + 1)
+    own = instances.get(ctx.pid)
+    opened = own.open(own_value) if own is not None else []
+    sends = [(rcv, chain) for chain in opened for rcv in receivers]
+    for j in range(1, k + 2):
+        inbox = yield from ctx.round(sends)
+        per_origin: Dict[int, List[Any]] = {}
+        for _src, payload in inbox:
+            origin = getattr(payload, "origin", None)
+            # A faulty origin may be unhashable: test its type before the lookup.
+            if isinstance(origin, int) and origin in instances:
+                per_origin.setdefault(origin, []).append(payload)
+        # An instance that received nothing this round has nothing to do.
+        sends = []
+        for s in sorted(per_origin):
+            for chain in instances[s].absorb(j, per_origin[s]):
+                sends.extend((rcv, chain) for rcv in receivers)
+
+
 def bb_instance_protocol(ctx, scenario, params):
     """Standalone broadcast instance behind a one-round committee setup.
 
@@ -348,12 +372,7 @@ def bb_instance_protocol(ctx, scenario, params):
     validator = ChainValidator(context, ctx.t, ctx.signer.verify)
     with ctx.scope("bb"):
         inst = BroadcastInstance(ctx, sender, k, my_cert, validator)
-        sends = [(rcv, chain) for chain in inst.open(own_value) for rcv in range(1, ctx.n + 1)]
-        for j in range(1, k + 2):
-            inbox = yield from ctx.round(sends)
-            chains = [payload for _src, payload in inbox]
-            extensions = inst.absorb(j, chains)
-            sends = [(rcv, c) for c in extensions for rcv in range(1, ctx.n + 1)]
+        yield from relay_rounds(ctx, {sender: inst}, k, own_value)
         if my_cert is not None:
             ctx.check(
                 "bb-broadcast-budget",

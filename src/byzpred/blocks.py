@@ -37,11 +37,16 @@ commit received directly by an honest process is re-broadcast, so a
 grade-1 holder's "no conflict" view implies no honest process received a
 conflicting commit; and any n-t commit quorum contains an honest,
 unvoidable committer whose broadcast reaches everyone.
+
+Receivers share broadcast payloads, so the authenticated protocol keeps
+three memos per tag keyed on object identity (is a vote valid, is a commit
+valid, what value and digest a commit proof carries) and two merged views
+(of the vote forwards and of the commit forwards) per set of forwards.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .engine import register_protocol
 from .errors import ConfigurationError
@@ -335,25 +340,20 @@ def _commit_summary(commit_values):
     )
 
 
-def _is_tuple(x) -> bool:
-    return isinstance(x, tuple)
-
-
 def _gc_standard_auth(ctx, value):
     n, t = ctx.n, ctx.t
     domain = ctx.scenario.value_domain
     tag = ctx.tag
     verify = ctx.signer.verify
-    # Broadcast payloads are shared objects, so validation caches key on
-    # object identity; the cache holds the reference, keeping ids stable.
+    # The `vote`, `commit` and `proof` memos (see `vote_ok`, `commit_ok` and
+    # `proof_of`) and the merged views `vmerge` and `cmerge` (see `vote_view`)
+    # key on the identity of shared payload objects; each entry holds its
+    # object, keeping the id stable.
     cache = ctx.memo.get(tag)
     if cache is None:
-        cache = {
-            "vote": {}, "fwd": {}, "commit": {}, "cfwd": {}, "proof": {}, "vmerge": {}, "cmerge": {}
-        }
+        cache = {"vote": {}, "commit": {}, "proof": {}, "vmerge": {}, "cmerge": {}}
         ctx.memo[tag] = cache
-    vote_memo, fwd_memo = cache["vote"], cache["fwd"]
-    commit_memo, cfwd_memo, proof_memo = cache["commit"], cache["cfwd"], cache["proof"]
+    vote_memo, commit_memo, proof_memo = cache["vote"], cache["commit"], cache["proof"]
     vmerge, cmerge = cache["vmerge"], cache["cmerge"]
 
     def vote_ok(entry):
@@ -372,26 +372,22 @@ def _gc_standard_auth(ctx, value):
         vote_memo[id(entry)] = (entry, ok)
         return ok
 
-    def fwd_entries(payload):
-        hit = fwd_memo.get(id(payload))
+    def proof_of(proof):
+        """(value, digest) if `proof` is valid votes for one value from at
+        least n-t distinct signers, else None; digested only once every entry
+        is valid.  A vote view registers its choice's proof here."""
+        hit = proof_memo.get(id(proof))
         if hit is not None:
             return hit[1]
-        entries = tuple(e for e in payload if vote_ok(e))
-        fwd_memo[id(payload)] = (payload, entries)
-        return entries
-
-    def digest_of(proof):
-        # Honest commits from one shared view carry its choice's proof
-        # object, whose digest the view registered here.
-        hit = proof_memo.get(id(proof))
-        if hit is None:
-            hit = (proof, proof_digest(proof))
-            proof_memo[id(proof)] = hit
-        return hit[1]
+        info = None
+        if isinstance(proof, tuple) and proof and all(vote_ok(v) for v in proof):
+            val = proof[0][1]
+            if all(v[1] == val for v in proof) and len({v[0] for v in proof}) >= n - t:
+                info = (val, proof_digest(proof))
+        proof_memo[id(proof)] = (proof, info)
+        return info
 
     def commit_ok(entry):
-        # Structure and proof entries first: the proof is digested only
-        # once every entry is a valid vote for the committed value.
         hit = commit_memo.get(id(entry))
         if hit is not None:
             return hit[1]
@@ -401,46 +397,23 @@ def _gc_standard_auth(ctx, value):
             ok = (
                 type(signer) is int
                 and val in domain
-                and isinstance(proof, tuple)
                 and isinstance(sig, Signature)
                 and sig.signer == signer
-                and all(vote_ok(v) and v[1] == val for v in proof)
-                and len({v[0] for v in proof}) >= n - t
-                and verify(sig, signer, commit_content(tag, val, digest_of(proof)))
+                and (info := proof_of(proof)) is not None
+                and info[0] == val
+                and verify(sig, signer, commit_content(tag, val, info[1]))
             )
         commit_memo[id(entry)] = (entry, ok)
         return ok
 
-    def cfwd_entries(payload):
-        hit = cfwd_memo.get(id(payload))
-        if hit is not None:
-            return hit[1]
-        entries = tuple(e for e in payload if commit_ok(e))
-        cfwd_memo[id(payload)] = (payload, entries)
-        return entries
-
-    # An inbox payload is ``(kind, body)``, and a shared payload is checked
-    # once for every receiver.  Its record goes into the memo of its kind's
-    # bodies under ~id(payload): ids are never negative, so the record of an
-    # object taken as a payload stays apart from its record as a body.  The
-    # record holds the payload (keeping its id stable) and its body, or None
-    # if the payload is malformed, of another kind, or carries an invalid body.
-    def body_record(memo, payload, kind, body_ok):
-        body = None
-        if isinstance(payload, tuple) and len(payload) == 2 and payload[0] == kind:
-            if body_ok(payload[1]):
-                body = payload[1]
-        record = memo[~id(payload)] = (payload, body)
-        return record
-
-    def bodies(inbox, memo, kind, body_ok):
-        """The valid bodies of `kind` in `inbox`, in inbox order."""
-        out = []
-        for _src, p in inbox:
-            body = (memo.get(~id(p)) or body_record(memo, p, kind, body_ok))[1]
-            if body is not None:
-                out.append(body)
-        return out
+    def bodies(inbox, kind):
+        """The (sender, body) pairs of the ``(kind, body)`` payloads in
+        `inbox`, in inbox order; every valid body is a tuple."""
+        return [
+            (src, p[1])
+            for src, p in inbox
+            if isinstance(p, tuple) and len(p) == 2 and p[0] == kind and isinstance(p[1], tuple)
+        ]
 
     # Receivers of the same forwards share one merged view, keyed by the
     # set of distinct payloads; the view holds them, keeping their ids
@@ -454,11 +427,11 @@ def _gc_standard_auth(ctx, value):
             votes_value: Dict[int, Any] = {}  # signer -> sole value, or _MULTI
             vote_bank: Dict[Tuple[int, Any], tuple] = {}
             for payload in distinct.values():
-                for entry in fwd_entries(payload):
+                for entry in filter(vote_ok, payload):
                     _note_vote(votes_value, vote_bank, entry)
             choice = _commit_choice(votes_value, vote_bank, n, t)
             if choice is not None:
-                proof_memo[id(choice[1])] = (choice[1], choice[2])
+                proof_memo[id(choice[1])] = (choice[1], (choice[0], choice[2]))
             view = (payloads, votes_value, choice)
             vmerge[key] = view
         return view
@@ -470,7 +443,7 @@ def _gc_standard_auth(ctx, value):
         if view is None:
             commit_values: Dict[int, frozenset] = {}
             for payload in distinct.values():
-                for entry in cfwd_entries(payload):
+                for entry in filter(commit_ok, payload):
                     prev = commit_values.get(entry[0], frozenset())
                     if entry[1] not in prev:
                         commit_values[entry[0]] = prev | {entry[1]}
@@ -481,32 +454,29 @@ def _gc_standard_auth(ctx, value):
     # Each round's result is a function of the inbox (and, in rounds 2 and
     # 4, of the receiver's own forward), computed once per inbox object.
     # Receivers of one round-1 inbox share one tuple of direct votes, so
-    # their forwards carry the same body and are checked once.
+    # their forwards carry the same body.
     def direct_votes_of(inbox):
-        return tuple(bodies(inbox, vote_memo, "vote", vote_ok))
+        return tuple(body for _src, body in bodies(inbox, "vote") if vote_ok(body))
 
     def choice_of(inbox, own):
         # A receiver's direct votes are its own forward, which self-delivery
         # puts in its inbox by reference.  A shadow's inbox may lack it (its
         # strategy may replace or withhold it); if the shared view does not
         # already cover those votes, the view is taken with them merged last.
-        fwd_payloads = bodies(inbox, fwd_memo, "fwd", _is_tuple)
+        fwd_payloads = [body for _src, body in bodies(inbox, "fwd")]
         view = vote_view(fwd_payloads)
         if not _votes_cover(view[1], own):
             view = vote_view(fwd_payloads + [own])
         return view[2]
 
     def direct_commits_of(inbox):
-        out = []
-        for src, p in inbox:
-            commit = (commit_memo.get(~id(p)) or body_record(commit_memo, p, "commit", commit_ok))[1]
-            if commit is not None and commit[0] == src:
-                out.append(commit)
-        return tuple(out)
+        return tuple(
+            body for src, body in bodies(inbox, "commit") if commit_ok(body) and body[0] == src
+        )
 
     def grade_of(inbox, own):
         """(value, grade), or None to keep the input."""
-        cfwd_payloads = bodies(inbox, cfwd_memo, "cfwd", _is_tuple)
+        cfwd_payloads = [body for _src, body in bodies(inbox, "cfwd")]
         view = commit_view(cfwd_payloads)
         if not _commits_cover(view[1], own):
             view = commit_view(cfwd_payloads + [own])

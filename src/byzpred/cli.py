@@ -62,9 +62,13 @@ def _cmd_run(args) -> int:
         return 1
     point = by_index[args.index]
     if args.seed is not None:
-        point.scenario = point.scenario.__class__.from_json_dict(
-            dict(point.scenario.to_json_dict(), seed=args.seed)
-        )
+        try:
+            point.scenario = point.scenario.__class__.from_json_dict(
+                dict(point.scenario.to_json_dict(), seed=args.seed)
+            )
+        except ConfigurationError as exc:
+            print(f"bad --seed {args.seed}: {exc}", file=sys.stderr)
+            return 1
     record = harness.run_point(point)
     line = harness.record_bytes(record).decode()
     if args.output:

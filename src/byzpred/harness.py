@@ -220,6 +220,21 @@ def _is_domain(domain) -> bool:
     return list(domain) == sorted(set(domain))
 
 
+def _check_params(protocol: str, params: Dict[str, Any]) -> None:
+    """Reject integer params a protocol cannot run with: the `k` of the
+    conditional BA and of the standalone broadcast, any given `T` and the
+    broadcast's `sender` must be integers of at least 0, 0 and 1."""
+    checks = (("k", 0, protocol in ("ba-classification", "bb-committee")),
+              ("T", 0, params.get("T") is not None),
+              ("sender", 1, protocol == "bb-committee"))
+    for key, low, needed in checks:
+        if needed and not (_is_int(params.get(key)) and params[key] >= low):
+            raise ScenarioFileError(
+                f"key 'params': {key!r} must be an integer of at least {low} for {protocol},"
+                f" got {params!r}"
+            )
+
+
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
     protocol = doc.get("protocol", "ba-with-predictions")
     variants = doc.get("variant", UNAUTHENTICATED)
@@ -237,6 +252,7 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
+    _check_params(protocol, params)
     axes = doc.get("axes", {})
     if not isinstance(axes, dict):
         raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")

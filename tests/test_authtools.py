@@ -18,6 +18,7 @@ from byzpred.authtools import (
 from byzpred.engine import run_execution
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import Signature, SimTokenScheme, digest, encode
+from byzpred.verify import all_pass, verify_execution
 
 CTX = "test-ctx"
 
@@ -289,3 +290,49 @@ def test_bool_chain_after_equal_int_is_still_noted(monkeypatch):
     seen = r.trace["bb_first_seen"]
     assert seen[("bb-standalone", 1, "1")] == {p: 1 for p in range(3, 8)}
     assert seen[("bb-standalone", 1, "True")] == {p: 2 for p in range(3, 8)}
+
+
+class _OriginForger(_CvoteCollector):
+    """Replays the shadows and, in both broadcast rounds of a k=1 run (engine
+    rounds 2 and 3, after the one setup round), also sends every process a
+    chain for 1 whose origin is `origin`, signed by the first member under
+    the certificate its committee votes give, or an empty one."""
+
+    def __init__(self, origin, tag, context, params=None):
+        super().__init__(params)
+        self.origin = origin
+        self.tag = tag
+        self.context = context
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        out = super().emit(rnd, honest_items, shadow_items, actx)
+        if rnd in (2, 3):
+            member = min(actx.fault_set)
+            cert = assemble_committee_certificate(
+                member, self.context, self._cvotes.get(member, ()), actx.t, actx.verify
+            ) or CommitteeCertificate(member, self.context, ())
+            links = start_chain(1, cert, _MemberSigner(actx, member)).links
+            chain = MessageChain(1, self.origin, self.context, links)
+            out.append((member, self.tag, [(r, chain) for r in range(1, actx.n + 1)]))
+        return out
+
+
+@pytest.mark.parametrize("origin", [[1], 0, 8], ids=["unhashable", "zero", "n+1"])
+@pytest.mark.parametrize(
+    "protocol, params, tag, context",
+    [
+        ("ba-classification", {"k": 1}, "cond/bb", "cond"),
+        ("bb-committee", {"k": 1, "sender": 2}, "bb", "bb-standalone"),
+    ],
+    ids=["ba-classification", "bb-committee"],
+)
+def test_relayed_chain_with_foreign_origin_is_dropped(monkeypatch, origin, protocol, params, tag,
+                                                      context):
+    # The relay loop groups chains by origin before any instance sees them;
+    # an origin that names no instance, or cannot be hashed, is dropped there.
+    monkeypatch.setitem(CATALOG, "origin-forger",
+                        lambda p: _OriginForger(origin, tag, context, p))
+    s = bb_scenario(n=7, t=2, fault_set={1}, adversary=AdversarySpec.make("origin-forger"))
+    r = run_execution(s, protocol, params)
+    assert all_pass(verify_execution(r))
+    assert r.decisions == {p: 1 for p in range(2, 8)}

@@ -509,7 +509,8 @@ def test_faulty_commit_with_unhashable_signer_is_rejected(monkeypatch):
 class ProofSwapper(Strategy):
     """Member 4 sends its shadow's round-3 commit with the proof left as
     signed, reordered, or replaced by another valid proof for the same
-    value; it records which committers each honest cfwd names."""
+    value, or commits the other value with the same proof object, signed
+    over that value; it records which committers each honest cfwd names."""
 
     name = "proof-swapper"
 
@@ -527,6 +528,9 @@ class ProofSwapper(Strategy):
         elif mode == "replaced":
             own = (member, value, actx.sign_as(member, vote_content(tag, value)))
             proof = proof[:-1] + (own,)
+        elif mode == "revalued":
+            value = 1 - value
+            sig = actx.sign_as(member, commit_content(tag, value, proof_digest(proof)))
         payload = ("commit", (signer, value, proof, sig))
         return [(member, tag, [(rcv, payload) for rcv, _p in sends])]
 
@@ -537,8 +541,10 @@ class ProofSwapper(Strategy):
         return super().emit(rnd, honest_items, shadow_items, actx)
 
 
-@pytest.mark.parametrize("mode", ["as-signed", "reordered", "replaced"])
+@pytest.mark.parametrize("mode", ["as-signed", "reordered", "replaced", "revalued"])
 def test_commit_proof_must_be_the_signed_one(monkeypatch, mode):
+    # "revalued" is the negative control of the commit value check: its
+    # signature and proof are valid, and only the proof's value differs
     made = []
 
     def make(params):

@@ -107,6 +107,12 @@ def _with_key(key, value):
     return doc
 
 
+def _with_params(protocol, params):
+    doc = _with_key("protocol", protocol)
+    doc["params"] = params
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, located",
     [
@@ -144,6 +150,18 @@ def _with_key(key, value):
          "axis 'adversary' entry 0"),
         (_with_axis("adversary", [{"name": "vote-poisoner", "params": {"mode": "inverse"}}]),
          "axis 'adversary' entry 0"),
+        # protocol params the protocol cannot run with
+        (_with_params("ba-classification", {}), "key 'params': 'k'"),
+        (_with_params("ba-classification", {"k": "x"}), "key 'params': 'k'"),
+        (_with_params("ba-classification", {"k": -1}), "key 'params': 'k'"),
+        (_with_params("ba-classification", {"k": True}), "key 'params': 'k'"),
+        (_with_params("ba-classification", {"k": 1, "T": "x"}), "key 'params': 'T'"),
+        (_with_params("ba-classification", {"k": 1, "T": -3}), "key 'params': 'T'"),
+        (_with_params("bb-committee", {"sender": 1}), "key 'params': 'k'"),
+        (_with_params("bb-committee", {"k": 1}), "key 'params': 'sender'"),
+        (_with_params("bb-committee", {"k": 1, "sender": 0}), "key 'params': 'sender'"),
+        (_with_params("bb-committee", {"k": 1, "sender": "1"}), "key 'params': 'sender'"),
+        (_with_params("ba-early-stopping", {"T": "x"}), "key 'params': 'T'"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -296,6 +314,9 @@ def test_cli_seed_override(tmp_path):
     b = run_cli("run", str(sweep_file), "--index", "1", "--seed", "99")
     assert a.returncode == 0 and a.stdout == b.stdout
     assert json.loads(a.stdout)["scenario"]["seed"] == 99
+    bad = run_cli("run", str(sweep_file), "--index", "1", "--seed", "-1")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert "bad --seed -1" in bad.stderr and "Traceback" not in bad.stderr
 
 
 def test_workers_env_default(monkeypatch):
