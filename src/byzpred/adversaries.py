@@ -56,11 +56,12 @@ class _MemberSigner:
 
 
 def entries(items):
-    """Each send of `items` once, as ``(sender, tag, payload)``: a broadcast
-    once, a pair list pair by pair."""
+    """Each send of `items` once, as ``(sender, tag, payload)``: each payload
+    of a broadcast once, a pair list pair by pair."""
     for sender, tag, sends in items:
         if type(sends) is Broadcast:
-            yield sender, tag, sends.payload
+            for payload in sends.payloads:
+                yield sender, tag, payload
         else:
             for _rcv, payload in sends:
                 yield sender, tag, payload
@@ -70,14 +71,18 @@ class Strategy:
     """Base: faulty processes replay their shadow (honest) behaviour.
 
     Traffic is a list of send items ``(sender, tag, sends)``, where `sends`
-    is an `engine.Broadcast` or a list of ``(receiver, payload)`` pairs;
-    iterating either yields the pairs.  `emit` sees one round: the honest
-    items (one per sender that sends, ascending) and each alive member's
-    shadow item, and returns the faulty items, which the engine delivers
-    after the honest ones in the order given.  The base `emit` hands each
-    shadow item to `transform`, which returns the member's items for the
-    round; a shadow's `Broadcast` passed on unchanged is delivered by
-    reference.
+    is an `engine.Broadcast` (a tuple of payloads, each to every process)
+    or a list of ``(receiver, payload)`` pairs; iterating either yields the
+    pairs, a broadcast's payload by payload, and `entries` yields each
+    payload once.  `emit` sees one round: the honest items (one per sender
+    that sends, ascending) and each alive member's shadow item, and returns
+    the faulty items, which the engine delivers after the honest ones in
+    the order given.  The base `emit` hands each shadow item to
+    `transform`, which returns the member's items for the round; a
+    shadow's `Broadcast` passed on unchanged is delivered by reference.
+    Honest chain relays are multi-payload broadcasts, and equivocator and
+    grade-splitter pass them on unchanged unless they hold the member's
+    own length-1 chain, which they still equivocate receiver by receiver.
     """
 
     name = "honest-shadow"
@@ -142,7 +147,21 @@ class EquivocatorStrategy(Strategy):
     name = "equivocator"
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
-        return [(member, tag, [(r, _perturb(p, member, r, rnd, tag, actx)) for r, p in sends])]
+        return _perturbed(member, tag, sends, rnd, actx)
+
+
+def _perturbed(member, tag, sends, rnd, actx):
+    """`member`'s items for `sends` with every payload passed through
+    `_perturb` for its receiver.  A `Broadcast` of chains that `_perturb`
+    leaves as they are (every chain but the member's own length-1 chain)
+    goes on unchanged, delivered by reference; anything else goes out as
+    one perturbed pair per receiver."""
+    if type(sends) is Broadcast and all(
+        isinstance(p, MessageChain) and (len(p) != 1 or p.origin != member)
+        for p in sends.payloads
+    ):
+        return [(member, tag, sends)]
+    return [(member, tag, [(r, _perturb(p, member, r, rnd, tag, actx)) for r, p in sends])]
 
 
 def _rotate(value, salt, domain):
@@ -212,7 +231,7 @@ def _complement_of(sends, actx):
     """`sends` with every payload replaced by the complement vector: one
     broadcast for a `Broadcast`, one pair per receiver otherwise."""
     if type(sends) is Broadcast:
-        return Broadcast(actx.complement, sends.n)
+        return Broadcast((actx.complement,) * len(sends.payloads), sends.n)
     return [(r, actx.complement) for r, _payload in sends]
 
 
@@ -408,7 +427,7 @@ class GradeSplitterStrategy(Strategy):
             return []
         if leaf in ("gc1", "gc2", "gc3", "gc", "king", "con", "gca", "gcb"):
             return []  # silent around every other guard site
-        return [(member, tag, [(r, _perturb(p, member, r, rnd, tag, actx)) for r, p in sends])]
+        return _perturbed(member, tag, sends, rnd, actx)
 
 
 class ForgerStrategy(Strategy):

@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import signatures
-from .engine import register_protocol
+from .engine import Broadcast, register_protocol
 from .signatures import Signature
 
 BOT = None  # the non-domain default value
@@ -332,24 +332,30 @@ def relay_rounds(ctx, instances: Dict[int, BroadcastInstance], k: int, own_value
     """Rounds 1..k+1 of the broadcast instances in `instances`, keyed by
     origin.  Opens this process's own instance, if there is one; then, each
     round, hands each origin's instance that origin's chains and relays
-    every extension it returns to processes 1..n."""
-    receivers = range(1, ctx.n + 1)
+    every extension it returns to processes 1..n, all of a round's chains
+    as one multi-payload `Broadcast`."""
     own = instances.get(ctx.pid)
-    opened = own.open(own_value) if own is not None else []
-    sends = [(rcv, chain) for chain in opened for rcv in receivers]
+    chains = own.open(own_value) if own is not None else []
     for j in range(1, k + 2):
-        inbox = yield from ctx.round(sends)
-        per_origin: Dict[int, List[Any]] = {}
-        for _src, payload in inbox:
-            origin = getattr(payload, "origin", None)
-            # A faulty origin may be unhashable: test its type before the lookup.
-            if isinstance(origin, int) and origin in instances:
-                per_origin.setdefault(origin, []).append(payload)
+        inbox = yield from ctx.round(Broadcast(tuple(chains), ctx.n) if chains else [])
+        chains = []
         # An instance that received nothing this round has nothing to do.
-        sends = []
-        for s in sorted(per_origin):
-            for chain in instances[s].absorb(j, per_origin[s]):
-                sends.extend((rcv, chain) for rcv in receivers)
+        for origin, received in ctx.per_inbox(inbox, "bb", _chains_by_origin):
+            inst = instances.get(origin)
+            if inst is not None:
+                chains.extend(inst.absorb(j, received))
+
+
+def _chains_by_origin(inbox) -> List[Tuple[int, List[Any]]]:
+    """The payloads of `inbox` with an int ``origin``, grouped by it in
+    ascending origin order, each group in inbox order."""
+    per_origin: Dict[int, List[Any]] = {}
+    for _src, payload in inbox:
+        origin = getattr(payload, "origin", None)
+        # A faulty origin may be unhashable: test its type before the lookup.
+        if isinstance(origin, int):
+            per_origin.setdefault(origin, []).append(payload)
+    return sorted(per_origin.items())
 
 
 def bb_instance_protocol(ctx, scenario, params):

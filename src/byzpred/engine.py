@@ -1,15 +1,15 @@
 """Deterministic synchronous round scheduler.
 
 Processes are generator coroutines: each ``yield`` hands the engine the
-list of ``(receiver, payload)`` pairs to transmit this round and resumes
-with the ``(sender, payload)`` pairs addressed to the process in the same
-round under its current protocol tag.  One yield == one communication
-round.  A process sends under exactly one protocol tag per round, its
-current ``ctx.tag``: the engine keeps what a process yields as one send
-item ``(sender, tag, sends)``, and it drops every message a receiver gets
-under another tag, so protocol code never sees a tag.  Messages sent in
-round r are consumed by the receiver's next computation step, so no
-round-r state ever depends on a round-r message.
+list of ``(receiver, payload)`` pairs, or the `Broadcast`, to transmit
+this round and resumes with the ``(sender, payload)`` pairs addressed to
+the process in the same round under its current protocol tag.  One yield
+== one communication round.  A process sends under exactly one protocol
+tag per round, its current ``ctx.tag``: the engine keeps what a process
+yields as one send item ``(sender, tag, sends)``, and it drops every
+message a receiver gets under another tag, so protocol code never sees a
+tag.  Messages sent in round r are consumed by the receiver's next
+computation step, so no round-r state ever depends on a round-r message.
 
 Faulty processes never run their own code on the network: the engine runs
 "shadow" copies of the honest program for them (so strategies like
@@ -33,13 +33,18 @@ broadcast instance accepts first), delivery order decides it.  A strategy
 that wants another order for its members draws it itself in
 `filter_member_inbox`; the engine draws no random numbers.
 
-A ``ctx.broadcast`` stays one item from send to delivery, whoever sends
-it: the engine counts an honest one as n-1 messages and puts one shared
-``(sender, payload)`` pair into every inbox of the sender's tag instead of
-a tuple per receiver.  A strategy that passes a shadow's broadcast on
-unchanged gets it delivered the same way.  Every inbox still holds the
-same messages in the same order as if each broadcast had been n separate
-pairs.
+A `Broadcast` carries a tuple of payloads, each to every process, and
+stays one item from send to delivery, whoever sends it.
+``ctx.broadcast(payload)`` builds a one-payload broadcast; the chain relay
+(`authtools.relay_rounds`) sends all of a round's chains as one.  The
+engine counts an honest broadcast as n-1 messages per payload and puts one
+shared ``(sender, payload)`` pair per payload into every inbox of the
+sender's tag instead of a tuple per receiver.  A strategy that passes a
+shadow's broadcast on unchanged gets it delivered the same way; equivocator
+and grade-splitter pass on every relayed chain broadcast that holds no
+length-1 chain the member opened itself.  Every inbox still holds the same
+messages in the same order as if each broadcast had been n separate pairs
+per payload, payload by payload.
 
 The receivers of one tag without per-receiver traffic, honest or member,
 share one read-only inbox per round: the engine fills one list per tag,
@@ -151,14 +156,14 @@ class ProcessContext:
 
     def broadcast(self, payload) -> "Broadcast":
         """One copy per process, self included (self-delivery is free)."""
-        return Broadcast(payload, self.n)
+        return Broadcast((payload,), self.n)
 
     def round(self, sends: List[Send]):
         """Perform one communication round; returns the read-only sequence
         of (sender, payload) for the messages sent to this process under its
         current tag.
 
-        `sends` holds (receiver, payload) pairs, or is a `broadcast`, and is
+        `sends` holds (receiver, payload) pairs, or is a `Broadcast`, and is
         yielded as is; the engine stamps them with this process's id and
         current tag, so every message of a process in one round carries the
         same tag.  The engine also filters the inbox by the receiver's tag,
@@ -242,25 +247,25 @@ class _Scope:
 
 
 class Broadcast:
-    """`payload` to every process 1..n, as one send.
+    """Each of the tuple `payloads` to every process 1..n, as one send.
 
     It behaves as the read-only sequence of its ``(receiver, payload)``
-    pairs, which are only built if someone iterates it; the engine
-    recognises it and delivers the payload by reference.
+    pairs, payload by payload, which are only built if someone iterates
+    it; the engine recognises it and delivers each payload by reference.
     """
 
-    __slots__ = ("payload", "n")
+    __slots__ = ("payloads", "n")
 
-    def __init__(self, payload, n: int):
-        self.payload = payload
+    def __init__(self, payloads: Tuple[Any, ...], n: int):
+        self.payloads = payloads
         self.n = n
 
     def __len__(self) -> int:
-        return self.n
+        return self.n * len(self.payloads)
 
     def __iter__(self):
-        payload = self.payload
-        return ((r, payload) for r in range(1, self.n + 1))
+        receivers = range(1, self.n + 1)
+        return ((r, payload) for payload in self.payloads for r in receivers)
 
 
 class _CheckSink:
@@ -351,7 +356,7 @@ def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
     `sender`.  A malformed send or a receiver outside `receivers` raises
     `ProtocolViolation` naming `sender`."""
     if type(sends) is Broadcast:
-        return sends, sends.n - 1
+        return sends, (sends.n - 1) * len(sends.payloads)
     try:
         pairs = sends if type(sends) is list else list(sends)
     except TypeError:
@@ -518,7 +523,9 @@ def run_execution(
             def flush(run):
                 by_tag: Dict[str, List[Send]] = {}
                 for sender, tag, sends in run:
-                    by_tag.setdefault(tag, []).append((sender, sends.payload))
+                    box = by_tag.setdefault(tag, [])
+                    for payload in sends.payloads:
+                        box.append((sender, payload))
                 for tag, pairs in by_tag.items():
                     box = groups.get(tag)
                     if box is not None:

@@ -220,11 +220,23 @@ def _is_domain(domain) -> bool:
     return list(domain) == sorted(set(domain))
 
 
-def _check_params(protocol: str, params: Dict[str, Any]) -> None:
-    """Reject integer params a protocol cannot run with: the `k` of the
-    conditional BA and of the standalone broadcast, any given `T` and the
-    broadcast's `sender` must be integers of at least 0, 0 and 1."""
-    checks = (("k", 0, protocol in ("ba-classification", "bb-committee")),
+def _is_ids(entry, n: int) -> bool:
+    """A list of process ids in 1..n."""
+    return isinstance(entry, list) and all(_is_int(p) and 1 <= p <= n for p in entry)
+
+
+def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
+    """Reject params a protocol cannot run with.
+
+    The `k` of the conditional BA, of the standalone broadcast, of graded
+    consensus with a core set and of conciliation, any given `T` and the
+    broadcast's `sender` must be integers of at least 0, 0 and 1.  Graded
+    consensus with a core set and conciliation need a `window` of process
+    ids or `windows` holding one for each process; a given broadcast
+    `committee` must be a list of process ids.  A process id is an integer
+    in 1..n for every n of the sweep."""
+    windowed = protocol in ("graded-consensus-core", "conciliate")
+    checks = (("k", 0, windowed or protocol in ("ba-classification", "bb-committee")),
               ("T", 0, params.get("T") is not None),
               ("sender", 1, protocol == "bb-committee"))
     for key, low, needed in checks:
@@ -233,6 +245,24 @@ def _check_params(protocol: str, params: Dict[str, Any]) -> None:
                 f"key 'params': {key!r} must be an integer of at least {low} for {protocol},"
                 f" got {params!r}"
             )
+    window, windows = params.get("window"), params.get("windows")
+    if windowed and not (
+        all(_is_ids(window, n) for n in ns) if windows is None
+        else isinstance(windows, dict)
+        and all(_is_ids(windows.get(p, windows.get(str(p))), n)
+                for n in ns for p in range(1, n + 1))
+    ):
+        raise ScenarioFileError(
+            f"key 'params': 'window' or 'windows' must be given for {protocol}: a list of"
+            f" process ids in 1..n, or an object holding one for each process 1..n, got {params!r}"
+        )
+    if protocol == "bb-committee" and "committee" in params and not all(
+        _is_ids(params["committee"], n) for n in ns
+    ):
+        raise ScenarioFileError(
+            f"key 'params': 'committee' must be a list of integers in 1..n for every n of"
+            f" the sweep, got {params['committee']!r}"
+        )
 
 
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
@@ -252,7 +282,6 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
-    _check_params(protocol, params)
     axes = doc.get("axes", {})
     if not isinstance(axes, dict):
         raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")
@@ -268,6 +297,7 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     placements = axes.get("fault_placement", ["lowest"])
     seeds = axes.get("seeds", [0])
     _check_list("axis 'n'", ns, _is_int, "an integer")
+    _check_params(protocol, params, ns)
     _check_list("axis 't'", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
     _check_list("axis 'f'", f_specs, lambda e: e in ("half", "max") or _is_int(e),
                 "an integer, \"half\" or \"max\"")

@@ -254,6 +254,6 @@ def bits_to_string(bits: Bits) -> str:
 
 
 def bits_from_string(s: str) -> Bits:
-    if any(ch not in "01" for ch in s):
+    if s.strip("01"):
         raise ConfigurationError(f"prediction string must be 0/1 characters, got {s!r}")
-    return tuple(int(ch) for ch in s)
+    return tuple(map(int, s))

@@ -25,7 +25,7 @@ from byzpred.authtools import (
     start_chain,
     validate_chain,
 )
-from byzpred.engine import ProcessContext, register_protocol, run_execution
+from byzpred.engine import Broadcast, ProcessContext, register_protocol, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
@@ -244,6 +244,77 @@ def test_forged_chain_link_has_the_right_digest_and_is_still_rejected():
     assert forged_sig.message_digest == digest(_link_content(None, 1, "ctx", forged_cert))
     assert validate_chain(chain, 2, 2, 1, "ctx", scheme.verify)
     assert not validate_chain(forged[0], 2, 2, 1, "ctx", scheme.verify)
+
+
+def bb_inboxes(monkeypatch, adversary, n=16, t=7):
+    """Run authenticated ba-with-predictions at n, f = t (faults 1..t),
+    B = 4n under `adversary`; returns the run's scenario and every honest
+    inbox of a `bb` round, keyed by (tag, round of that bb scope), in pid
+    order."""
+    s = scenario(AdversarySpec.make(adversary), n=n, t=t, fault_set=range(1, t + 1),
+                 variant="authenticated", seed=1, budget=4 * n)
+    seen = {}
+    steps = {}
+    round_ = ProcessContext.round
+
+    def recording_round(ctx, sends):
+        inbox = yield from round_(ctx, sends)
+        if ctx.pid not in s.fault_set and ctx.tag.endswith("/bb"):
+            j = steps[(ctx.pid, ctx.tag)] = steps.get((ctx.pid, ctx.tag), 0) + 1
+            seen.setdefault((ctx.tag, j), []).append(inbox)
+        return inbox
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ProcessContext, "round", recording_round)
+        r = run_execution(s, "ba-with-predictions")
+    assert all_pass(verify_execution(r))
+    return s, seen
+
+
+def own_chain_values(monkeypatch, adversary):
+    """The most distinct values honest processes received, in one `bb`,
+    in length-1 chains that a member sent as its own."""
+    s, seen = bb_inboxes(monkeypatch, adversary)
+    values = {}
+    for (tag, _j), inboxes in seen.items():
+        for inbox in inboxes:
+            for src, p in inbox:
+                if src in s.fault_set and isinstance(p, MessageChain) and len(p) == 1 \
+                        and p.origin == src:
+                    values.setdefault((tag, src), set()).add(p.value)
+    assert values  # not vacuous: certified members opened chains
+    return max(len(v) for v in values.values())
+
+
+@pytest.mark.parametrize("adversary", ["equivocator", "grade-splitter"])
+def test_a_members_own_chain_is_still_equivocated(monkeypatch, adversary):
+    # Relayed chain broadcasts pass through equivocator and grade-splitter
+    # unchanged, since `_perturb` leaves every chain but the member's own
+    # length-1 chain as it is.  That own chain must still reach honest
+    # receivers with two values.
+    assert own_chain_values(monkeypatch, adversary) >= 2
+    # negative control: a helper that passes every chain broadcast on
+    # unchanged sends each member's own chain with one value only
+    perturbed = adversaries._perturbed
+
+    def pass_every_chain_broadcast(member, tag, sends, rnd, actx):
+        if type(sends) is Broadcast and all(isinstance(p, MessageChain) for p in sends.payloads):
+            return [(member, tag, sends)]
+        return perturbed(member, tag, sends, rnd, actx)
+
+    monkeypatch.setattr(adversaries, "_perturbed", pass_every_chain_broadcast)
+    assert own_chain_values(monkeypatch, adversary) == 1
+
+
+def test_honest_receivers_share_each_bb_inbox_after_its_first_round(monkeypatch):
+    # Honest relays are one multi-payload broadcast, and grade-splitter
+    # passes relayed chains on unchanged, so no honest bb inbox forks after
+    # the first round of its bb, where members equivocate their own chains.
+    _s, seen = bb_inboxes(monkeypatch, "grade-splitter")
+    later = {key: {id(box) for box in boxes} for key, boxes in seen.items() if key[1] > 1}
+    first = {key: {id(box) for box in boxes} for key, boxes in seen.items() if key[1] == 1}
+    assert later and all(len(ids) == 1 for ids in later.values())
+    assert any(len(ids) > 1 for ids in first.values())  # round 1 still forks
 
 
 def test_enumeration_exhaustive_when_small():

@@ -491,7 +491,7 @@ class SignerLister(Strategy):
     def transform(self, member, tag, sends, rnd, honest_items, actx):
         if rnd != 3:
             return [(member, tag, sends)]
-        _kind, (_signer, value, proof, sig) = sends.payload
+        _kind, (_signer, value, proof, sig) = sends.payloads[0]
         listed = Signature([member], sig.message_digest, sig.token)
         payload = ("commit", ([member], value, proof, listed))
         return [(member, tag, [(rcv, payload) for rcv, _p in sends])]
@@ -521,7 +521,7 @@ class ProofSwapper(Strategy):
     def transform(self, member, tag, sends, rnd, honest_items, actx):
         if rnd != 3:
             return [(member, tag, sends)]
-        _kind, (signer, value, proof, sig) = sends.payload
+        _kind, (signer, value, proof, sig) = sends.payloads[0]
         mode = self.params["mode"]
         if mode == "reordered":
             proof = (proof[1], proof[0]) + proof[2:]
@@ -537,7 +537,7 @@ class ProofSwapper(Strategy):
     def emit(self, rnd, honest_items, shadow_items, actx):
         if rnd == 4:
             for sender, _tag, sends in honest_items:
-                self.forwarded[sender] = {c[0] for c in sends.payload[1]}
+                self.forwarded[sender] = {c[0] for c in sends.payloads[0][1]}
         return super().emit(rnd, honest_items, shadow_items, actx)
 
 
@@ -583,11 +583,11 @@ class UnforwardedVote(Strategy):
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
         if member == 5 and rnd == 1:
-            return [(member, tag, [(4, sends.payload)])]
+            return [(member, tag, [(4, sends.payloads[0])])]
         if member == 5 and rnd == 2:
             return []
         if member == 4 and rnd == 3 and sends:
-            self.commit = sends.payload[1]
+            self.commit = sends.payloads[0][1]
         return [(member, tag, sends)]
 
 
@@ -667,12 +667,12 @@ class VoteReplayer(Strategy):
 
     def emit(self, rnd, honest_items, shadow_items, actx):
         if rnd == 1:
-            self.replayed = next(sends.payload for s, _tag, sends in honest_items if s == 1)
+            self.replayed = next(sends.payloads[0] for s, _tag, sends in honest_items if s == 1)
         for sender, tag, sends in honest_items:
-            if sends.payload[0] == "fwd":
-                self.forwards.setdefault(tag, {})[sender] = sends.payload[1]
+            if sends.payloads[0][0] == "fwd":
+                self.forwards.setdefault(tag, {})[sender] = sends.payloads[0][1]
         if rnd == 1 + blocks.GC_ROUNDS["authenticated"]:
-            return [(4, honest_items[0][1], Broadcast(self.replayed, actx.n))]
+            return [(4, honest_items[0][1], Broadcast((self.replayed,), actx.n))]
         return []
 
 

@@ -168,9 +168,26 @@ def _extend_broadcast_protocol(ctx, scenario, params):
     return 0
 
 
+@register_protocol("test-two-payload-broadcast")
+def _two_payload_broadcast_protocol(ctx, scenario, params):
+    with ctx.scope("two"):
+        inbox = yield from ctx.round(Broadcast(("a", ("b", ctx.pid)), ctx.n))
+    return tuple(inbox)
+
+
 def test_broadcast_is_a_read_only_sequence_of_pairs():
-    b = Broadcast("x", 4)
+    b = Broadcast(("x",), 4)
     assert len(b) == 4 and list(b) == [(1, "x"), (2, "x"), (3, "x"), (4, "x")]
+    # several payloads: each to every receiver, payload-major, as a pair
+    # list built chain by chain would hold them
+    two = Broadcast(("x", "y"), 4)
+    assert len(two) == 8
+    assert list(two) == [(r, "x") for r in range(1, 5)] + [(r, "y") for r in range(1, 5)]
+    r = run_execution(basic(), "test-two-payload-broadcast")
+    assert r.honest_messages_by_sender == {"two": {p: 2 * (4 - 1) for p in range(1, 5)}}
+    assert r.honest_messages_total == 4 * 2 * (4 - 1)
+    expected = tuple(e for p in range(1, 5) for e in ((p, "a"), (p, ("b", p))))
+    assert set(map(tuple, r.decisions.values())) == {expected}
     with pytest.raises(AttributeError):
         b.extend([(1, "y")])
     with pytest.raises(AttributeError):
@@ -320,7 +337,7 @@ class _TrafficRecorder(Strategy):
         self.seen[rnd] = list(honest_items)
         out = super().emit(rnd, honest_items, shadow_items, actx)
         member = min(actx.fault_set)
-        out.append((member, "forgery-probe", Broadcast(("probe-all", rnd), actx.n)))
+        out.append((member, "forgery-probe", Broadcast((("probe-all", rnd),), actx.n)))
         out.append((member, "forgery-probe", [(rnd % 5 + 1, ("probe", rnd))]))
         self.sent[rnd] = out
         return out
@@ -424,7 +441,7 @@ class _QuietProbe(Strategy):
     def emit(self, rnd, honest_items, shadow_items, actx):
         out = super().emit(rnd, honest_items, shadow_items, actx)
         if rnd == 1:
-            out.append((4, "quiet", Broadcast(("all", rnd), actx.n)))
+            out.append((4, "quiet", Broadcast((("all", rnd),), actx.n)))
         elif rnd == 3:
             out.append((4, "quiet", [(1, ("one", rnd))]))
         return out

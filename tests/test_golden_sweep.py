@@ -51,15 +51,16 @@ def check_replays_byte_identical(name, count):
     assert mismatched == []
 
 
-def inboxes_and_replay(monkeypatch, records):
+def inboxes_and_replay(monkeypatch, records, tag_suffix=""):
     """Replay `records`, recording every non-empty inbox as a process gets
-    it; returns the inboxes and each record's replay verdict."""
+    it under a tag ending in `tag_suffix`; returns the inboxes and each
+    record's replay verdict."""
     seen = []
     round_ = engine.ProcessContext.round
 
     def recording_round(ctx, sends):
         inbox = yield from round_(ctx, sends)
-        if inbox:
+        if inbox and ctx.tag.endswith(tag_suffix):
             seen.append(list(inbox))
         return inbox
 
@@ -218,6 +219,58 @@ def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     assert as_pairs == by_reference
 
 
+CHAIN_RELAY_GRID = {
+    "schema_version": 1,
+    "protocol": "ba-with-predictions",
+    "variant": ["authenticated"],
+    "value_domain": [0, 1],
+    "axes": {
+        "n": [7, 16],
+        "t": "max",
+        "f": ["half", "max"],
+        "error_budget": ["4n"],
+        "allocation": ["adversarial-worst"],
+        "adversary": ["equivocator", "grade-splitter", "forger", "chain-withholder"],
+        "inputs": ["alternating"],
+        "fault_placement": ["lowest", "spread"],
+        "seeds": [1],
+    },
+}
+
+
+def test_chain_relays_as_pairs_deliver_the_same_inboxes(monkeypatch):
+    # Metamorphic: `authtools.relay_rounds` sends all of a round's chains as
+    # one multi-payload Broadcast, and equivocator and grade-splitter pass
+    # relayed chains on by reference.  The same chains sent as a plain list
+    # of (receiver, chain) pairs, chain by chain, take the per-pair path in
+    # the engine and in those strategies.  Both paths must fill every bb
+    # inbox with the same entries in the same order and give the same
+    # records, over the authenticated golden records and a chain-adversary
+    # grid.
+    records = [
+        r for r in harness.load_records(str(DATA / "golden_sweep.jsonl"))
+        if r["scenario"]["variant"] == "authenticated"
+    ]
+    points, skipped = harness.expand_sweep(CHAIN_RELAY_GRID)
+    assert len(points) == 32 and not skipped
+    records += [harness.run_point(p) for p in points]
+    by_reference, replayed = inboxes_and_replay(monkeypatch, records, "/bb")
+    assert all(replayed)
+    relayed = []
+
+    def relay_as_pairs(payloads, n):
+        relayed.append(len(payloads))
+        return [(r, p) for p in payloads for r in range(1, n + 1)]
+
+    monkeypatch.setattr(authtools, "Broadcast", relay_as_pairs)
+    as_pairs, replayed = inboxes_and_replay(monkeypatch, records, "/bb")
+    assert all(replayed)
+    # not vacuous: many relays, and rounds that relay several chains at once
+    assert len(relayed) > 1000 and max(relayed) > 1
+    assert len(as_pairs) == len(by_reference) > 1000
+    assert as_pairs == by_reference
+
+
 def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     # Metamorphic, the faulty side of the test above: a strategy that passes
     # a shadow's Broadcast on gets it delivered by reference.  Handing every
@@ -259,7 +312,7 @@ def complement_as_pairs(monkeypatch):
         def patched(self, member, tag, sends, rnd, honest_items, actx):
             out = []
             for sender, mtag, msends in transform(self, member, tag, sends, rnd, honest_items, actx):
-                if type(msends) is engine.Broadcast and msends.payload is actx.complement:
+                if type(msends) is engine.Broadcast and msends.payloads == (actx.complement,):
                     expanded[0] += 1
                     msends = list(msends)
                 out.append((sender, mtag, msends))

@@ -162,6 +162,25 @@ def _with_params(protocol, params):
         (_with_params("bb-committee", {"k": 1, "sender": 0}), "key 'params': 'sender'"),
         (_with_params("bb-committee", {"k": 1, "sender": "1"}), "key 'params': 'sender'"),
         (_with_params("ba-early-stopping", {"T": "x"}), "key 'params': 'T'"),
+        (_with_params("conciliate", {"k": 1}), "key 'params': 'window' or 'windows'"),
+        (_with_params("conciliate", {"window": [1]}), "key 'params': 'k'"),
+        (_with_params("conciliate", {"k": -1, "window": [1]}), "key 'params': 'k'"),
+        (_with_params("graded-consensus-core", {}), "key 'params': 'k'"),
+        (_with_params("graded-consensus-core", {"k": "1", "window": [1]}), "key 'params': 'k'"),
+        (_with_params("graded-consensus-core", {"k": 1}), "key 'params': 'window' or 'windows'"),
+        (_with_params("conciliate", {"k": 1, "window": 5}), "key 'params': 'window' or 'windows'"),
+        (_with_params("conciliate", {"k": 1, "window": [1, 5]}),
+         "key 'params': 'window' or 'windows'"),
+        (_with_params("conciliate", {"k": 1, "windows": {"1": [1, 2]}}),
+         "key 'params': 'window' or 'windows'"),
+        (_with_params("bb-committee", {"k": 1, "sender": 1, "committee": [1, "x"]}),
+         "key 'params': 'committee'"),
+        (_with_params("bb-committee", {"k": 1, "sender": 1, "committee": [0, 1]}),
+         "key 'params': 'committee'"),
+        (_with_params("bb-committee", {"k": 1, "sender": 1, "committee": [1, 5]}),
+         "key 'params': 'committee'"),
+        (_with_params("bb-committee", {"k": 1, "sender": 1, "committee": 3}),
+         "key 'params': 'committee'"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -172,6 +191,22 @@ def test_malformed_sweep_file_is_located(tmp_path, doc, located):
     proc = run_cli("sweep", str(p))
     assert proc.returncode == 1
     assert "scenario file error" in proc.stderr and located in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "protocol, variant, params",
+    [
+        ("conciliate", "unauthenticated", {"k": 1, "window": [1, 2]}),
+        ("graded-consensus-core", "unauthenticated",
+         {"k": 0, "windows": {str(p): [1] for p in range(1, 5)}}),
+        ("bb-committee", "authenticated", {"k": 1, "sender": 1, "committee": [1, 2, 4]}),
+    ],
+)
+def test_standalone_params_that_run_pass_the_check(protocol, variant, params):
+    doc = _with_params(protocol, params)
+    doc["variant"] = variant
+    records, summary = harness.run_sweep(doc)
+    assert summary.executed >= 1 and all(r["ok"] for r in records)
 
 
 # ---------------------------------------------------------------------------

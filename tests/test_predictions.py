@@ -233,3 +233,10 @@ def test_bits_string_roundtrip():
     assert pr.bits_to_string((0, 1, 1, 0)) == "0110"
     with pytest.raises(ConfigurationError):
         pr.bits_from_string("01x0")
+    assert pr.bits_from_string("") == ()
+
+
+@pytest.mark.parametrize("text", ["0 1", " 01", "01\n", "x"])
+def test_bits_from_string_rejects_anything_but_0_and_1(text):
+    with pytest.raises(ConfigurationError):
+        pr.bits_from_string(text)
