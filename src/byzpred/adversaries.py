@@ -342,19 +342,28 @@ class ChainWithholderStrategy(_CvoteCollector):
         state["chain"] = chain
 
 
+def _is_plur(payload) -> bool:
+    return isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "plur"
+
+
 class CertificateHoarderStrategy(Strategy):
     """Collects committee votes but stays silent through the broadcast
     rounds, spending the certificate only on a poisoned, per-receiver
-    plurality message in the final round."""
+    plurality message in the final round.  A shadow broadcast without
+    chains or plurality messages goes on unchanged."""
 
     name = "certificate-hoarder"
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
+        if type(sends) is Broadcast and not any(
+            isinstance(p, MessageChain) or _is_plur(p) for p in sends.payloads
+        ):
+            return [(member, tag, sends)]
         out = []
         for r, payload in sends:
             if isinstance(payload, MessageChain):
                 continue  # withhold all chain traffic
-            if isinstance(payload, tuple) and len(payload) == 3 and payload[0] == "plur":
+            if _is_plur(payload):
                 poison = _rotate(payload[1], r, actx.value_domain)
                 out.append((r, ("plur", poison, payload[2])))
             else:

@@ -42,7 +42,7 @@ from .blocks import (
     _require_variant_bound,
 )
 from .engine import register_protocol
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ProtocolViolation
 
 # ---------------------------------------------------------------------------
 # Round formulas
@@ -53,6 +53,22 @@ def conditional_round_budget(variant: str, k: int) -> int:
     if variant == "unauthenticated":
         return 5 * (2 * k + 1)
     return k + 3
+
+
+def size_condition_holds(variant: str, n: int, t: int, k: int) -> bool:
+    """The window-size condition under which the conditional BA for
+    tolerance k guarantees agreement: (2k+1)(3k+1) <= n-t-k unauthenticated,
+    2k+1 <= n-t-k authenticated."""
+    if variant == "unauthenticated":
+        return (2 * k + 1) * (3 * k + 1) + k <= n - t
+    return 2 * k + 1 <= n - t - k
+
+
+def leader_window(order, k: int, ph: int):
+    """The leader window of phase `ph` of the conditional unauthenticated
+    BA: the ph-th run of 3k+1 processes of `order`, cut short (or empty)
+    at the end of the ordering."""
+    return order[(3 * k + 1) * (ph - 1) : (3 * k + 1) * ph]
 
 
 def wrapper_phase_count(t: int) -> int:
@@ -89,7 +105,7 @@ def wrapper_rounds_through_phase(variant: str, t: int, phase: int) -> int:
 def classify(ctx, prediction):
     """Broadcast predictions and majority-vote a classification vector."""
     n = ctx.n
-    inbox = yield from ctx.round(ctx.broadcast(tuple(prediction)))
+    inbox = yield ctx.broadcast(tuple(prediction))
     c, bits = ctx.per_inbox(inbox, "classify", lambda box: _classification_of(box, n))
     ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
     return c
@@ -112,14 +128,12 @@ def ba_with_classification_unauth(ctx, value, classification, k: int, T: Optiona
     misclassified processes and (2k+1)(3k+1) <= n-t-k; a value is returned
     within min(T, 5(2k+1)) rounds regardless.
     """
-    n = ctx.n
-    width = 3 * k + 1
     budget = conditional_round_budget("unauthenticated", k)
     if T is not None:
         budget = min(budget, T)
     order = predictions.ordering(classification)
     run_info = ctx.shared.setdefault("alg5_runs", {}).setdefault(
-        ctx.tag, {"k": k, "decided_phase": {}, "windows": {}}
+        ctx.tag, {"k": k, "decided_phase": {}}
     )
     start = ctx.rounds_used
     decision = None
@@ -127,9 +141,7 @@ def ba_with_classification_unauth(ctx, value, classification, k: int, T: Optiona
     for ph in range(1, 2 * k + 2):
         if ctx.rounds_used - start + 5 > budget:
             break
-        lo = width * (ph - 1)
-        window = order[lo : min(width * ph, n)] if lo < n else ()
-        run_info["windows"][(ctx.pid, ph)] = list(window)
+        window = leader_window(order, k, ph)
         with ctx.scope(f"w{ph}"):
             with ctx.scope("gca"):
                 value, grade = yield from graded_consensus_core_set(ctx, value, k, window)
@@ -166,7 +178,7 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
     targets = order[: min(2 * k + 1, n)]
 
     with ctx.scope("cvote"):
-        inbox = yield from ctx.round(committee_vote_payloads(ctx, context, targets))
+        inbox = yield committee_vote_payloads(ctx, context, targets)
         my_cert = certificate_from_inbox(ctx, context, inbox)
     run_info = ctx.shared.setdefault("alg7_runs", {}).setdefault(
         context, {"k": k, "certified": []}
@@ -193,7 +205,7 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
             candidates = [v for v in bb_out if v is not BOT and v in domain]
             mine = plurality_tiebreak(candidates) if candidates else value
             sends = ctx.broadcast(("plur", mine, my_cert))
-        inbox = yield from ctx.round(sends)
+        inbox = yield sends
         votes = []
         for src, p in distinct_by_sender(inbox).items():
             if (
@@ -208,9 +220,10 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
 
 
 def ba_with_classification(ctx, value, classification, k, T=None):
+    """The variant's conditional BA generator."""
     if ctx.variant == "authenticated":
-        return (yield from ba_with_classification_auth(ctx, value, classification, k, T))
-    return (yield from ba_with_classification_unauth(ctx, value, classification, k, T))
+        return ba_with_classification_auth(ctx, value, classification, k, T)
+    return ba_with_classification_unauth(ctx, value, classification, k, T)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +255,14 @@ def ba_with_predictions(ctx, value, prediction):
             with ctx.scope("gc2"):
                 value, g2 = yield from graded_consensus_standard(ctx, value)
             with ctx.scope("cond"):
-                conditional = yield from ctx.exact_rounds(
-                    T, ba_with_classification(ctx, value, classification, k, T)
-                )
+                start = ctx.rounds_used
+                conditional = yield from ba_with_classification(ctx, value, classification, k, T)
+                used = ctx.rounds_used - start
+                if used > T:
+                    raise ProtocolViolation(
+                        f"process {ctx.pid}: sub-protocol used {used} rounds, budget {T}"
+                    )
+                yield from ctx.idle(T - used)
             if g2 == 0:
                 value = conditional
             with ctx.scope("gc3"):
@@ -277,7 +295,7 @@ def ba_with_predictions(ctx, value, prediction):
 @register_protocol("ba-with-predictions")
 def _wrapper_protocol(ctx, scenario, params):
     _require_variant_bound(scenario)
-    return (yield from ba_with_predictions(ctx, params["input"], params["prediction"]))
+    return ba_with_predictions(ctx, params["input"], params["prediction"])
 
 
 @register_protocol("classify")

@@ -337,7 +337,7 @@ def relay_rounds(ctx, instances: Dict[int, BroadcastInstance], k: int, own_value
     own = instances.get(ctx.pid)
     chains = own.open(own_value) if own is not None else []
     for j in range(1, k + 2):
-        inbox = yield from ctx.round(Broadcast(tuple(chains), ctx.n) if chains else [])
+        inbox = yield Broadcast(tuple(chains), ctx.n) if chains else []
         chains = []
         # An instance that received nothing this round has nothing to do.
         for origin, received in ctx.per_inbox(inbox, "bb", _chains_by_origin):
@@ -373,7 +373,7 @@ def bb_instance_protocol(ctx, scenario, params):
 
     with ctx.scope("bb-setup"):
         sends = committee_vote_payloads(ctx, context, committee)
-        inbox = yield from ctx.round(sends)
+        inbox = yield sends
         my_cert = certificate_from_inbox(ctx, context, inbox)
     validator = ChainValidator(context, ctx.t, ctx.signer.verify)
     with ctx.scope("bb"):

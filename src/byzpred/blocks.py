@@ -132,11 +132,11 @@ def graded_consensus_core_set(ctx, value, k: int, window: Sequence[int]):
             return esupport, plurality_tiebreak(list(echoes.values()))
         return esupport, BOT
 
-    inbox = yield from ctx.round(ctx.broadcast(value) if mine else [])
+    inbox = yield ctx.broadcast(value) if mine else []
     b = ctx.per_inbox(inbox, ("gc-core-vote", members, k), vote_of)
 
     sends = ctx.broadcast(b) if (mine and b is not BOT) else []
-    inbox = yield from ctx.round(sends)
+    inbox = yield sends
     esupport, top = ctx.per_inbox(inbox, ("gc-core-echo", members, k), echoes_of)
     if b is not BOT:
         if esupport.get(b, 0) >= 2 * k + 1:
@@ -163,7 +163,7 @@ def conciliate(ctx, value, k: int, window: Sequence[int]):
     fault_set = ctx.scenario.fault_set
 
     payload = (value, tuple(sorted(members)))
-    inbox = yield from ctx.round(ctx.broadcast(payload) if ctx.pid in members else [])
+    inbox = yield ctx.broadcast(payload) if ctx.pid in members else []
     outcome, lemma_ok = ctx.per_inbox(
         inbox,
         ("conciliate", members),
@@ -239,9 +239,10 @@ def _path_lemma_holds(fault_set, vertices, declared, preds) -> bool:
 # ---------------------------------------------------------------------------
 
 def graded_consensus_standard(ctx, value):
+    """The variant's standard graded consensus generator."""
     if ctx.variant == "authenticated":
-        return (yield from _gc_standard_auth(ctx, value))
-    return (yield from _gc_standard_unauth(ctx, value))
+        return _gc_standard_auth(ctx, value)
+    return _gc_standard_unauth(ctx, value)
 
 
 def _gc_standard_unauth(ctx, value):
@@ -267,10 +268,10 @@ def _gc_standard_unauth(ctx, value):
                 return best, 0
         return None
 
-    inbox = yield from ctx.round(ctx.broadcast(value))
+    inbox = yield ctx.broadcast(value)
     echo = ctx.per_inbox(inbox, "gc-echo", echo_of)
 
-    inbox = yield from ctx.round(ctx.broadcast(echo) if echo is not BOT else [])
+    inbox = yield ctx.broadcast(echo) if echo is not BOT else []
     graded = ctx.per_inbox(inbox, "gc-grade", grade_of)
     return graded if graded is not None else (value, 0)
 
@@ -493,12 +494,12 @@ def _gc_standard_auth(ctx, value):
 
     # Round 1: signed votes.
     my_vote = (ctx.pid, value, ctx.signer.sign(vote_content(tag, value)))
-    inbox = yield from ctx.round(ctx.broadcast(("vote", my_vote)))
+    inbox = yield ctx.broadcast(("vote", my_vote))
     own = ctx.per_inbox(inbox, (tag, "vote"), direct_votes_of)
 
     # Round 2: forward everything; void double-voters, tally the rest.  The
     # entry holds `own`, keeping its id stable for the round.
-    inbox = yield from ctx.round(ctx.broadcast(("fwd", own)))
+    inbox = yield ctx.broadcast(("fwd", own))
     choice = ctx.per_inbox(
         inbox, (tag, "fwd", id(own)), lambda box: (own, choice_of(box, own))
     )[1]
@@ -509,12 +510,12 @@ def _gc_standard_auth(ctx, value):
         w, proof, proof_dig = choice
         sig = ctx.signer.sign(commit_content(tag, w, proof_dig))
         sends = ctx.broadcast(("commit", (ctx.pid, w, proof, sig)))
-    inbox = yield from ctx.round(sends)
+    inbox = yield sends
     own = ctx.per_inbox(inbox, (tag, "commit"), direct_commits_of)
 
     # Round 4: forward direct commits; void double-committers, then grade.
     # The commit view and its summary are shared the same way.
-    inbox = yield from ctx.round(ctx.broadcast(("cfwd", own)))
+    inbox = yield ctx.broadcast(("cfwd", own))
     graded = ctx.per_inbox(
         inbox, (tag, "cfwd", id(own)), lambda box: (own, grade_of(box, own))
     )[1]
@@ -558,7 +559,7 @@ def ba_early_stopping(ctx, value, T: int):
                 value, grade = yield from graded_consensus_standard(ctx, value)
             with ctx.scope("king"):
                 sends = ctx.broadcast(value) if ctx.pid == king else []
-                inbox = yield from ctx.round(sends)
+                inbox = yield sends
                 king_value = _domain_values(inbox, domain, {king}).get(king)
             if grade == 0 and king_value is not None:
                 value = king_value

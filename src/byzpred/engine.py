@@ -3,8 +3,12 @@
 Processes are generator coroutines: each ``yield`` hands the engine the
 list of ``(receiver, payload)`` pairs, or the `Broadcast`, to transmit
 this round and resumes with the ``(sender, payload)`` pairs addressed to
-the process in the same round under its current protocol tag.  One yield
-== one communication round.  A process sends under exactly one protocol
+the process in the same round under its current protocol tag.  One
+yield == one communication round, so protocol code writes a round as
+``inbox = yield sends`` and idles with ``yield from ctx.idle(r)``.  The
+engine keeps each process's round count: it adds one to
+``ctx.rounds_used`` for every inbox it delivers, just before the process
+resumes on it.  A process sends under exactly one protocol
 tag per round, its current ``ctx.tag``: the engine keeps what a process
 yields as one send item ``(sender, tag, sends)``, and it drops every
 message a receiver gets under another tag, so protocol code never sees a
@@ -158,24 +162,6 @@ class ProcessContext:
         """One copy per process, self included (self-delivery is free)."""
         return Broadcast((payload,), self.n)
 
-    def round(self, sends: List[Send]):
-        """Perform one communication round; returns the read-only sequence
-        of (sender, payload) for the messages sent to this process under its
-        current tag.
-
-        `sends` holds (receiver, payload) pairs, or is a `Broadcast`, and is
-        yielded as is; the engine stamps them with this process's id and
-        current tag, so every message of a process in one round carries the
-        same tag.  The engine also filters the inbox by the receiver's tag,
-        so the inbox comes back as delivered.  Receivers of one tag without
-        per-receiver traffic share one read-only inbox per round: a tuple,
-        the same object for each of them.  A shadow gets whatever its
-        strategy's `filter_member_inbox` returned for the inbox it was
-        delivered, which is that tuple if the strategy passed it through."""
-        inbox = yield sends
-        self.rounds_used += 1
-        return inbox
-
     def per_inbox(self, inbox, key, compute):
         """``compute(inbox)``, computed once per inbox object and `key` in
         this round and shared by every receiver of that object.
@@ -194,19 +180,6 @@ class ProcessContext:
     def idle(self, rounds: int):
         for _ in range(rounds):
             yield []
-            self.rounds_used += 1
-
-    def exact_rounds(self, budget: int, inner):
-        """Run `inner`, then idle so exactly `budget` rounds are consumed."""
-        start = self.rounds_used
-        value = yield from inner
-        used = self.rounds_used - start
-        if used > budget:
-            raise ProtocolViolation(
-                f"process {self.pid}: sub-protocol used {used} rounds, budget {budget}"
-            )
-        yield from self.idle(budget - used)
-        return value
 
     def check(self, name: str, ok: bool, detail: str = ""):
         if self._checks is not None:
@@ -451,9 +424,11 @@ def run_execution(
     sender_counts: Dict[str, Dict[int, int]] = {}
 
     def step(pid: int, inbox):
-        gen = gens[pid]
+        ctx = ctxs[pid]
+        if inbox is not None:
+            ctx.rounds_used += 1
         try:
-            sends = gen.send(inbox)
+            sends = gens[pid].send(inbox)
         except StopIteration as stop:
             alive.discard(pid)
             outs.pop(pid, None)
@@ -467,7 +442,7 @@ def run_execution(
             alive.discard(pid)  # crashed shadow: silent from here on
             outs.pop(pid, None)
             return
-        tag = ctxs[pid].tag
+        tag = ctx.tag
         if type(sends) is list and not sends:  # an idle step: nothing to check or count
             outs[pid] = (pid, tag, sends)
             return
@@ -509,7 +484,7 @@ def run_execution(
         # (sender, payload) in its own tag and nothing of any other tag, in
         # this order.  The receivers of one tag share one list until a
         # targeted pair reaches one of them, which then forks its own copy;
-        # a run of consecutive broadcasts extends every list once.  A round
+        # a broadcast extends its tag's list and that tag's forks.  A round
         # in which no item carries a send builds none of this: every inbox
         # is empty.
         round_memo.clear()
@@ -519,29 +494,17 @@ def run_execution(
             groups: Dict[str, List[Send]] = {tag: [] for tag in want.values()}
             forks: Dict[int, List[Send]] = {}  # receiver -> its own list
             forked: Dict[str, List[List[Send]]] = {}  # tag -> the forks of that tag
-
-            def flush(run):
-                by_tag: Dict[str, List[Send]] = {}
-                for sender, tag, sends in run:
-                    box = by_tag.setdefault(tag, [])
-                    for payload in sends.payloads:
-                        box.append((sender, payload))
-                for tag, pairs in by_tag.items():
+            for sender, tag, sends in chain(honest_items, faulty_items):
+                if type(sends) is Broadcast:
                     box = groups.get(tag)
                     if box is not None:
-                        box.extend(pairs)
-                        for own in forked.get(tag, ()):
-                            own.extend(pairs)
-
-            run: List[Item] = []
-            for item in chain(honest_items, faulty_items):
-                sender, tag, sends = item
-                if type(sends) is Broadcast:
-                    run.append(item)
+                        own_boxes = forked.get(tag, ())
+                        for payload in sends.payloads:
+                            pair = (sender, payload)
+                            box.append(pair)
+                            for own in own_boxes:
+                                own.append(pair)
                     continue
-                if run:
-                    flush(run)
-                    run = []
                 for rcv, payload in sends:
                     if want.get(rcv) == tag:
                         box = forks.get(rcv)
@@ -549,8 +512,6 @@ def run_execution(
                             box = forks[rcv] = list(groups[tag])
                             forked.setdefault(tag, []).append(box)
                         box.append((sender, payload))
-            if run:
-                flush(run)
             shared = {tag: tuple(box) for tag, box in groups.items()}
             for pid, tag in want.items():
                 own = forks.get(pid)

@@ -42,6 +42,7 @@ from .adversaries import CATALOG, strategy_catalog
 from .agreement import (
     compute_alpha,
     conditional_round_budget,
+    size_condition_holds,
     wrapper_phase_count,
     wrapper_rounds_through_phase,
 )
@@ -603,12 +604,6 @@ def run_conditional_standalone(
 # ---------------------------------------------------------------------------
 # Round-envelope prediction (criterion 6 support)
 # ---------------------------------------------------------------------------
-
-def size_condition_holds(variant: str, n: int, t: int, k: int) -> bool:
-    if variant == UNAUTHENTICATED:
-        return (2 * k + 1) * (3 * k + 1) + k <= n - t
-    return 2 * k + 1 <= n - t - k
-
 
 def misclassification_proof_bound(n: int, f: int, realized_budget: int) -> float:
     denom = math.ceil(n / 2) - f

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import predictions
-from .agreement import conditional_round_budget, wrapper_phase_count
+from .agreement import (
+    conditional_round_budget,
+    leader_window,
+    size_condition_holds,
+    wrapper_phase_count,
+)
 from .engine import ExecutionResult
 
 BA_PROTOCOLS = ("ba-with-predictions", "ba-classification", "ba-early-stopping")
@@ -39,10 +44,6 @@ class Verdict:
 
     def as_dict(self):
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
-
-def _honest_threshold(n):
-    return predictions.honest_threshold(n)
 
 
 def verify_execution(result: ExecutionResult, scenario=None) -> List[Verdict]:
@@ -177,7 +178,7 @@ def _vote_bound(result, scenario, classifications, report):
             if i not in scenario.fault_set and vec[j - 1] != truth[j - 1]
         )
         if truth[j - 1] == 0:
-            need = _honest_threshold(n) - f
+            need = predictions.honest_threshold(n) - f
         else:
             need = math.ceil(n / 2) - f
         if wrong_holders < need:
@@ -283,17 +284,14 @@ def _core_set_witness(scenario, classifications, report):
 # Conditional-BA trace oracles
 # ---------------------------------------------------------------------------
 
-def _alg5_conditions_hold(scenario, k, report):
-    n, t = scenario.n, scenario.t
-    return k >= report.num_total and (2 * k + 1) * (3 * k + 1) + k <= n - t
-
-
 def _alg5_oracles(result, scenario, classifications, report):
     runs = result.trace.get("alg5_runs") or {}
     out = []
     for tag, info in sorted(runs.items()):
         k = info["k"]
-        if not _alg5_conditions_hold(scenario, k, report):
+        if k < report.num_total or not size_condition_holds(
+            "unauthenticated", scenario.n, scenario.t, k
+        ):
             continue
         out.append(_alg5_window_churn(scenario, classifications, k, report, tag))
         out.append(_alg5_good_phase(scenario, classifications, k, tag))
@@ -311,22 +309,18 @@ def _alg5_oracles(result, scenario, classifications, report):
     return out
 
 
-def _alg5_schedule(order, k, n):
-    width = 3 * k + 1
-    windows = []
-    for ph in range(1, 2 * k + 2):
-        lo = width * (ph - 1)
-        windows.append(set(order[lo : min(width * ph, n)]) if lo < n else set())
-    return windows
+def _alg5_schedules(classifications, k):
+    """Each distinct honest ordering's leader windows, phase by phase."""
+    return [
+        [set(leader_window(order, k, ph)) for ph in range(1, 2 * k + 2)]
+        for order in _distinct_orderings(classifications).values()
+    ]
 
 
 def _alg5_window_churn(scenario, classifications, k, report, tag):
     """Each faulty process appears in some honest window in at most two
     consecutive phases."""
-    n = scenario.n
-    schedules = [
-        _alg5_schedule(order, k, n) for order in _distinct_orderings(classifications).values()
-    ]
+    schedules = _alg5_schedules(classifications, k)
     bad = []
     for j in sorted(scenario.fault_set):
         phases = sorted(
@@ -343,11 +337,8 @@ def _alg5_window_churn(scenario, classifications, k, report, tag):
 
 def _alg5_good_phase(scenario, classifications, k, tag):
     """Some phase has every honest window inside the honest set."""
-    n = scenario.n
     honest = set(scenario.honest)
-    schedules = [
-        _alg5_schedule(order, k, n) for order in _distinct_orderings(classifications).values()
-    ]
+    schedules = _alg5_schedules(classifications, k)
     for ph in range(2 * k + 1):
         if all(sched[ph] <= honest for sched in schedules):
             return Verdict(f"alg5-good-phase[{tag}]", True)
@@ -362,7 +353,7 @@ def _alg7_oracles(result, scenario, classifications, report):
     out = []
     for context, info in sorted(runs.items()):
         k = info["k"]
-        if not (k >= report.num_total and 2 * k + 1 <= n - t - k):
+        if k < report.num_total or not size_condition_holds("authenticated", n, t, k):
             continue
         certified_honest = set(info.get("certified", ()))
         # A faulty process can hold a certificate iff honest nominations plus

@@ -25,7 +25,7 @@ from byzpred.authtools import (
     start_chain,
     validate_chain,
 )
-from byzpred.engine import Broadcast, ProcessContext, register_protocol, run_execution
+from byzpred.engine import Broadcast, register_protocol, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
@@ -158,27 +158,25 @@ def _own_scope_protocol(ctx, scenario, params):
     member = ctx.pid in scenario.fault_set
     for rnd in range(3):
         with ctx.scope("m" if member or rnd else "h"):
-            yield from ctx.round([] if member else ctx.broadcast(("b", ctx.pid, rnd)))
+            yield [] if member else ctx.broadcast(("b", ctx.pid, rnd))
 
 
-def test_selective_ignorer_spends_its_quota_only_on_its_shadows_messages(monkeypatch):
+def test_selective_ignorer_spends_its_quota_only_on_its_shadows_messages(delivered_through):
     # A member's shadow receives only the messages under its own tag, and
     # so does its filter: the round-1 broadcasts under another tag leave a
     # quota of 2 untouched, the round-2 inbox loses two of its three pairs,
     # and once the quota is spent the shadow shares its honest tag-mates'
     # inbox.
     stepped = {}  # pid -> [inbox] in round order
-    round_ = ProcessContext.round
 
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def record(ctx, inbox):
         stepped.setdefault(ctx.pid, []).append(inbox)
         return inbox
 
-    monkeypatch.setattr(ProcessContext, "round", recording_round)
     s = Scenario(n=4, t=1, fault_set=frozenset({4}), inputs=(0, 1, 0, 1), seed=3,
                  adversary=AdversarySpec.make("selective-ignorer", {"ignore": 2}))
-    run_execution(s, "test-own-scope")
+    with delivered_through(record):
+        run_execution(s, "test-own-scope")
     assert [len(inbox) for inbox in stepped[1]] == [3, 3, 3]
     kept = [len(inbox) for inbox in stepped[4]]
     assert kept == [0, 1, 3], kept
@@ -246,7 +244,7 @@ def test_forged_chain_link_has_the_right_digest_and_is_still_rejected():
     assert not validate_chain(forged[0], 2, 2, 1, "ctx", scheme.verify)
 
 
-def bb_inboxes(monkeypatch, adversary, n=16, t=7):
+def bb_inboxes(delivered_through, adversary, n=16, t=7):
     """Run authenticated ba-with-predictions at n, f = t (faults 1..t),
     B = 4n under `adversary`; returns the run's scenario and every honest
     inbox of a `bb` round, keyed by (tag, round of that bb scope), in pid
@@ -255,26 +253,23 @@ def bb_inboxes(monkeypatch, adversary, n=16, t=7):
                  variant="authenticated", seed=1, budget=4 * n)
     seen = {}
     steps = {}
-    round_ = ProcessContext.round
 
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def record(ctx, inbox):
         if ctx.pid not in s.fault_set and ctx.tag.endswith("/bb"):
             j = steps[(ctx.pid, ctx.tag)] = steps.get((ctx.pid, ctx.tag), 0) + 1
             seen.setdefault((ctx.tag, j), []).append(inbox)
         return inbox
 
-    with monkeypatch.context() as patch:
-        patch.setattr(ProcessContext, "round", recording_round)
+    with delivered_through(record):
         r = run_execution(s, "ba-with-predictions")
     assert all_pass(verify_execution(r))
     return s, seen
 
 
-def own_chain_values(monkeypatch, adversary):
+def own_chain_values(delivered_through, adversary):
     """The most distinct values honest processes received, in one `bb`,
     in length-1 chains that a member sent as its own."""
-    s, seen = bb_inboxes(monkeypatch, adversary)
+    s, seen = bb_inboxes(delivered_through, adversary)
     values = {}
     for (tag, _j), inboxes in seen.items():
         for inbox in inboxes:
@@ -287,12 +282,12 @@ def own_chain_values(monkeypatch, adversary):
 
 
 @pytest.mark.parametrize("adversary", ["equivocator", "grade-splitter"])
-def test_a_members_own_chain_is_still_equivocated(monkeypatch, adversary):
+def test_a_members_own_chain_is_still_equivocated(monkeypatch, delivered_through, adversary):
     # Relayed chain broadcasts pass through equivocator and grade-splitter
     # unchanged, since `_perturb` leaves every chain but the member's own
     # length-1 chain as it is.  That own chain must still reach honest
     # receivers with two values.
-    assert own_chain_values(monkeypatch, adversary) >= 2
+    assert own_chain_values(delivered_through, adversary) >= 2
     # negative control: a helper that passes every chain broadcast on
     # unchanged sends each member's own chain with one value only
     perturbed = adversaries._perturbed
@@ -303,18 +298,46 @@ def test_a_members_own_chain_is_still_equivocated(monkeypatch, adversary):
         return perturbed(member, tag, sends, rnd, actx)
 
     monkeypatch.setattr(adversaries, "_perturbed", pass_every_chain_broadcast)
-    assert own_chain_values(monkeypatch, adversary) == 1
+    assert own_chain_values(delivered_through, adversary) == 1
 
 
-def test_honest_receivers_share_each_bb_inbox_after_its_first_round(monkeypatch):
+def test_honest_receivers_share_each_bb_inbox_after_its_first_round(delivered_through):
     # Honest relays are one multi-payload broadcast, and grade-splitter
     # passes relayed chains on unchanged, so no honest bb inbox forks after
     # the first round of its bb, where members equivocate their own chains.
-    _s, seen = bb_inboxes(monkeypatch, "grade-splitter")
+    _s, seen = bb_inboxes(delivered_through, "grade-splitter")
     later = {key: {id(box) for box in boxes} for key, boxes in seen.items() if key[1] > 1}
     first = {key: {id(box) for box in boxes} for key, boxes in seen.items() if key[1] == 1}
     assert later and all(len(ids) == 1 for ids in later.values())
     assert any(len(ids) > 1 for ids in first.values())  # round 1 still forks
+
+
+def test_certificate_hoarder_passes_plain_broadcasts_through(delivered_through):
+    # certificate-hoarder rebuilds a shadow's send receiver by receiver only
+    # where it holds a chain or a plurality message.  An unauthenticated run
+    # sends neither, so every shadow broadcast goes on unchanged and the
+    # honest receivers of one tag share one inbox object in every round.
+    s = scenario(AdversarySpec.make("certificate-hoarder"), n=16, t=5, fault_set=range(1, 6),
+                 seed=1, budget=4 * 16)
+    steps = {}
+    shared = {}  # (round, tag) -> the honest inboxes of that tag
+    member_sends = []
+
+    def record(ctx, inbox):
+        if ctx.pid in s.fault_set:
+            return inbox
+        rnd = steps[ctx.pid] = steps.get(ctx.pid, 0) + 1
+        shared.setdefault((rnd, ctx.tag), []).append(inbox)
+        member_sends.extend(src for src, _p in inbox if src in s.fault_set)
+        return inbox
+
+    with delivered_through(record):
+        r = run_execution(s, "ba-with-predictions")
+    assert all_pass(verify_execution(r))
+    groups = [boxes for boxes in shared.values() if len(boxes) > 1 and boxes[0]]
+    assert len(groups) > 20 and len(member_sends) > 1000  # not vacuous
+    forked = [key for key, boxes in shared.items() if any(b is not boxes[0] for b in boxes)]
+    assert forked == []
 
 
 def test_enumeration_exhaustive_when_small():

@@ -10,6 +10,7 @@ from byzpred.agreement import (
     wrapper_rounds_through_phase,
 )
 from byzpred.engine import run_execution
+from byzpred.errors import ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.verify import all_pass, failures, verify_execution
 
@@ -29,6 +30,20 @@ def scenario(n, t, fault_set=(), inputs=None, adversary="silent", variant="unaut
         adversary=AdversarySpec.make(adversary, adv_params),
         variant=variant,
     )
+
+
+def test_conditional_ba_over_its_budget_is_a_violation(monkeypatch):
+    # The wrapper idles each phase's conditional BA out to exactly T
+    # rounds; a conditional BA that takes more than T is a protocol bug and
+    # must stop the execution, not shift every later round.
+    def overrun(ctx, value, classification, k, T=None):
+        yield from ctx.idle(T + 1)
+        return value
+
+    monkeypatch.setattr(agreement, "ba_with_classification", overrun)
+    s = scenario(4, 1, inputs=(0, 1, 0, 1))
+    with pytest.raises(ProtocolViolation, match=r"used \d+ rounds, budget \d+"):
+        run_execution(s, "ba-with-predictions")
 
 
 def test_classify_tallies_each_distinct_inbox_once(monkeypatch):

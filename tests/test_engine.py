@@ -97,10 +97,41 @@ def test_auth_fault_bound_enforced():
         run_execution(s, "ba-with-predictions")
 
 
+@register_protocol("test-round-count")
+def _round_count_protocol(ctx, scenario, params):
+    # rounds with and without traffic, each followed by an idle span; the
+    # decision is rounds_used after every round and every idle span
+    counts = []
+    with ctx.scope("count"):
+        for rnd in range(3):
+            yield ctx.broadcast(("b", ctx.pid)) if rnd % 2 else []
+            counts.append(ctx.rounds_used)
+            yield from ctx.idle(rnd)
+            counts.append(ctx.rounds_used)
+    return tuple(counts)
+
+
+def test_the_engine_counts_every_delivered_inbox(delivered_through):
+    # The engine keeps the round count: a process, honest or shadow, that
+    # mixes sending rounds and idle spans has rounds_used equal to the
+    # inboxes delivered to it, whenever it resumes.
+    seen = {}  # pid -> rounds_used at each delivery
+
+    def record(ctx, inbox):
+        seen.setdefault(ctx.pid, []).append(ctx.rounds_used)
+        return inbox
+
+    with delivered_through(record):
+        r = run_execution(basic(fault_set={4}), "test-round-count")
+    assert seen == {pid: list(range(1, 7)) for pid in (1, 2, 3, 4)}
+    assert r.decisions == {pid: (1, 1, 2, 3, 4, 6) for pid in (1, 2, 3)}
+    assert r.rounds_elapsed == 6
+
+
 @register_protocol("test-bad-receiver")
 def _bad_receiver_protocol(ctx, scenario, params):
     with ctx.scope("bad"):
-        yield from ctx.round([(scenario.n + 5, "boom")])
+        yield [(scenario.n + 5, "boom")]
     return 0
 
 
@@ -108,14 +139,14 @@ def _bad_receiver_protocol(ctx, scenario, params):
 def _tagged_triple_protocol(ctx, scenario, params):
     # the engine stamps the tag itself; a (receiver, tag, payload) triple is malformed
     with ctx.scope("bad"):
-        yield from ctx.round([(1, ctx.tag, "boom")])
+        yield [(1, ctx.tag, "boom")]
     return 0
 
 
 @register_protocol("test-bare-int")
 def _bare_int_protocol(ctx, scenario, params):
     with ctx.scope("bad"):
-        yield from ctx.round([1])
+        yield [1]
     return 0
 
 
@@ -123,7 +154,7 @@ def _bare_int_protocol(ctx, scenario, params):
 def _none_send_protocol(ctx, scenario, params):
     # empty but not a list: the idle-step shortcut must not take it
     with ctx.scope("bad"):
-        yield from ctx.round(None)
+        yield None
     return 0
 
 
@@ -164,14 +195,14 @@ def _extend_broadcast_protocol(ctx, scenario, params):
     with ctx.scope("bad"):
         sends = ctx.broadcast("hello")
         sends.extend([(1, "again")])
-        yield from ctx.round(sends)
+        yield sends
     return 0
 
 
 @register_protocol("test-two-payload-broadcast")
 def _two_payload_broadcast_protocol(ctx, scenario, params):
     with ctx.scope("two"):
-        inbox = yield from ctx.round(Broadcast(("a", ("b", ctx.pid)), ctx.n))
+        inbox = yield Broadcast(("a", ("b", ctx.pid)), ctx.n)
     return tuple(inbox)
 
 
@@ -211,7 +242,7 @@ def _mixed_sends_protocol(ctx, scenario, params):
                 sends = ctx.broadcast(("b", ctx.pid, rnd))
             else:
                 sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
-            inbox = yield from ctx.round(sends)
+            inbox = yield sends
             received.append(tuple(inbox))
     return tuple(received)
 
@@ -241,22 +272,20 @@ def test_broadcast_by_reference_keeps_inbox_order(monkeypatch):
     assert by_reference.honest_messages_total == expected
 
 
-def test_an_honest_inbox_is_read_only(monkeypatch):
+def test_an_honest_inbox_is_read_only(delivered_through):
     # Honest receivers of one tag may share one inbox object, so no process
     # may change it: every honest inbox, shared or forked by targeted pairs,
     # refuses an append.
     honest_inboxes = []
-    round_ = ProcessContext.round
 
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def record(ctx, inbox):
         if ctx.pid not in ctx.scenario.fault_set:
             honest_inboxes.append(inbox)
         return inbox
 
-    monkeypatch.setattr(ProcessContext, "round", recording_round)
     s = basic(n=7, t=2, fault_set={6, 7}, inputs=(0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
-    run_execution(s, "test-mixed-sends")
+    with delivered_through(record):
+        run_execution(s, "test-mixed-sends")
     assert len(honest_inboxes) == 5 * 4 and all(honest_inboxes)
     for inbox in honest_inboxes:
         with pytest.raises(AttributeError):
@@ -277,7 +306,7 @@ def _split_scopes_protocol(ctx, scenario, params):
                 sends = ctx.broadcast(("b", ctx.pid, rnd))
             else:
                 sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
-            inbox = yield from ctx.round(sends)
+            inbox = yield sends
             received.append((ctx.tag, tuple(inbox)))
     return tuple(received)
 
@@ -303,19 +332,17 @@ def split_scopes_envelopes(n, senders, rnd):
     return envs
 
 
-def record_steps(monkeypatch):
-    """Patch `ProcessContext.round` to record, per process and round, the
-    tag it stepped at and the very inbox object it stepped on."""
+def step_recorder():
+    """A `delivered_through` callback recording, per process and round, the
+    tag it stepped at and the very inbox object it stepped on; returns the
+    record and the callback."""
     stepped = {}  # pid -> [(tag, inbox)] in round order
-    round_ = ProcessContext.round
 
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def record(ctx, inbox):
         stepped.setdefault(ctx.pid, []).append((ctx.tag, inbox))
         return inbox
 
-    monkeypatch.setattr(ProcessContext, "round", recording_round)
-    return stepped
+    return stepped, record
 
 
 class _TrafficRecorder(Strategy):
@@ -386,7 +413,7 @@ def test_round_traffic_is_the_old_envelope_list(monkeypatch):
         assert list(entries(items)) == collapsed
 
 
-def test_every_inbox_holds_its_tags_pairs_in_delivery_order(monkeypatch):
+def test_every_inbox_holds_its_tags_pairs_in_delivery_order(monkeypatch, delivered_through):
     # Reference: deliver full (sender, tag, payload) triples in delivery
     # order (honest senders ascending, then faulty traffic in strategy
     # order).  Every inbox, honest or member, holds the entries in the
@@ -395,9 +422,10 @@ def test_every_inbox_holds_its_tags_pairs_in_delivery_order(monkeypatch):
     # entries here are the other scope's messages and the faulty sends
     # under a foreign tag; the shadows' broadcasts and the foreign one go
     # out as faulty Broadcast items.
-    stepped = record_steps(monkeypatch)
+    stepped, record = step_recorder()
     n, seed = 7, 11
-    s, r, rec = run_recorded(monkeypatch, seed)
+    with delivered_through(record):
+        s, r, rec = run_recorded(monkeypatch, seed)
     foreign = member_foreign = 0
     for rnd in range(1, 5):
         wire = split_scopes_envelopes(n, range(1, 6), rnd) + envelopes(rec.sent[rnd])
@@ -424,7 +452,7 @@ def _quiet_listen_protocol(ctx, scenario, params):
     received = []
     with ctx.scope("quiet"):
         for _ in range(3):
-            inbox = yield from ctx.round([])
+            inbox = yield []
             received.append(tuple(inbox))
     return tuple(received)
 
@@ -488,7 +516,7 @@ def _shared_members_protocol(ctx, scenario, params):
     received = []
     for rnd in range(3):
         with ctx.scope(shared_members_tag(ctx.pid, scenario.fault_set)):
-            inbox = yield from ctx.round(ctx.broadcast(("b", ctx.pid, rnd)))
+            inbox = yield ctx.broadcast(("b", ctx.pid, rnd))
             received.append(tuple(inbox))
     return tuple(received)
 
@@ -523,7 +551,7 @@ class _ShareProbe(Strategy):
 
 
 @pytest.mark.parametrize("placement", ["lowest", "highest", "spread"])
-def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, placement):
+def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, delivered_through, placement):
     # Members receive as honest processes do: the receivers of one tag
     # without targeted pairs, honest or member, share one read-only inbox,
     # so a shadow whose strategy passes it through steps on the very inbox
@@ -540,10 +568,11 @@ def test_pass_through_shadows_share_their_tags_inbox(monkeypatch, placement):
         probes.append(_ShareProbe(params))
         return probes[-1]
 
-    stepped = record_steps(monkeypatch)
+    stepped, record = step_recorder()
     monkeypatch.setitem(CATALOG, "share-probe", make_probe)
     s = basic(n=n, t=3, fault_set=fault_set, inputs=(1,) * n, adversary="share-probe")
-    r = run_execution(s, "test-shared-members")
+    with delivered_through(record):
+        r = run_execution(s, "test-shared-members")
     (probe,) = probes
     honest = [p for p in range(1, n + 1) if p not in fault_set]
     member_only = mixed = 0
@@ -625,7 +654,7 @@ def test_scope_restores_the_tag_however_the_body_ends(ending):
             with ctx.scope("inner") as inner:
                 assert inner == ctx.tag == "outer/inner"
                 assert ctx._tag_stack == ["outer", "inner"]
-                yield from ctx.round([])
+                yield []
                 if ending == "raise":
                     raise KeyError("body")
             assert (ctx.tag, ctx._tag_stack) == ("outer", ["outer"])

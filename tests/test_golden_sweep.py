@@ -51,21 +51,18 @@ def check_replays_byte_identical(name, count):
     assert mismatched == []
 
 
-def inboxes_and_replay(monkeypatch, records, tag_suffix=""):
+def inboxes_and_replay(delivered_through, records, tag_suffix=""):
     """Replay `records`, recording every non-empty inbox as a process gets
     it under a tag ending in `tag_suffix`; returns the inboxes and each
     record's replay verdict."""
     seen = []
-    round_ = engine.ProcessContext.round
 
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def record(ctx, inbox):
         if inbox and ctx.tag.endswith(tag_suffix):
             seen.append(list(inbox))
         return inbox
 
-    with monkeypatch.context() as patch:
-        patch.setattr(engine.ProcessContext, "round", recording_round)
+    with delivered_through(record):
         replayed = [harness.replay_record(r) for r in records]
     return seen, replayed
 
@@ -82,18 +79,12 @@ def salted(rng, inbox, counts):
     return shuffled
 
 
-def salted_round(salt, counts):
-    """A stand-in for `ProcessContext.round` that hands every process,
-    honest or shadow, its inbox in an order drawn from `salt`, not in
-    delivery order."""
+def salted_delivery(salt, counts):
+    """A `delivered_through` callback that hands every process, honest or
+    shadow, its inbox in an order drawn from `salt`, not in delivery
+    order."""
     rng = random.Random(salt)
-    round_ = engine.ProcessContext.round
-
-    def round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
-        return salted(rng, inbox, counts)
-
-    return round
+    return lambda ctx, inbox: salted(rng, inbox, counts)
 
 
 def test_golden_sweep_covers_its_sweep_file():
@@ -114,7 +105,7 @@ def test_golden_order_replays_byte_identical():
     check_replays_byte_identical("golden_order", 64)
 
 
-def test_golden_files_replay_with_honest_inboxes_reordered(monkeypatch):
+def test_golden_files_replay_with_honest_inboxes_reordered(delivered_through):
     # Metamorphic: inbox order is not part of the synchronous model, so
     # processes handed their inboxes in salted orders instead of delivery
     # order must give the golden records.  This covers the shadows too:
@@ -123,28 +114,24 @@ def test_golden_files_replay_with_honest_inboxes_reordered(monkeypatch):
     for name, count in (("golden_sweep", 72), ("golden_order", 64)):
         for salt in (1, 2):
             counts = [0, 0]
-            with monkeypatch.context() as patch:
-                patch.setattr(engine.ProcessContext, "round", salted_round(salt, counts))
+            with delivered_through(salted_delivery(salt, counts)):
                 check_replays_byte_identical(name, count)
             reordered, changed = counts
             assert reordered > 10_000 and changed > 0.9 * reordered, (name, salt)  # not vacuous
 
 
-def test_golden_files_replay_with_a_copy_of_every_inbox_per_receiver(monkeypatch):
+def test_golden_files_replay_with_a_copy_of_every_inbox_per_receiver(delivered_through):
     # Reference for shared inboxes: the honest receivers of one tag share one
     # inbox object, and what protocol code derives from an inbox alone is
     # computed once per object.  Handing every process its own fresh copy
     # of its inbox must give the golden records.
     copies = [0]
-    round_ = engine.ProcessContext.round
 
-    def copying_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def copy(ctx, inbox):
         copies[0] += bool(inbox)
         return list(inbox)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(engine.ProcessContext, "round", copying_round)
+    with delivered_through(copy):
         check_replays_byte_identical("golden_sweep", 72)
         check_replays_byte_identical("golden_order", 64)
     assert copies[0] > 10_000  # not vacuous: non-empty inboxes copied
@@ -153,16 +140,15 @@ def test_golden_files_replay_with_a_copy_of_every_inbox_per_receiver(monkeypatch
     # honest receiver of the classify round gets the same inbox object.
     classify_inboxes = []
 
-    def recording_round(ctx, sends):
-        inbox = yield from round_(ctx, sends)
+    def record(ctx, inbox):
         if ctx.tag == "classify":
             classify_inboxes.append(inbox)
         return inbox
 
-    monkeypatch.setattr(engine.ProcessContext, "round", recording_round)
     s = Scenario(n=16, t=5, fault_set=frozenset(), inputs=(1,) * 16, seed=1,
                  adversary=AdversarySpec.make("silent"), variant="unauthenticated")
-    engine.run_execution(s, "ba-with-predictions")
+    with delivered_through(record):
+        engine.run_execution(s, "ba-with-predictions")
     assert len(classify_inboxes) == 16 and len(classify_inboxes[0]) == 16
     assert all(inbox is classify_inboxes[0] for inbox in classify_inboxes)
 
@@ -194,7 +180,7 @@ def test_golden_files_replay_with_member_inboxes_reordered_before_the_filter(mon
     assert reordered > 1000 and changed > 0.9 * reordered  # not vacuous
 
 
-def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
+def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch, delivered_through):
     # Metamorphic: the engine delivers a ctx.broadcast by reference; the same
     # broadcast yielded as a plain list of (receiver, payload) pairs takes the
     # per-pair path.  Both paths must fill every inbox with the same entries
@@ -206,14 +192,14 @@ def test_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     ]
     assert {r["scenario"]["variant"] for r in records} == {"unauthenticated", "authenticated"}
     assert len(records) == 32
-    by_reference, replayed = inboxes_and_replay(monkeypatch, records)
+    by_reference, replayed = inboxes_and_replay(delivered_through, records)
     assert all(replayed)
     monkeypatch.setattr(
         engine.ProcessContext,
         "broadcast",
         lambda ctx, payload: [(r, payload) for r in range(1, ctx.n + 1)],
     )
-    as_pairs, replayed = inboxes_and_replay(monkeypatch, records)
+    as_pairs, replayed = inboxes_and_replay(delivered_through, records)
     assert all(replayed)
     assert len(as_pairs) == len(by_reference) > 1000
     assert as_pairs == by_reference
@@ -238,7 +224,7 @@ CHAIN_RELAY_GRID = {
 }
 
 
-def test_chain_relays_as_pairs_deliver_the_same_inboxes(monkeypatch):
+def test_chain_relays_as_pairs_deliver_the_same_inboxes(monkeypatch, delivered_through):
     # Metamorphic: `authtools.relay_rounds` sends all of a round's chains as
     # one multi-payload Broadcast, and equivocator and grade-splitter pass
     # relayed chains on by reference.  The same chains sent as a plain list
@@ -254,7 +240,7 @@ def test_chain_relays_as_pairs_deliver_the_same_inboxes(monkeypatch):
     points, skipped = harness.expand_sweep(CHAIN_RELAY_GRID)
     assert len(points) == 32 and not skipped
     records += [harness.run_point(p) for p in points]
-    by_reference, replayed = inboxes_and_replay(monkeypatch, records, "/bb")
+    by_reference, replayed = inboxes_and_replay(delivered_through, records, "/bb")
     assert all(replayed)
     relayed = []
 
@@ -263,7 +249,7 @@ def test_chain_relays_as_pairs_deliver_the_same_inboxes(monkeypatch):
         return [(r, p) for p in payloads for r in range(1, n + 1)]
 
     monkeypatch.setattr(authtools, "Broadcast", relay_as_pairs)
-    as_pairs, replayed = inboxes_and_replay(monkeypatch, records, "/bb")
+    as_pairs, replayed = inboxes_and_replay(delivered_through, records, "/bb")
     assert all(replayed)
     # not vacuous: many relays, and rounds that relay several chains at once
     assert len(relayed) > 1000 and max(relayed) > 1
@@ -271,7 +257,7 @@ def test_chain_relays_as_pairs_deliver_the_same_inboxes(monkeypatch):
     assert as_pairs == by_reference
 
 
-def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
+def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch, delivered_through):
     # Metamorphic, the faulty side of the test above: a strategy that passes
     # a shadow's Broadcast on gets it delivered by reference.  Handing every
     # faulty Broadcast over as its plain list of (receiver, payload) pairs
@@ -280,7 +266,7 @@ def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
     records = harness.load_records(str(DATA / "golden_sweep.jsonl")) + harness.load_records(
         str(DATA / "golden_order.jsonl")
     )
-    by_reference, replayed = inboxes_and_replay(monkeypatch, records)
+    by_reference, replayed = inboxes_and_replay(delivered_through, records)
     assert all(replayed)
     emit = adversaries.Strategy.emit
     expanded = []
@@ -295,7 +281,7 @@ def test_faulty_broadcast_as_pairs_delivers_the_same_inboxes(monkeypatch):
         return out
 
     monkeypatch.setattr(adversaries.Strategy, "emit", emit_as_pairs)
-    as_pairs, replayed = inboxes_and_replay(monkeypatch, records)
+    as_pairs, replayed = inboxes_and_replay(delivered_through, records)
     assert all(replayed)
     assert len(expanded) > 1000  # not vacuous: many faulty broadcasts went out as pairs
     assert len(as_pairs) == len(by_reference) > 1000
@@ -376,12 +362,16 @@ def test_complement_vectors_as_one_broadcast_give_the_records_of_pair_lists(monk
     assert [harness.record_bytes(r) for r in reference] == [harness.record_bytes(r) for r in plain]
 
 
-def test_golden_files_replay_with_every_receiver_merging_its_own_view(monkeypatch):
+def test_golden_files_replay_with_every_receiver_merging_its_own_view(
+    monkeypatch, delivered_through
+):
     # The signed graded consensus shares one merged vote view, commit choice
     # and commit summary among the receivers of the same forwards; a
     # receiver takes the view with its own forward merged last only when
     # the shared view does not cover it.  Taking that view on every receiver
-    # must give the golden records.
+    # must give the golden records.  The receivers of one inbox object take
+    # it once between them, so the authenticated records replay a second
+    # time with every receiver on a copy of its own.
     forced = []
 
     def never_covers(view, entries):
@@ -392,6 +382,8 @@ def test_golden_files_replay_with_every_receiver_merging_its_own_view(monkeypatc
     monkeypatch.setattr(blocks, "_commits_cover", never_covers)
     check_replays_byte_identical("golden_sweep", 72)
     check_replays_byte_identical("golden_order", 64)
+    with delivered_through(lambda ctx, inbox: list(inbox)):
+        check_replays_byte_identical("golden_sweep", 72)
     assert len(forced) > 1000 and sum(forced) > 1000  # not vacuous
 
 
