@@ -25,8 +25,8 @@ from . import predictions
 from .authtools import (
     BOT,
     BroadcastInstance,
-    ChainValidator,
     certificate_from_inbox,
+    chain_validator,
     committee_vote_payloads,
     relay_rounds,
 )
@@ -186,11 +186,7 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
     if my_cert is not None:
         run_info["certified"].append(ctx.pid)
 
-    key = ("chain-validator", context)
-    validator = ctx.memo.get(key)
-    if validator is None:
-        validator = ChainValidator(context, ctx.t, ctx.signer.verify)
-        ctx.memo[key] = validator
+    validator = chain_validator(ctx, context)
     instances = {
         s: BroadcastInstance(ctx, s, k, my_cert, validator) for s in range(1, n + 1)
     }
@@ -271,18 +267,10 @@ def ba_with_predictions(ctx, value, prediction):
         if not returning and g3 == 1:
             decision = value
             decided = True
-            ctx.shared.setdefault("decided_phase", {})[ctx.pid] = phase
-        ctx.trace(
-            "phase",
-            phase=phase,
-            T=T,
-            k=k,
-            g1=g1,
-            g2=g2,
-            g3=g3,
-            decided=decided,
+        ctx.shared.setdefault("phase_trace", []).append(dict(
+            pid=ctx.pid, phase=phase, T=T, k=k, g1=g1, g2=g2, g3=g3, decided=decided,
             decision=decision,
-        )
+        ))
         if returning:
             return decision
     return decision

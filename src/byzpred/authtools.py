@@ -209,6 +209,16 @@ class ChainValidator:
         return self.verify(sig, sig.signer, _link_content(None, chain.value, self.context, cert))
 
 
+def chain_validator(ctx, context: str) -> ChainValidator:
+    """The one `ChainValidator` for `context` in this execution, shared by
+    every process through ``ctx.memo``."""
+    key = ("chain-validator", context)
+    validator = ctx.memo.get(key)
+    if validator is None:
+        validator = ctx.memo[key] = ChainValidator(context, ctx.t, ctx.signer.verify)
+    return validator
+
+
 def validate_chain(chain, expected_origin, max_length, t, context, verify) -> bool:
     """One-shot form of ChainValidator.chain_ok."""
     return ChainValidator(context, t, verify).chain_ok(chain, expected_origin, max_length)
@@ -235,7 +245,6 @@ class BroadcastInstance:
         self.my_cert = my_cert
         self.validator = validator
         self.accepted: List[Any] = []  # at most 2 values, in acceptance order
-        self._have: Dict[Any, str] = {}  # accepted value -> its repr
         self.broadcasts_sent = 0
 
     def open(self, own_value) -> List[MessageChain]:
@@ -251,32 +260,28 @@ class BroadcastInstance:
         """Process round-j receipts (valid length-j chains only); returns the
         extension broadcasts for round j+1 (empty after round k).
 
-        A chain with an unhashable value is malformed and dropped unnoted.
-        A chain whose value is already accepted under the same repr is
-        dropped without validation: valid or not, it could only note that
-        repr again (a no-op, as it was noted on acceptance) and then stop at
-        the acceptance test, so skipping it changes no state.  Equality
-        alone is not enough: a `True` chain after `1` was accepted finds
-        `1` in `_have` (True == 1) but notes a new repr, so it is still
-        validated and noted."""
+        A chain whose value is not in the value domain is dropped unnoted,
+        as every other payload outside the domain is: every honest receiver
+        drops it alike, so it counts as silence.  A chain whose value is
+        already accepted is dropped without validation: valid or not, it
+        could only note that value again (a no-op, as it was noted on
+        acceptance) and then stop at the acceptance test, so skipping it
+        changes no state."""
         out: List[MessageChain] = []
         final = j >= self.k + 1
+        domain = self.ctx.scenario.value_domain
         for chain in chains:
             if not isinstance(chain, MessageChain):
                 continue
             value = chain.value
-            try:
-                accepted_repr = self._have.get(value)
-            except TypeError:
-                continue
-            if accepted_repr == repr(value):
+            if value not in domain or value in self.accepted:
                 continue
             if not self.validator.chain_ok(chain, self.sender, j):
                 continue
             if len(chain) != j:
                 continue
             self._note_seen(value, j)
-            if accepted_repr is not None or len(self.accepted) >= 2:
+            if len(self.accepted) >= 2:
                 continue
             self._record(value, j, chain.signers)
             if not final and self.my_cert is not None and self.ctx.pid not in chain.signers:
@@ -287,12 +292,11 @@ class BroadcastInstance:
 
     def _note_seen(self, value, j):
         shared = self.ctx.shared.setdefault("bb_first_seen", {})
-        key = (self.validator.context, self.sender, repr(value))
+        key = (self.validator.context, self.sender, value)
         shared.setdefault(key, {}).setdefault(self.ctx.pid, j)
 
     def _record(self, value, j, signers):
         self.accepted.append(value)
-        self._have[value] = repr(value)
         self.ctx.check("bb-x-cardinality", len(self.accepted) <= 2, "X grew past 2")
         if j == self.k + 1 and signers:
             self.ctx.shared.setdefault("bb_late_accepts", []).append(
@@ -300,7 +304,7 @@ class BroadcastInstance:
                     "context": self.validator.context,
                     "pid": self.ctx.pid,
                     "sender": self.sender,
-                    "value": repr(value),
+                    "value": value,
                     "signers": list(signers),
                 }
             )
@@ -375,9 +379,8 @@ def bb_instance_protocol(ctx, scenario, params):
         sends = committee_vote_payloads(ctx, context, committee)
         inbox = yield sends
         my_cert = certificate_from_inbox(ctx, context, inbox)
-    validator = ChainValidator(context, ctx.t, ctx.signer.verify)
     with ctx.scope("bb"):
-        inst = BroadcastInstance(ctx, sender, k, my_cert, validator)
+        inst = BroadcastInstance(ctx, sender, k, my_cert, chain_validator(ctx, context))
         yield from relay_rounds(ctx, {sender: inst}, k, own_value)
         if my_cert is not None:
             ctx.check(

@@ -62,6 +62,10 @@ derives something from an inbox alone computes it once per inbox object
 through `ProcessContext.per_inbox`, a memo the engine clears at the start
 of every round's delivery.
 
+Processes report through one dict, the execution's trace dict: honest ones
+write ``ctx.shared`` and it becomes `ExecutionResult.trace`, the one report
+read beside the engine's own counts (a shadow's writes are thrown away).
+
 Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
 builds no delivery structures: every alive process still steps, with an
@@ -118,7 +122,8 @@ class OracleCheck(NamedTuple):
 
 
 class ProcessContext:
-    """Per-process view handed to protocol generators."""
+    """Per-process view handed to protocol generators.  ``shared`` is the
+    execution's trace dict, its one report (a throwaway dict for a shadow)."""
 
     __slots__ = (
         "pid",
@@ -130,14 +135,13 @@ class ProcessContext:
         "_tag_stack",
         "rounds_used",
         "signer",
-        "_trace",
         "_checks",
         "shared",
         "memo",
         "round_memo",
     )
 
-    def __init__(self, pid, scenario, signer, trace_sink, check_sink, shared, memo, round_memo):
+    def __init__(self, pid, scenario, signer, check_sink, shared, memo, round_memo):
         self.pid = pid
         self.n = scenario.n
         self.t = scenario.t
@@ -147,9 +151,8 @@ class ProcessContext:
         self._tag_stack: List[str] = []
         self.rounds_used = 0
         self.signer = signer
-        self._trace = trace_sink
         self._checks = check_sink
-        self.shared = shared  # execution-wide trace dict; honest writers only
+        self.shared = shared  # the execution's trace dict; honest writers only
         self.memo = memo  # execution-wide cache for pure validation results
         self.round_memo = round_memo  # per-inbox results; the engine clears it every round
 
@@ -187,12 +190,6 @@ class ProcessContext:
                 self._checks.record_pass(name)
             else:
                 self._checks.record_fail(OracleCheck(name, False, f"p{self.pid}: {detail}"))
-
-    def trace(self, kind: str, **fields):
-        if self._trace is not None:
-            fields["pid"] = self.pid
-            fields["kind"] = kind
-            self._trace.append(fields)
 
 
 class _Scope:
@@ -272,11 +269,9 @@ class ExecutionResult:
     honest_messages_total: int
     honest_messages_by_protocol: Dict[str, int]
     honest_messages_by_sender: Dict[str, Dict[int, int]]
-    per_phase_trace: List[Dict[str, Any]]
-    trace: Dict[str, Any]
+    trace: Dict[str, Any]  # the trace dict the honest processes wrote
     check_passes: Dict[str, int]
     check_failures: List[OracleCheck]
-    alpha: Optional[int] = None
 
     def honest_message_count(self, tag: str) -> MessageCount:
         """Messages sent by honest processes under `tag` or any sub-tag.
@@ -292,35 +287,6 @@ class ExecutionResult:
                 total += cnt
                 present = True
         return MessageCount(total, present)
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario.to_json_dict(),
-            "protocol": self.protocol,
-            "params": _jsonable(self.params),
-            "decisions": {str(k): _jsonable(v) for k, v in sorted(self.decisions.items())},
-            "rounds_elapsed": self.rounds_elapsed,
-            "honest_messages_total": self.honest_messages_total,
-            "honest_messages_by_protocol": dict(sorted(self.honest_messages_by_protocol.items())),
-            "honest_messages_by_sender": _jsonable(self.honest_messages_by_sender),
-            "per_phase_trace": _jsonable(self.per_phase_trace),
-            "trace": _jsonable(self.trace),
-            "check_passes": dict(sorted(self.check_passes.items())),
-            "check_failures": [list(c) for c in self.check_failures],
-            "alpha": self.alpha,
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(v) for v in obj)
-    if obj is None or isinstance(obj, (int, float, str, bool)):
-        return obj
-    return repr(obj)
 
 
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
@@ -362,18 +328,12 @@ def run_execution(
     factory = _PROTOCOLS[protocol]
 
     scheme = SimTokenScheme(scenario.seed)
-    trace_sink: List[Dict[str, Any]] = []
     checks = _CheckSink()
     shared_trace: Dict[str, Any] = {}
 
     pred_vectors, pred_report = predictions.generate_predictions(
         scenario.n, set(scenario.fault_set), scenario.error_budget, scenario.error_allocation
     )
-    if pred_report.total != scenario.error_budget:
-        shared_trace["error_budget_shortfall"] = {
-            "requested": scenario.error_budget,
-            "realized": pred_report.total,
-        }
     shared_trace["predictions"] = {i: predictions.bits_to_string(v) for i, v in pred_vectors.items()}
     shared_trace["prediction_report"] = {
         "faulty_as_honest": pred_report.faulty_as_honest,
@@ -394,12 +354,11 @@ def run_execution(
         faulty = pid in scenario.fault_set
         signer = SignOracle(scheme, pid)
         # Shadows of faulty processes write to throwaway sinks: only honest
-        # processes contribute traces, checks, and shared-trace sections.
+        # processes contribute checks and trace-dict sections.
         ctx = ProcessContext(
             pid,
             scenario,
             signer,
-            [] if faulty else trace_sink,
             None if faulty else checks,
             {} if faulty else shared_trace,
             shared_memo,
@@ -533,11 +492,9 @@ def run_execution(
         honest_messages_total=sum(msg_counts.values()),
         honest_messages_by_protocol=msg_counts,
         honest_messages_by_sender=sender_counts,
-        per_phase_trace=[e for e in trace_sink if e.get("kind") == "phase"],
         trace=shared_trace,
         check_passes=checks.passes,
         check_failures=checks.failures,
-        alpha=shared_trace.get("alpha"),
     )
 
 

@@ -85,6 +85,10 @@ class SweepPoint:
             "params": self.params,
         }
 
+    @classmethod
+    def from_json_dict(cls, d: Dict[str, Any]) -> "SweepPoint":
+        return cls(d["index"], Scenario.from_json_dict(d["scenario"]), d["protocol"], d["params"])
+
 
 @dataclass
 class SkippedPoint:
@@ -414,7 +418,7 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
         "rounds_elapsed": result.rounds_elapsed,
         "honest_messages_total": result.honest_messages_total,
         "honest_messages_by_protocol": dict(sorted(result.honest_messages_by_protocol.items())),
-        "alpha": result.alpha,
+        "alpha": result.trace.get("alpha"),
         "decision": decisions[0] if len(distinct) == 1 else None,
         "decisions_distinct": len(distinct),
         "verdicts": [v.as_dict() for v in verdicts],
@@ -428,13 +432,7 @@ def record_bytes(record: Dict[str, Any]) -> bytes:
 
 
 def _run_point_json(point_dict) -> Dict[str, Any]:
-    point = SweepPoint(
-        index=point_dict["index"],
-        scenario=Scenario.from_json_dict(point_dict["scenario"]),
-        protocol=point_dict["protocol"],
-        params=point_dict["params"],
-    )
-    return run_point(point)
+    return run_point(SweepPoint.from_json_dict(point_dict))
 
 
 @dataclass
@@ -542,17 +540,13 @@ def summarize(records: List[Dict[str, Any]], skipped: List[SkippedPoint]) -> Swe
 
 def replay_record(record: Dict[str, Any]) -> bool:
     """Re-execute a record's point; True iff byte-identical."""
-    point = SweepPoint(
-        index=record["index"],
-        scenario=Scenario.from_json_dict(record["scenario"]),
-        protocol=record["protocol"],
-        params=record["params"],
-    )
-    fresh = run_point(point)
+    fresh = run_point(SweepPoint.from_json_dict(record))
     return record_bytes(fresh) == record_bytes(record)
 
 
 def load_records(path: str) -> List[Dict[str, Any]]:
+    """The records of a JSON-lines file.  A line that does not hold the
+    point of a record raises `ScenarioFileError` naming the line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -560,9 +554,16 @@ def load_records(path: str) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
+                SweepPoint.from_json_dict(record)
             except json.JSONDecodeError as exc:
                 raise ScenarioFileError(str(exc.msg), line=lineno, column=exc.colno) from exc
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ScenarioFileError(
+                    "a record is an object holding index, scenario, protocol and params,"
+                    f" and its scenario loads; this one fails with {exc!r}", line=lineno
+                ) from exc
+            records.append(record)
     return records
 
 
@@ -637,8 +638,8 @@ def predicted_exit_phase(scenario: Scenario) -> int:
     return phases
 
 
-def round_envelope(scenario: Scenario, slack_phases: int = 1) -> int:
+def round_envelope(scenario: Scenario) -> int:
     """Upper bound on wrapper rounds from component formulas, with the
     stated tolerance of one extra doubling phase."""
-    phase = min(predicted_exit_phase(scenario) + slack_phases, wrapper_phase_count(scenario.t))
+    phase = min(predicted_exit_phase(scenario) + 1, wrapper_phase_count(scenario.t))
     return wrapper_rounds_through_phase(scenario.variant, scenario.t, phase)

@@ -10,7 +10,8 @@ module-level trace oracle:
 * leader-window churn and the all-honest-window phase (conditional
   unauthenticated BA, when its guarantee conditions hold),
 * committee composition (conditional authenticated BA),
-* per-broadcaster message budgets,
+* per-broadcaster message budgets (the runtime check
+  ``bb-broadcast-budget``, aggregated with the others below),
 * the chain-propagation property behind committee agreement,
 * runtime check failures aggregated by the protocols themselves.
 
@@ -46,8 +47,8 @@ class Verdict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def verify_execution(result: ExecutionResult, scenario=None) -> List[Verdict]:
-    scenario = scenario or result.scenario
+def verify_execution(result: ExecutionResult) -> List[Verdict]:
+    scenario = result.scenario
     verdicts: List[Verdict] = []
     honest = scenario.honest
 
@@ -418,15 +419,15 @@ def _chain_propagation(result, scenario) -> Optional[Verdict]:
 def _wrapper_decision_window(result, scenario) -> Optional[Verdict]:
     """If an honest process decided in wrapper phase phi, every honest
     process returns by phase min(phi+2, phase_count)."""
-    if result.protocol != "ba-with-predictions" or not result.per_phase_trace:
+    phase_trace = result.trace.get("phase_trace")
+    if result.protocol != "ba-with-predictions" or not phase_trace:
         return None
-    decided = {int(p): ph for p, ph in (result.trace.get("decided_phase") or {}).items()}
-    if not decided:
+    first = min((event["phase"] for event in phase_trace if event["decided"]), default=None)
+    if first is None:
         return Verdict("wrapper-decision-window", False, "no process ever decided")
-    first = min(decided.values())
     cap = min(first + 2, wrapper_phase_count(scenario.t))
     last_phase = {}
-    for event in result.per_phase_trace:
+    for event in phase_trace:
         last_phase[event["pid"]] = max(last_phase.get(event["pid"], 0), event["phase"])
     bad = {p: ph for p, ph in last_phase.items() if ph > cap}
     return Verdict(

@@ -1,6 +1,5 @@
 """Strategy catalog behaviour and the enumeration machinery."""
 
-import json
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -213,9 +212,7 @@ def test_strategies_are_deterministic_given_seed():
     s = scenario(spec, budget=14)
     a = run_execution(s, "ba-with-predictions")
     b = run_execution(s, "ba-with-predictions")
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-        b.to_json_dict(), sort_keys=True
-    )
+    assert a == b
 
 
 def test_forger_never_breaks_properties_auth():

@@ -214,7 +214,7 @@ def test_wrapper_without_grade_guard_still_decides(monkeypatch):
     s = scenario(7, 2, {6, 7}, (0, 1, 0, 1, 0, 1, 0), adversary="equivocator")
     clean = run_execution(s, "ba-with-predictions")
     assert all_pass(verify_execution(clean))
-    assert any(e["g1"] == 1 for e in clean.per_phase_trace)
+    assert any(e["g1"] == 1 for e in clean.trace["phase_trace"])
     real = agreement.graded_consensus_standard
 
     def no_grade_guard(ctx, value):
@@ -224,7 +224,7 @@ def test_wrapper_without_grade_guard_still_decides(monkeypatch):
     monkeypatch.setattr(agreement, "graded_consensus_standard", no_grade_guard)
     mutant = run_execution(s, "ba-with-predictions")
     assert mutant.decisions
-    assert {(e["g1"], e["g2"]) for e in mutant.per_phase_trace} == {(0, 0)}
+    assert {(e["g1"], e["g2"]) for e in mutant.trace["phase_trace"]} == {(0, 0)}
 
 
 def test_phase_count_and_alpha_formulas():
@@ -248,7 +248,7 @@ def test_wrapper_degenerate_t_zero_and_one():
         s = scenario(n, t, (), (0, 1, 1, 0))
         r = run_execution(s, "ba-with-predictions")
         assert len(set(r.decisions.values())) == 1
-        assert len({e["phase"] for e in r.per_phase_trace}) == wrapper_phase_count(t)
+        assert len({e["phase"] for e in r.trace["phase_trace"]}) == wrapper_phase_count(t)
 
 
 def test_wrapper_rounds_match_formula_exactly():

@@ -267,6 +267,13 @@ def run_injected(monkeypatch, value, rnd, n, t, fault_set, inputs):
     return run_execution(s, "bb-committee", {"sender": 1, "k": 1, "committee": [1, 2, 3]})
 
 
+def run_replaying(n, t, fault_set, inputs):
+    """The run of `run_injected` with members that only replay their shadows."""
+    s = bb_scenario(n=n, t=t, fault_set=fault_set, inputs=inputs,
+                    adversary=AdversarySpec.make("honest-shadow"))
+    return run_execution(s, "bb-committee", {"sender": 1, "k": 1, "committee": [1, 2, 3]})
+
+
 def test_chain_with_unhashable_value_is_rejected(monkeypatch):
     # Member 1 is certified and signs a length-1 chain for the value [1] in
     # the first broadcast round: its value cannot be accepted, so every
@@ -275,21 +282,34 @@ def test_chain_with_unhashable_value_is_rejected(monkeypatch):
     assert r.decisions == {p: 0 for p in range(2, 6)}  # the shadow's own chain for 0
     assert not r.check_failures
     seen = r.trace["bb_first_seen"]
-    assert list(seen) == [("bb-standalone", 1, "0")]
+    assert list(seen) == [("bb-standalone", 1, 0)]
 
 
-def test_bool_chain_after_equal_int_is_still_noted(monkeypatch):
+@pytest.mark.parametrize("value", [5, "x"])
+def test_valid_chain_outside_the_domain_counts_as_silence(monkeypatch, value):
+    # Member 1 is certified and signs a valid length-1 chain for a value
+    # outside the domain (0, 1) beside its shadow's own chain for 0.  Every
+    # receiver drops it unnoted, so the run is the one in which the members
+    # only replay their shadows: X = {0}, not {0, value}, and all decide 0.
+    r = run_injected(monkeypatch, value, rnd=2, n=5, t=1, fault_set={1}, inputs=(0, 1, 1, 1, 1))
+    plain = run_replaying(n=5, t=1, fault_set={1}, inputs=(0, 1, 1, 1, 1))
+    assert r.decisions == plain.decisions == {p: 0 for p in range(2, 6)}
+    assert r.trace["bb_first_seen"] == plain.trace["bb_first_seen"]
+    assert all_pass(verify_execution(r))
+
+
+def test_bool_chain_after_equal_int_changes_nothing(monkeypatch):
     # The shadow of sender 1 broadcasts a chain for 1 in round j=1; in j=2
-    # members 1 and 2 send a valid length-2 chain for True.  True == 1, so
-    # the value is already accepted, but its repr is new: every honest
-    # receiver validates and notes it at j=2 without accepting it.
+    # members 1 and 2 send a valid length-2 chain for True.  True == 1 is
+    # already accepted, so every honest receiver skips the chain: the run
+    # is the one in which the members only replay their shadows.
     r = run_injected(monkeypatch, True, rnd=3, n=7, t=2, fault_set={1, 2},
                      inputs=(1, 0, 0, 0, 0, 0, 0))
-    assert r.decisions == {p: 1 for p in range(3, 8)}
+    plain = run_replaying(n=7, t=2, fault_set={1, 2}, inputs=(1, 0, 0, 0, 0, 0, 0))
+    assert r.decisions == plain.decisions == {p: 1 for p in range(3, 8)}
     assert not r.check_failures
-    seen = r.trace["bb_first_seen"]
-    assert seen[("bb-standalone", 1, "1")] == {p: 1 for p in range(3, 8)}
-    assert seen[("bb-standalone", 1, "True")] == {p: 2 for p in range(3, 8)}
+    assert r.trace == plain.trace
+    assert r.trace["bb_first_seen"] == {("bb-standalone", 1, 1): {p: 1 for p in range(3, 8)}}
 
 
 class _OriginForger(_CvoteCollector):

@@ -87,11 +87,11 @@ def echo_tie_outcomes():
     for echoes in ((1, 1, 0, 0), (0, 0, 1, 1)):
         tie = list(zip((1, 2, 3, 4), echoes))
         # standard: the votes split 2-2, short of n - t = 3
-        ctx = ProcessContext(1, scen, None, None, None, {}, {}, {})
+        ctx = ProcessContext(1, scen, None, None, {}, {}, {})
         split = [(1, 1), (2, 1), (3, 0), (4, 0)]
         outcomes.append(drive(graded_consensus_standard(ctx, 1), [split, tie]))
         # core set, k=1: one vote each, short of 2k + 1 = 3
-        ctx = ProcessContext(1, scen, None, None, None, {}, {}, {})
+        ctx = ProcessContext(1, scen, None, None, {}, {}, {})
         gen = blocks.graded_consensus_core_set(ctx, 1, 1, (1, 2, 3, 4))
         outcomes.append(drive(gen, [[(1, 1), (2, 0)], tie]))
     return outcomes
@@ -623,7 +623,7 @@ def test_receiver_missing_its_own_commit_forward_still_sees_its_direct_commits()
     # conflicting commit and must not grade 1.
     scheme = SimTokenScheme(5)
     scen = scenario(4, 1, (), (1, 1, 1, 1), variant="authenticated")
-    ctx = ProcessContext(1, scen, SignOracle(scheme, 1), None, None, {}, {}, {})
+    ctx = ProcessContext(1, scen, SignOracle(scheme, 1), None, {}, {}, {})
     ctx.tag = "gc"
 
     def commit(signer, value, proof):

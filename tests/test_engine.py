@@ -1,6 +1,5 @@
 """Engine contracts: determinism, synchrony accounting, violations."""
 
-import json
 import random
 import re
 import sys
@@ -16,10 +15,6 @@ from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
 
 GOLDEN_ORDER = Path(__file__).parent / "data" / "golden_order.jsonl"
-
-
-def result_bytes(result):
-    return json.dumps(result.to_json_dict(), sort_keys=True).encode()
 
 
 def basic(n=4, t=1, fault_set=(), inputs=None, seed=7, adversary="silent", variant="unauthenticated",
@@ -45,7 +40,7 @@ def test_determinism_byte_identical():
     s = basic(fault_set={4}, inputs=(0, 1, 0, 1), adversary="equivocator", budget=3)
     a = run_execution(s, "ba-with-predictions")
     b = run_execution(s, "ba-with-predictions")
-    assert result_bytes(a) == result_bytes(b)
+    assert a == b
 
 
 def test_classify_round_message_count():
@@ -260,7 +255,7 @@ def test_broadcast_by_reference_keeps_inbox_order(monkeypatch):
     )
     as_pairs = run_execution(s, "test-mixed-sends")
     assert as_pairs.decisions == by_reference.decisions
-    assert result_bytes(as_pairs) == result_bytes(by_reference)
+    assert as_pairs == by_reference
     expected = 0
     for pid in range(1, 6):  # the honest senders
         for rnd in range(4):
@@ -646,7 +641,7 @@ def test_threads_draw_the_seed_exact_permutations():
 
 @pytest.mark.parametrize("ending", ["return", "raise", "close"])
 def test_scope_restores_the_tag_however_the_body_ends(ending):
-    ctx = ProcessContext(1, basic(), None, None, None, {}, {}, {})
+    ctx = ProcessContext(1, basic(), None, None, {}, {}, {})
 
     def program():
         with ctx.scope("outer") as outer:

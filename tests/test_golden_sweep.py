@@ -37,6 +37,16 @@ def check_covers_its_sweep_file(name):
     return records
 
 
+def test_golden_records_stay_within_the_round_envelope():
+    records = harness.load_records(str(DATA / "golden_sweep.jsonl")) + harness.load_records(
+        str(DATA / "golden_order.jsonl")
+    )
+    assert {r["protocol"] for r in records} == {"ba-with-predictions"}
+    for r in records:
+        envelope = harness.round_envelope(Scenario.from_json_dict(r["scenario"]))
+        assert r["rounds_elapsed"] <= envelope, (r["index"], envelope)
+
+
 def check_replays_byte_identical(name, count):
     lines = (DATA / f"{name}.jsonl").read_bytes().splitlines()
     assert len(lines) == count
@@ -390,16 +400,17 @@ def test_golden_files_replay_with_every_receiver_merging_its_own_view(
 def validate_every_chain_absorb(self, j, chains):
     """Reference `BroadcastInstance.absorb` that validates every chain it
     gets, with no early drop: what the instance did before it skipped the
-    chains that cannot change its state."""
+    chains that cannot change its state.  A valid chain whose value is
+    outside the value domain is still dropped unnoted."""
     out = []
     final = j >= self.k + 1
     for chain in chains:
         if not self.validator.chain_ok(chain, self.sender, j):
             continue
-        if len(chain) != j:
+        if len(chain) != j or chain.value not in self.ctx.scenario.value_domain:
             continue
         self._note_seen(chain.value, j)
-        if chain.value in self._have or len(self.accepted) >= 2:
+        if chain.value in self.accepted or len(self.accepted) >= 2:
             continue
         self._record(chain.value, j, chain.signers)
         if not final and self.my_cert is not None and self.ctx.pid not in chain.signers:

@@ -283,6 +283,27 @@ def test_round_envelope_monotone_in_budget():
     assert envs == sorted(envs)
 
 
+@pytest.mark.parametrize(
+    "variant, t, rounds",
+    [
+        # alpha = 15 (phase 1: the conditional budget 5(2k+1) = 15); the
+        # early-stopping bound 3 * min(f+3, t+2) = 21 fits T = 30 first, in
+        # phase 2, so the exit phase is 3 and the envelope phase 4 of 4:
+        # 1 + 4 * 3 * 2 + 2 * 15 * (1 + 2 + 4 + 8) = 475.
+        ("unauthenticated", 5, 475),
+        # alpha = 20 (phase 1: the early-stopping bound 5 * min(1+3, t+2));
+        # the conditional BA fits in phase 1 (2k+1 = 3 <= n-t-k = 9 and
+        # T = 20 >= k+3), so the exit phase is 2 and the envelope phase 3
+        # of 4: 1 + 3 * 3 * 4 + 2 * 20 * (1 + 2 + 4) = 317.
+        ("authenticated", 6, 317),
+    ],
+)
+def test_round_envelope_at_a_hand_computed_point(variant, t, rounds):
+    s = Scenario(n=16, t=t, fault_set=frozenset(range(1, t + 1)), inputs=(0,) * 16,
+                 variant=variant)
+    assert harness.round_envelope(s) == rounds
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -340,6 +361,33 @@ def test_cli_replay_selects_by_record_index(tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert f"no record with index {index}" in proc.stderr
+
+
+def without_t(record):
+    return dict(record, scenario={k: v for k, v in record["scenario"].items() if k != "t"})
+
+
+@pytest.mark.parametrize(
+    "malformed, message",
+    [
+        (lambda record: {"index": 0}, "fails with KeyError('scenario')"),
+        (lambda record: [record], "fails with TypeError("),
+        (without_t, "fails with KeyError('t')"),
+    ],
+    ids=["index-only", "not-an-object", "scenario-without-t"],
+)
+def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
+    points, _ = harness.expand_sweep(sweep_doc())
+    record = harness.run_point(points[0])
+    records_file = tmp_path / "records.jsonl"
+    records_file.write_text(json.dumps(record) + "\n" + json.dumps(malformed(record)) + "\n")
+    with pytest.raises(ScenarioFileError, match="line 2") as exc:
+        harness.load_records(str(records_file))
+    assert message in str(exc.value)
+    proc = run_cli("replay", str(records_file))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"scenario file error: {exc.value}\n"
 
 
 def test_cli_seed_override(tmp_path):
