@@ -106,15 +106,12 @@ def classify(ctx, prediction):
     """Broadcast predictions and majority-vote a classification vector."""
     n = ctx.n
     inbox = yield ctx.broadcast(tuple(prediction))
-    c, bits = ctx.per_inbox(inbox, "classify", lambda box: _classification_of(box, n))
-    ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
+    c = ctx.per_inbox(
+        inbox, "classify",
+        lambda box: predictions.tally_classification(distinct_by_sender(box).values(), n),
+    )
+    ctx.shared.setdefault("classifications", {})[ctx.pid] = c
     return c
-
-
-def _classification_of(inbox, n: int):
-    """The majority-vote classification of one inbox, and its bit string."""
-    c = predictions.tally_classification(distinct_by_sender(inbox).values(), n)
-    return c, predictions.bits_to_string(c)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +310,7 @@ def _conditional_protocol(ctx, scenario, params):
     k = params["k"]
     T = params.get("T")
     bits = _classification_param(ctx, params)
-    ctx.shared.setdefault("classifications", {})[ctx.pid] = predictions.bits_to_string(bits)
+    ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
     with ctx.scope("cond"):
         out = yield from ba_with_classification(ctx, params["input"], bits, k, T)
     return out

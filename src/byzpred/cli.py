@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help=f"parallel workers (default: ${harness.WORKERS_ENV} or 1)",
+        default=1,
+        help="parallel workers (default: 1)",
     )
     sweep_p.add_argument(
         "--keep-going",

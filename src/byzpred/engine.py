@@ -65,6 +65,9 @@ of every round's delivery.
 Processes report through one dict, the execution's trace dict: honest ones
 write ``ctx.shared`` and it becomes `ExecutionResult.trace`, the one report
 read beside the engine's own counts (a shadow's writes are thrown away).
+A protocol asserts a runtime property with ``ctx.check(name, ok,
+detail)``; only failures are kept, as `ExecutionResult.check_failures`,
+and a passing check leaves no trace.
 
 Most rounds carry no traffic at all (a protocol idling out its round
 budget).  A round in which no honest and no faulty item holds a send
@@ -114,10 +117,9 @@ def protocol_names() -> List[str]:
 
 
 class OracleCheck(NamedTuple):
-    """Outcome of one runtime property assertion."""
+    """A runtime property assertion that failed."""
 
     name: str
-    ok: bool
     detail: str
 
 
@@ -135,13 +137,13 @@ class ProcessContext:
         "_tag_stack",
         "rounds_used",
         "signer",
-        "_checks",
+        "_failures",
         "shared",
         "memo",
         "round_memo",
     )
 
-    def __init__(self, pid, scenario, signer, check_sink, shared, memo, round_memo):
+    def __init__(self, pid, scenario, signer, failures, shared, memo, round_memo):
         self.pid = pid
         self.n = scenario.n
         self.t = scenario.t
@@ -151,7 +153,7 @@ class ProcessContext:
         self._tag_stack: List[str] = []
         self.rounds_used = 0
         self.signer = signer
-        self._checks = check_sink
+        self._failures = failures  # the execution's failed checks; a throwaway list for a shadow
         self.shared = shared  # the execution's trace dict; honest writers only
         self.memo = memo  # execution-wide cache for pure validation results
         self.round_memo = round_memo  # per-inbox results; the engine clears it every round
@@ -185,11 +187,9 @@ class ProcessContext:
             yield []
 
     def check(self, name: str, ok: bool, detail: str = ""):
-        if self._checks is not None:
-            if ok:
-                self._checks.record_pass(name)
-            else:
-                self._checks.record_fail(OracleCheck(name, False, f"p{self.pid}: {detail}"))
+        """Keep a failed assertion; a passing one leaves no trace."""
+        if not ok:
+            self._failures.append(OracleCheck(name, f"p{self.pid}: {detail}"))
 
 
 class _Scope:
@@ -238,55 +238,18 @@ class Broadcast:
         return ((r, payload) for payload in self.payloads for r in receivers)
 
 
-class _CheckSink:
-    """Aggregates runtime assertions: per-name pass counts plus failures."""
-
-    def __init__(self):
-        self.passes: Dict[str, int] = {}
-        self.failures: List[OracleCheck] = []
-
-    def record_pass(self, name):
-        self.passes[name] = self.passes.get(name, 0) + 1
-
-    def record_fail(self, check):
-        self.failures.append(check)
-
-
-class MessageCount(NamedTuple):
-    count: int
-    tag_present: bool
-
-
 @dataclass
 class ExecutionResult:
     """Outcome of one deterministic execution."""
 
     scenario: Scenario
     protocol: str
-    params: Dict[str, Any]
     decisions: Dict[int, Any]
     rounds_elapsed: int
     honest_messages_total: int
     honest_messages_by_protocol: Dict[str, int]
-    honest_messages_by_sender: Dict[str, Dict[int, int]]
     trace: Dict[str, Any]  # the trace dict the honest processes wrote
-    check_passes: Dict[str, int]
     check_failures: List[OracleCheck]
-
-    def honest_message_count(self, tag: str) -> MessageCount:
-        """Messages sent by honest processes under `tag` or any sub-tag.
-
-        An unknown tag yields a zero count with tag_present == False rather
-        than an error.
-        """
-        total = 0
-        present = False
-        prefix = tag + "/"
-        for key, cnt in self.honest_messages_by_protocol.items():
-            if key == tag or key.startswith(prefix):
-                total += cnt
-                present = True
-        return MessageCount(total, present)
 
 
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
@@ -328,13 +291,13 @@ def run_execution(
     factory = _PROTOCOLS[protocol]
 
     scheme = SimTokenScheme(scenario.seed)
-    checks = _CheckSink()
+    check_failures: List[OracleCheck] = []
     shared_trace: Dict[str, Any] = {}
 
     pred_vectors, pred_report = predictions.generate_predictions(
         scenario.n, set(scenario.fault_set), scenario.error_budget, scenario.error_allocation
     )
-    shared_trace["predictions"] = {i: predictions.bits_to_string(v) for i, v in pred_vectors.items()}
+    shared_trace["predictions"] = pred_vectors
     shared_trace["prediction_report"] = {
         "faulty_as_honest": pred_report.faulty_as_honest,
         "honest_as_faulty": pred_report.honest_as_faulty,
@@ -354,12 +317,12 @@ def run_execution(
         faulty = pid in scenario.fault_set
         signer = SignOracle(scheme, pid)
         # Shadows of faulty processes write to throwaway sinks: only honest
-        # processes contribute checks and trace-dict sections.
+        # processes contribute failed checks and trace-dict sections.
         ctx = ProcessContext(
             pid,
             scenario,
             signer,
-            None if faulty else checks,
+            [] if faulty else check_failures,
             {} if faulty else shared_trace,
             shared_memo,
             round_memo,
@@ -380,7 +343,6 @@ def run_execution(
     fault_set = scenario.fault_set
     receivers = range(1, scenario.n + 1)
     msg_counts: Dict[str, int] = {}
-    sender_counts: Dict[str, Dict[int, int]] = {}
 
     def step(pid: int, inbox):
         ctx = ctxs[pid]
@@ -409,8 +371,6 @@ def run_execution(
         outs[pid] = (pid, tag, sends)
         if sent and pid in honest:
             msg_counts[tag] = msg_counts.get(tag, 0) + sent
-            per_sender = sender_counts.setdefault(tag, {})
-            per_sender[pid] = per_sender.get(pid, 0) + sent
 
     rnd = 0
     for pid in sorted(gens):
@@ -486,15 +446,12 @@ def run_execution(
     return ExecutionResult(
         scenario=scenario,
         protocol=protocol,
-        params={k: v for k, v in params.items() if k not in ("input", "prediction")},
         decisions=decisions,
         rounds_elapsed=rounds_elapsed,
         honest_messages_total=sum(msg_counts.values()),
         honest_messages_by_protocol=msg_counts,
-        honest_messages_by_sender=sender_counts,
         trace=shared_trace,
-        check_passes=checks.passes,
-        check_failures=checks.failures,
+        check_failures=check_failures,
     )
 
 

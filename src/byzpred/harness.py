@@ -23,16 +23,27 @@ Scenario file (JSON, schema_version 1):
 
 The sweep is the cross-product of the axes.  Infeasible points (budget not
 realizable, f > t, duplicate f after resolution) are reported and skipped,
-never silently dropped.  One metrics record (schema_version 1) is emitted
-per executed point as a JSON line; records are byte-reproducible from the
-point alone, which `replay` checks.
+never silently dropped.  One metrics record is emitted per executed point
+as a JSON line; records are byte-reproducible from the point alone, which
+`replay` checks.  A record (schema_version 2; sweep files stay at 1) holds
+the point (index, scenario, protocol, params) and what the execution gave:
+
+    schema_version, index, scenario, protocol, params,
+    realized_budget        the prediction errors actually placed,
+    misclassification      k_A, k_H and k_F of the honest classifications,
+                           or null if no process classified,
+    rounds_elapsed, honest_messages_total, honest_messages_by_protocol,
+    alpha                  the wrapper's alpha, or null,
+    decision               the honest decision if all agree, else null,
+    decisions_distinct, verdicts (name, ok, detail), ok.
+
+`load_records` refuses a record of any other schema_version.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -47,23 +58,16 @@ from .agreement import (
     wrapper_rounds_through_phase,
 )
 from .blocks import es_rounds_needed
-from .engine import run_execution
+from .engine import protocol_names, run_execution
 from .errors import ConfigurationError, ScenarioFileError
 from .scenario import AUTHENTICATED, UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
 from .verify import Verdict, all_pass, verify_execution
 
-SCHEMA_VERSION = 1
-WORKERS_ENV = "BYZPRED_WORKERS"
+SWEEP_SCHEMA_VERSION = 1
+RECORD_SCHEMA_VERSION = 2
 
 INPUT_PATTERNS = ("unanimous-0", "unanimous-1", "alternating", "split-half")
 FAULT_PLACEMENTS = ("lowest", "highest", "spread")
-
-
-def default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +178,10 @@ def load_sweep_file(path: str) -> Dict[str, Any]:
         raise ScenarioFileError(str(exc.msg), line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
         raise ScenarioFileError(f"a sweep file holds a JSON object, got {type(doc).__name__}")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if doc.get("schema_version") != SWEEP_SCHEMA_VERSION:
         raise ScenarioFileError(
-            f"unsupported schema_version {doc.get('schema_version')!r}, expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {doc.get('schema_version')!r},"
+            f" expected {SWEEP_SCHEMA_VERSION}"
         )
     return doc
 
@@ -231,7 +236,7 @@ def _is_ids(entry, n: int) -> bool:
 
 
 def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
-    """Reject params a protocol cannot run with.
+    """Reject params that are no JSON object or that a protocol cannot run with.
 
     The `k` of the conditional BA, of the standalone broadcast, of graded
     consensus with a core set and of conciliation, any given `T` and the
@@ -240,6 +245,8 @@ def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
     ids or `windows` holding one for each process; a given broadcast
     `committee` must be a list of process ids.  A process id is an integer
     in 1..n for every n of the sweep."""
+    if not isinstance(params, dict):
+        raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
     windowed = protocol in ("graded-consensus-core", "conciliate")
     checks = (("k", 0, windowed or protocol in ("ba-classification", "bb-committee")),
               ("T", 0, params.get("T") is not None),
@@ -272,6 +279,10 @@ def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
 
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
     protocol = doc.get("protocol", "ba-with-predictions")
+    if protocol not in protocol_names():
+        raise ScenarioFileError(
+            f"key 'protocol': expected one of {', '.join(protocol_names())}, got {protocol!r}"
+        )
     variants = doc.get("variant", UNAUTHENTICATED)
     if isinstance(variants, str):
         variants = [variants]
@@ -285,8 +296,6 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
         )
     domain = tuple(domain)
     params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
     axes = doc.get("axes", {})
     if not isinstance(axes, dict):
         raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")
@@ -388,11 +397,7 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
     result = run_execution(point.scenario, point.protocol, point.params)
     verdicts = verify_execution(result)
     scenario = point.scenario
-    classifications = {
-        int(p): predictions.bits_from_string(b)
-        for p, b in (result.trace.get("classifications") or {}).items()
-        if int(p) not in scenario.fault_set
-    }
+    classifications = result.trace.get("classifications")  # honest writers only
     if classifications:
         mis = predictions.misclassification_report(
             classifications, scenario.n, set(scenario.fault_set)
@@ -407,12 +412,11 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
     decisions = [result.decisions.get(p) for p in scenario.honest]
     distinct = {repr(v) for v in decisions}
     record = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": RECORD_SCHEMA_VERSION,
         "index": point.index,
         "scenario": scenario.to_json_dict(),
         "protocol": point.protocol,
         "params": point.params,
-        "mutants": [],  # always empty; kept so that records keep their bytes
         "realized_budget": result.trace.get("prediction_report"),
         "misclassification": mis_record,
         "rounds_elapsed": result.rounds_elapsed,
@@ -463,12 +467,11 @@ class SweepSummary:
 def run_sweep(
     doc: Dict[str, Any],
     output_path: Optional[str] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     stop_on_violation: bool = True,
     progress=None,
 ) -> Tuple[List[Dict[str, Any]], SweepSummary]:
     points, skipped = expand_sweep(doc)
-    workers = workers or default_workers()
     records: List[Dict[str, Any]] = []
 
     if workers > 1 and len(points) > 1:
@@ -545,8 +548,10 @@ def replay_record(record: Dict[str, Any]) -> bool:
 
 
 def load_records(path: str) -> List[Dict[str, Any]]:
-    """The records of a JSON-lines file.  A line that does not hold the
-    point of a record raises `ScenarioFileError` naming the line."""
+    """The records of a JSON-lines file.  A line that does not hold a
+    record of this schema_version, or whose point names an unknown
+    protocol or adversary strategy or gives either params it cannot run
+    with, raises `ScenarioFileError` naming the line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -555,7 +560,7 @@ def load_records(path: str) -> List[Dict[str, Any]]:
                 continue
             try:
                 record = json.loads(line)
-                SweepPoint.from_json_dict(record)
+                point = SweepPoint.from_json_dict(record)
             except json.JSONDecodeError as exc:
                 raise ScenarioFileError(str(exc.msg), line=lineno, column=exc.colno) from exc
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -563,6 +568,23 @@ def load_records(path: str) -> List[Dict[str, Any]]:
                     "a record is an object holding index, scenario, protocol and params,"
                     f" and its scenario loads; this one fails with {exc!r}", line=lineno
                 ) from exc
+            if record.get("schema_version") != RECORD_SCHEMA_VERSION:
+                raise ScenarioFileError(
+                    f"unsupported record schema_version {record.get('schema_version')!r},"
+                    f" expected {RECORD_SCHEMA_VERSION}", line=lineno
+                )
+            if point.protocol not in protocol_names():
+                raise ScenarioFileError(f"unknown protocol {point.protocol!r}", line=lineno)
+            adversary = point.scenario.adversary
+            if not _is_adversary({"name": adversary.name, "params": adversary.param_dict()}):
+                raise ScenarioFileError(
+                    f"unknown adversary strategy {adversary.name!r}, or params it cannot run"
+                    f" with: {adversary.param_dict()!r}", line=lineno
+                )
+            try:
+                _check_params(point.protocol, point.params, [point.scenario.n])
+            except ScenarioFileError as exc:
+                raise ScenarioFileError(str(exc), line=lineno) from exc
             records.append(record)
     return records
 

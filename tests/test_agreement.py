@@ -97,17 +97,14 @@ def test_alg5_agreement_mixed_inputs():
             assert all_pass(verify_execution(cond)), failures(verify_execution(cond))
 
 
-def test_alg5_round_and_message_budget():
+def test_alg5_round_and_message_budget(messages_sent):
     # criterion-4 numbers: n=40, t=5, k=1, f=1
     s = scenario(40, 5, {3}, tuple(i % 2 for i in range(40)), adversary="equivocator")
     _cls, cond, k = harness.run_conditional_standalone(s, k=1)
     assert cond.rounds_elapsed <= 5 * (2 * k + 1)
     assert cond.honest_messages_total <= 5 * 40 * ((2 * k + 1) * (3 * k + 1) + k)
-    per_sender = {}
-    for senders in cond.honest_messages_by_sender.values():
-        for pid, cnt in senders.items():
-            per_sender[pid] = per_sender.get(pid, 0) + cnt
-    assert all(cnt <= 5 * 40 for cnt in per_sender.values())
+    _classify, per_sender = messages_sent
+    assert all(per_sender.get(p, 0) <= 5 * 40 for p in s.honest)
 
 
 def test_alg5_returns_within_budget_even_with_bad_k():

@@ -208,14 +208,21 @@ def test_sender_without_certificate_defaults_bot():
     s = bb_scenario()
     r = run_execution(s, "bb-committee", {"sender": 4, "k": 1, "committee": [1, 2, 3]})
     assert all(v is None for v in r.decisions.values())
-    assert r.honest_message_count("bb").count == 0  # nobody sends in the instance
+    assert "bb" not in r.honest_messages_by_protocol  # nobody sends in the instance
 
 
-def test_uncertified_processes_stay_silent():
+def test_uncertified_processes_stay_silent(delivered_through):
+    senders = set()
+
+    def note_senders(ctx, inbox):
+        if ctx.tag == "bb":
+            senders.update(sender for sender, _payload in inbox)
+        return inbox
+
     s = bb_scenario(inputs=(1, 0, 0, 0, 0))
-    r = run_execution(s, "bb-committee", {"sender": 1, "k": 1, "committee": [1, 2, 3]})
-    per_sender = r.honest_messages_by_sender.get("bb", {})
-    assert set(per_sender) <= {1, 2, 3}
+    with delivered_through(note_senders):
+        r = run_execution(s, "bb-committee", {"sender": 1, "k": 1, "committee": [1, 2, 3]})
+    assert senders and senders <= {1, 2, 3}
     assert r.decisions == {p: 1 for p in range(1, 6)}
 
 

@@ -762,3 +762,36 @@ def test_es_sampled_choice_tables_n4():
         T = es_rounds_needed("unauthenticated", 1, 1)
         r = run_execution(s, "ba-early-stopping", {"T": T})
         assert len(set(r.decisions.values())) == 1, table
+
+
+class KingSplitter(Strategy):
+    """Members replay their shadows, except in every `gc` and `king` round
+    of `es`: there, whatever its shadow sends, each member sends the
+    smallest domain value to the lower half of the honest ids and the
+    largest to the upper half."""
+
+    name = "king-splitter"
+
+    def transform(self, member, tag, sends, rnd, honest_items, actx):
+        if not (tag.startswith("es/") and tag.rsplit("/", 1)[-1] in ("gc", "king")):
+            return [(member, tag, sends)]
+        honest = self.scenario.honest
+        low = honest[: len(honest) // 2]
+        domain = actx.value_domain
+        return [(member, tag, [(p, domain[0] if p in low else domain[-1]) for p in honest])]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="es decides on a binary grade: after faulty kings 1 and 2 split it, 5, 6 and 7"
+    " decide 1 in phase 1 and leave after phase 2, while 3 and 4 hold 0 to the end, so"
+    " agreement fails",
+)
+def test_es_keeps_agreement_when_two_faulty_kings_split(monkeypatch):
+    monkeypatch.setitem(CATALOG, KingSplitter.name, KingSplitter)
+    s = scenario(7, 2, {1, 2}, (0, 0, 0, 1, 1, 1, 1),
+                 adversary=AdversarySpec.make(KingSplitter.name), seed=1)
+    r = run_execution(s, "ba-early-stopping", {})
+    verdicts = verify_execution(r)
+    assert all_pass(verdicts), [v for v in verdicts if not v.ok]

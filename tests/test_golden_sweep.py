@@ -1,12 +1,15 @@
 """Golden sweep: committed records must replay byte for byte.
 
-`data/golden_sweep.jsonl` was produced by
+`data/golden_sweep.jsonl` is regenerated, from the repository root, by
 
-    byzpred sweep tests/data/golden_sweep.json --output tests/data/golden_sweep.jsonl --workers 1
+    byzpred sweep tests/data/golden_sweep.json --output tests/data/golden_sweep.jsonl
 
 (both variants, n in {4, 7}, f = t, B in {0, n}, the whole adversary catalog,
-seed 1).  Records hold no signatures or wall-clock data, so any change to
-signing, hashing or validation internals must leave every line unchanged.
+seed 1), and `data/golden_order.jsonl` likewise from its own sweep file.
+The records are at record schema_version 2; the sweep files stay at sweep
+schema_version 1.  Records hold no signatures or wall-clock data, so any
+change to signing, hashing or validation internals must leave every line
+unchanged.
 
 `data/golden_order.jsonl` comes from the same command on
 `data/golden_order.json` (unauthenticated, selective-ignorer, n in {10, 13},

@@ -181,6 +181,7 @@ def _with_params(protocol, params):
          "key 'params': 'committee'"),
         (_with_params("bb-committee", {"k": 1, "sender": 1, "committee": 3}),
          "key 'params': 'committee'"),
+        (_with_key("protocol", "nope"), "key 'protocol': expected one of"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -218,7 +219,7 @@ def test_single_point_sweep_clean():
     assert summary.executed == 2 and summary.violations == 0
     assert all(r["ok"] for r in records)
     rec = records[0]
-    assert rec["schema_version"] == 1
+    assert rec["schema_version"] == harness.RECORD_SCHEMA_VERSION == 2
     assert rec["misclassification"]["k_A"] == 0
 
 
@@ -367,14 +368,28 @@ def without_t(record):
     return dict(record, scenario={k: v for k, v in record["scenario"].items() if k != "t"})
 
 
+def with_adversary(record, name, params=None):
+    adversary = {"name": name, "params": params or {}}
+    return dict(record, scenario=dict(record["scenario"], adversary=adversary))
+
+
 @pytest.mark.parametrize(
     "malformed, message",
     [
         (lambda record: {"index": 0}, "fails with KeyError('scenario')"),
         (lambda record: [record], "fails with TypeError("),
         (without_t, "fails with KeyError('t')"),
+        (lambda record: dict(record, schema_version=1),
+         "unsupported record schema_version 1, expected 2"),
+        (lambda record: dict(record, protocol="nope"), "unknown protocol 'nope'"),
+        (lambda record: with_adversary(record, "nope"), "unknown adversary strategy 'nope'"),
+        (lambda record: dict(record, protocol="ba-classification"), "key 'params': 'k'"),
+        (lambda record: dict(record, params=5), "key 'params' must be a JSON object"),
+        (lambda record: with_adversary(record, "crash", {"round": "x"}),
+         "unknown adversary strategy 'crash', or params it cannot run with: {'round': 'x'}"),
     ],
-    ids=["index-only", "not-an-object", "scenario-without-t"],
+    ids=["index-only", "not-an-object", "scenario-without-t", "schema-1", "unknown-protocol",
+         "unknown-adversary", "params-without-k", "params-not-an-object", "crash-round-not-an-int"],
 )
 def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
     points, _ = harness.expand_sweep(sweep_doc())
@@ -390,6 +405,15 @@ def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malform
     assert proc.stderr == f"scenario file error: {exc.value}\n"
 
 
+def test_cli_run_rejects_an_unknown_protocol(tmp_path):
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(sweep_doc(protocol="nope")))
+    proc = run_cli("run", str(sweep_file))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("scenario file error: key 'protocol': expected one of")
+    assert "'nope'" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_seed_override(tmp_path):
     sweep_file = tmp_path / "sweep.json"
     sweep_file.write_text(json.dumps(sweep_doc()))
@@ -400,13 +424,6 @@ def test_cli_seed_override(tmp_path):
     bad = run_cli("run", str(sweep_file), "--index", "1", "--seed", "-1")
     assert bad.returncode == 1 and bad.stdout == ""
     assert "bad --seed -1" in bad.stderr and "Traceback" not in bad.stderr
-
-
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv(harness.WORKERS_ENV, "3")
-    assert harness.default_workers() == 3
-    monkeypatch.delenv(harness.WORKERS_ENV)
-    assert harness.default_workers() == 1
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
