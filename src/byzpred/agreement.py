@@ -19,6 +19,7 @@ compute expected round envelopes instead of fitting constants.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional
 
 from . import predictions
@@ -75,9 +76,11 @@ def wrapper_phase_count(t: int) -> int:
     return math.ceil(math.log2(max(t, 1))) + 1
 
 
+@lru_cache
 def compute_alpha(variant: str, t: int) -> int:
     """Smallest round-budget constant such that every phase's budget
-    T = alpha * 2^(phase-1) covers both time-boxed sub-protocols."""
+    T = alpha * 2^(phase-1) covers both time-boxed sub-protocols.  A pure
+    formula, computed once per (variant, t)."""
     alpha = 1
     for phase in range(1, wrapper_phase_count(t) + 1):
         k = 2 ** (phase - 1)

@@ -70,10 +70,13 @@ detail)``; only failures are kept, as `ExecutionResult.check_failures`,
 and a passing check leaves no trace.
 
 Most rounds carry no traffic at all (a protocol idling out its round
-budget).  A round in which no honest and no faulty item holds a send
-builds no delivery structures: every alive process still steps, with an
-empty inbox, and each member's empty inbox still passes through the
-strategy's `filter_member_inbox`.
+budget).  The engine keeps the alive processes in one pid-ordered table,
+pruned only when one returns or its shadow raises, and gathers the next
+round's items as it resumes them.  A round in which no item holds a send
+builds no delivery structures: every process resumes on the one empty
+tuple (a member's through `filter_member_inbox`), and a member idling on
+under one tag hands `emit` the same idle item.  A shadow that raises falls
+silent and is counted, by exception type, in `ExecutionResult.shadow_crashes`.
 """
 
 from __future__ import annotations
@@ -250,6 +253,7 @@ class ExecutionResult:
     honest_messages_by_protocol: Dict[str, int]
     trace: Dict[str, Any]  # the trace dict the honest processes wrote
     check_failures: List[OracleCheck]
+    shadow_crashes: Dict[str, int]  # exception type name -> shadows it ended; not recorded
 
 
 def _checked(sender: int, sends, receivers: range) -> Tuple[Any, int]:
@@ -311,91 +315,97 @@ def run_execution(
 
     shared_memo: Dict[Any, Any] = {}  # cross-process cache for pure validation results
     round_memo: Dict[Any, Any] = {}  # per-inbox results of the current round
-    ctxs: Dict[int, ProcessContext] = {}
-    gens: Dict[int, Any] = {}
+    # The alive processes in pid order: [pid, ctx, bound generator send (None
+    # once it left), member flag, the member's last idle item (at first untagged)].
+    procs: List[list] = []
     for pid in range(1, scenario.n + 1):
         faulty = pid in scenario.fault_set
-        signer = SignOracle(scheme, pid)
         # Shadows of faulty processes write to throwaway sinks: only honest
         # processes contribute failed checks and trace-dict sections.
-        ctx = ProcessContext(
-            pid,
-            scenario,
-            signer,
-            [] if faulty else check_failures,
-            {} if faulty else shared_trace,
-            shared_memo,
-            round_memo,
-        )
-        ctxs[pid] = ctx
+        ctx = ProcessContext(pid, scenario, SignOracle(scheme, pid),
+                             [] if faulty else check_failures, {} if faulty else shared_trace,
+                             shared_memo, round_memo)
         value, prediction = scenario.input_of(pid), pred_vectors[pid]
         if faulty:
             value, prediction = strategy.member_program_inputs(pid, value, prediction)
-        gens[pid] = factory(ctx, scenario, dict(params, input=value, prediction=prediction))
+        gen = factory(ctx, scenario, dict(params, input=value, prediction=prediction))
+        procs.append([pid, ctx, gen.send, faulty, (pid, None, None)])
 
     adv_ctx = _AdversaryContext(scenario, scheme)
-
+    emit, filter_member_inbox = strategy.emit, strategy.filter_member_inbox
     decisions: Dict[int, Any] = {}
     finished_round: Dict[int, int] = {}
-    outs: Dict[int, Item] = {}  # each alive process's send item for the next round
-    alive = set(range(1, scenario.n + 1))
-    honest = set(scenario.honest)
+    shadow_crashes: Dict[str, int] = {}  # exception type name -> shadows it ended
+    honest_left = len(scenario.honest)
     fault_set = scenario.fault_set
     receivers = range(1, scenario.n + 1)
     msg_counts: Dict[str, int] = {}
 
-    def step(pid: int, inbox):
-        ctx = ctxs[pid]
-        if inbox is not None:
-            ctx.rounds_used += 1
-        try:
-            sends = gens[pid].send(inbox)
-        except StopIteration as stop:
-            alive.discard(pid)
-            outs.pop(pid, None)
-            if pid in honest:
-                decisions[pid] = stop.value
-                finished_round[pid] = rnd
-            return
-        except Exception:
-            if pid in honest:
-                raise
-            alive.discard(pid)  # crashed shadow: silent from here on
-            outs.pop(pid, None)
-            return
-        tag = ctx.tag
-        if type(sends) is list and not sends:  # an idle step: nothing to check or count
-            outs[pid] = (pid, tag, sends)
-            return
-        sends, sent = _checked(pid, sends, receivers)
-        outs[pid] = (pid, tag, sends)
-        if sent and pid in honest:
-            msg_counts[tag] = msg_counts.get(tag, 0) + sent
-
+    # Round 0 is every process's first step, on no inbox.  Every later round
+    # resumes each alive process once, in pid order, on its inbox: its entry
+    # in `inboxes`, or the one empty tuple in a round without traffic.
     rnd = 0
-    for pid in sorted(gens):
-        step(pid, None)
+    inboxes: Optional[Dict[int, Tuple[Send, ...]]] = None
+    quiet_inbox: Optional[tuple] = None
+    while True:
+        honest_items: List[Item] = []  # the honest items that send, ascending pid
+        shadow_items: List[Item] = []  # every alive member's item, ascending pid
+        pruned = False
+        for p in procs:
+            pid, ctx, send, member, idle_item = p
+            inbox = quiet_inbox if inboxes is None else inboxes[pid]
+            if rnd:
+                ctx.rounds_used += 1
+                if member:
+                    inbox = filter_member_inbox(pid, inbox, rnd)
+            try:
+                sends = send(inbox)
+            except StopIteration as stop:
+                p[2], pruned = None, True
+                if not member:
+                    decisions[pid] = stop.value
+                    finished_round[pid] = rnd
+                    honest_left -= 1
+                continue
+            except Exception as exc:
+                if not member:
+                    raise
+                p[2], pruned = None, True  # crashed shadow: counted, silent from here on
+                name = type(exc).__name__
+                shadow_crashes[name] = shadow_crashes.get(name, 0) + 1
+                continue
+            if type(sends) is list and not sends:  # an idle step: nothing to check or count
+                if member:
+                    if idle_item[1] != ctx.tag:
+                        idle_item = p[4] = (pid, ctx.tag, sends)
+                    shadow_items.append(idle_item)
+                continue
+            tag = ctx.tag
+            sends, sent = _checked(pid, sends, receivers)
+            if member:
+                shadow_items.append((pid, tag, sends))
+            elif sends:
+                honest_items.append((pid, tag, sends))
+                if sent:
+                    msg_counts[tag] = msg_counts.get(tag, 0) + sent
+        if pruned:
+            procs = [p for p in procs if p[2] is not None]
+        if not honest_left:
+            break
 
-    while honest & alive:
         rnd += 1
         if rnd > MAX_ROUNDS:
             raise ProtocolViolation(f"execution exceeded {MAX_ROUNDS} rounds")
-        honest_items: List[Item] = []
-        shadow_items: List[Item] = []
-        for pid in sorted(outs):
-            item = outs[pid]
-            if pid not in honest:
-                shadow_items.append(item)
-            elif item[2]:
-                honest_items.append(item)
         faulty_items: List[Item] = []
-        for item in strategy.emit(rnd, honest_items, shadow_items, adv_ctx):
+        for item in emit(rnd, honest_items, shadow_items, adv_ctx):
             try:
                 sender, tag, sends = item
             except (TypeError, ValueError):
                 raise ProtocolViolation(f"adversary produced a malformed send item: {item!r}")
             if sender not in fault_set:
                 raise ProtocolViolation(f"adversary tried to send as honest process {sender!r}")
+            if type(sends) is list and not sends:
+                continue
             faulty_items.append((sender, tag, _checked(sender, sends, receivers)[0]))
 
         # Delivery order: honest items in ascending pid, then faulty items
@@ -404,54 +414,44 @@ def run_execution(
         # this order.  The receivers of one tag share one list until a
         # targeted pair reaches one of them, which then forks its own copy;
         # a broadcast extends its tag's list and that tag's forks.  A round
-        # in which no item carries a send builds none of this: every inbox
-        # is empty.
+        # without items builds none of this: every inbox is the empty tuple.
         round_memo.clear()
-        inboxes: Dict[int, Tuple[Send, ...]] = {}
-        if honest_items or any(item[2] for item in faulty_items):
-            want = {pid: ctxs[pid].tag for pid in alive}
-            groups: Dict[str, List[Send]] = {tag: [] for tag in want.values()}
-            forks: Dict[int, List[Send]] = {}  # receiver -> its own list
-            forked: Dict[str, List[List[Send]]] = {}  # tag -> the forks of that tag
-            for sender, tag, sends in chain(honest_items, faulty_items):
-                if type(sends) is Broadcast:
-                    box = groups.get(tag)
-                    if box is not None:
-                        own_boxes = forked.get(tag, ())
-                        for payload in sends.payloads:
-                            pair = (sender, payload)
-                            box.append(pair)
-                            for own in own_boxes:
-                                own.append(pair)
-                    continue
-                for rcv, payload in sends:
-                    if want.get(rcv) == tag:
-                        box = forks.get(rcv)
-                        if box is None:
-                            box = forks[rcv] = list(groups[tag])
-                            forked.setdefault(tag, []).append(box)
-                        box.append((sender, payload))
-            shared = {tag: tuple(box) for tag, box in groups.items()}
-            for pid, tag in want.items():
-                own = forks.get(pid)
-                inboxes[pid] = shared[tag] if own is None else tuple(own)
+        if not (honest_items or faulty_items):
+            inboxes, quiet_inbox = None, ()
+            continue
+        want = {p[0]: p[1].tag for p in procs}
+        groups: Dict[str, List[Send]] = {tag: [] for tag in want.values()}
+        forks: Dict[int, List[Send]] = {}  # receiver -> its own list
+        forked: Dict[str, List[List[Send]]] = {}  # tag -> the forks of that tag
+        for sender, tag, sends in chain(honest_items, faulty_items):
+            if type(sends) is Broadcast:
+                box = groups.get(tag)
+                if box is not None:
+                    own_boxes = forked.get(tag, ())
+                    for payload in sends.payloads:
+                        pair = (sender, payload)
+                        box.append(pair)
+                        for own in own_boxes:
+                            own.append(pair)
+                continue
+            for rcv, payload in sends:
+                if want.get(rcv) == tag:
+                    box = forks.get(rcv)
+                    if box is None:
+                        box = forks[rcv] = list(groups[tag])
+                        forked.setdefault(tag, []).append(box)
+                    box.append((sender, payload))
+        shared = {tag: tuple(box) for tag, box in groups.items()}
+        inboxes = {}
+        for pid, tag in want.items():
+            own = forks.get(pid)
+            inboxes[pid] = shared[tag] if own is None else tuple(own)
 
-        for pid in sorted(alive):
-            inbox = inboxes.get(pid, ())
-            if pid in fault_set:
-                inbox = strategy.filter_member_inbox(pid, inbox, rnd)
-            step(pid, inbox)
-
-    rounds_elapsed = max(finished_round.values(), default=0)
     return ExecutionResult(
-        scenario=scenario,
-        protocol=protocol,
-        decisions=decisions,
-        rounds_elapsed=rounds_elapsed,
-        honest_messages_total=sum(msg_counts.values()),
-        honest_messages_by_protocol=msg_counts,
-        trace=shared_trace,
-        check_failures=check_failures,
+        scenario=scenario, protocol=protocol, decisions=decisions,
+        rounds_elapsed=max(finished_round.values(), default=0),
+        honest_messages_total=sum(msg_counts.values()), honest_messages_by_protocol=msg_counts,
+        trace=shared_trace, check_failures=check_failures, shadow_crashes=shadow_crashes,
     )
 
 

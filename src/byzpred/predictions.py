@@ -223,13 +223,17 @@ def ordering(c: Bits) -> Tuple[int, ...]:
 def misclassification_report(
     classifications: Mapping[int, Bits], n: int, fault_set: Set[int]
 ) -> MisclassificationReport:
-    """Union over honest classifiers of the processes they got wrong."""
+    """Union over honest classifiers of the processes they got wrong.
+
+    Each distinct vector is walked once: honest holders of one classify
+    inbox share its vector."""
+    for holder in classifications:
+        if holder in fault_set:
+            raise ConfigurationError(f"classification holder {holder} is not honest")
     truth = correct_classification(n, fault_set)
     wrong_honest = set()
     wrong_faulty = set()
-    for holder, c in classifications.items():
-        if holder in fault_set:
-            raise ConfigurationError(f"classification holder {holder} is not honest")
+    for c in set(classifications.values()):
         for j in range(1, n + 1):
             if c[j - 1] == truth[j - 1]:
                 continue

@@ -490,6 +490,114 @@ def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatc
     ]
 
 
+@register_protocol("test-idle-scopes")
+def _idle_scopes_protocol(ctx, scenario, params):
+    # nobody sends: two idle rounds in scope a, one in scope b, one at the top
+    with ctx.scope("a"):
+        yield from ctx.idle(2)
+    with ctx.scope("b"):
+        yield []
+    yield []
+    return 0
+
+
+class _ShadowItemProbe(Strategy):
+    """Replays the shadows and records each round's shadow items."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.shadow_items = {}  # rnd -> shadow items
+
+    def emit(self, rnd, honest_items, shadow_items, actx):
+        self.shadow_items[rnd] = list(shadow_items)
+        return super().emit(rnd, honest_items, shadow_items, actx)
+
+
+def run_probed(monkeypatch, protocol, params=None, probe=_ShadowItemProbe):
+    """Run `protocol` at n=4 with member 4 under a fresh `probe` strategy;
+    returns the result and the strategy."""
+    probes = []
+
+    def make_probe(spec_params):
+        probes.append(probe(spec_params))
+        return probes[-1]
+
+    monkeypatch.setitem(CATALOG, "probe", make_probe)
+    r = run_execution(basic(fault_set={4}, adversary="probe"), protocol, params)
+    (made,) = probes
+    return r, made
+
+
+def test_an_idle_shadow_shows_emit_its_current_tag(monkeypatch):
+    # No round carries traffic, so every member step is idle.  A member's
+    # idle item may be handed to `emit` again only while its tag is the
+    # same: a shadow that changes scope between two idle rounds shows its
+    # new tag.  (Killed mutant: reuse the idle item without the tag check.)
+    r, probe = run_probed(monkeypatch, "test-idle-scopes")
+    assert r.honest_messages_total == 0 and r.rounds_elapsed == 4
+    assert {rnd: [item[:2] for item in items] for rnd, items in probe.shadow_items.items()} == {
+        1: [(4, "a")], 2: [(4, "a")], 3: [(4, "b")], 4: [(4, "")],
+    }
+    assert all(item[2] == [] for items in probe.shadow_items.values() for item in items)
+
+
+@register_protocol("test-quiet-exits")
+def _quiet_exits_protocol(ctx, scenario, params):
+    # nobody sends; process p idles p + 1 rounds and returns p, except
+    # that the shadow raises ValueError in round 2 and process
+    # params["raise"], if any, raises RuntimeError in round 2
+    with ctx.scope("quiet"):
+        yield []
+        if ctx.pid in scenario.fault_set:
+            yield []
+            raise ValueError("shadow")
+        if ctx.pid == params.get("raise"):
+            yield []
+            raise RuntimeError("honest")
+        yield from ctx.idle(ctx.pid)
+    return ctx.pid
+
+
+def test_processes_leave_in_the_quiet_round_they_end_in(monkeypatch, delivered_through):
+    # In rounds without traffic, a process that returns and a shadow that
+    # raises leave in that round: neither is resumed again, the shadow's
+    # item is gone from the next round's `emit`, and the last honest return
+    # sets rounds_elapsed.  (Killed mutants: no pruning of a process that
+    # left in a quiet round; its finished round recorded one round late.)
+    stepped, record = step_recorder()
+    with delivered_through(record):
+        r, probe = run_probed(monkeypatch, "test-quiet-exits", {})
+    assert r.decisions == {1: 1, 2: 2, 3: 3}
+    assert r.rounds_elapsed == 4
+    assert {pid: len(steps) for pid, steps in stepped.items()} == {1: 2, 2: 3, 3: 4, 4: 2}
+    assert [len(probe.shadow_items[rnd]) for rnd in (1, 2, 3, 4)] == [1, 1, 0, 0]
+    assert r.shadow_crashes == {"ValueError": 1}
+
+
+def test_an_honest_exception_in_a_quiet_round_propagates(monkeypatch):
+    # (Killed mutant: an honest process that raises is dropped like a
+    # crashed shadow.)
+    with pytest.raises(RuntimeError, match="honest"):
+        run_probed(monkeypatch, "test-quiet-exits", {"raise": 2})
+
+
+class _NonIterableInbox(Strategy):
+    """Hands each member's shadow the int 5 instead of its inbox."""
+
+    def filter_member_inbox(self, member, inbox, rnd):
+        return 5
+
+
+def test_a_crashed_shadow_is_counted(monkeypatch):
+    # The shadow's classify step reads its inbox and raises TypeError: the
+    # execution completes without it, and the crash is counted by type.
+    r, _probe = run_probed(monkeypatch, "classify", probe=_NonIterableInbox)
+    assert sorted(r.decisions) == [1, 2, 3]
+    assert r.shadow_crashes == {"TypeError": 1}
+    clean = run_execution(basic(fault_set={4}), "classify")
+    assert clean.shadow_crashes == {}
+
+
 def shared_members_tag(pid, fault_set):
     """The scope of `pid` in test-shared-members: its parity, except that
     the odd members sit in a scope of their own, where no honest process
