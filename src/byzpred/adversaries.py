@@ -374,20 +374,22 @@ class CertificateHoarderStrategy(Strategy):
 class GradeSplitterStrategy(Strategy):
     """Staged attack on the wrapper's grade-0 adoption guards.
 
-    Phase 1: the classification vote is poisoned (complement vectors) so
-    misclassified faulty processes fill the first leader window.  Inside
-    that window the faulty members hand (u, 1) to a late-position faction,
-    which latches u as its conditional-BA decision while conciliation in
-    the later, honest windows converges everyone else; the conditional BA
-    thus legitimately returns divergent values.  At the phase's decision
-    check the faction's value quorum (faction plus all faulty votes) pushes
-    exactly one target to grade 1, so a single process decides u.
+    In both variants the members send complement vectors in the
+    classification vote, so misclassified faulty processes fill the first
+    leader window.  They stay silent in every other graded-consensus, king
+    and conciliation round (`gc1`, `gc2`, `gc3`, `gc`, `king`, `con`,
+    `gca`, `gcb`) and send everything else perturbed per receiver.
 
-    Phase 2 on: the same window play hands the smallest domain value to a
-    second faction instead, in the first window's `gca` and `gcb` rounds.
-    Every property holds under this play at every point the tests run.  No
-    point found so far shows a wrapper without its grade-1 guard breaking
-    Agreement under it either: that mutant survives every grid tried.
+    Unauthenticated only, in the first leader window's `gca` and `gcb`
+    rounds: in phase 1 the members hand the largest domain value u to a
+    late-position faction of max(n - t - f, 1) honest processes, and from
+    phase 2 on the smallest domain value to a second faction of that size,
+    the earliest honest processes but the target (the first faction's
+    first process).  They send it to themselves too, which keeps their
+    shadows voting.  In phase 1's `gc3` they back u: in an odd round of the
+    tag, to every honest process that sent u, if those holders and the
+    members together reach n - t; in an even round, to the target alone,
+    if any honest process sent u.
     """
 
     name = "grade-splitter"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -63,9 +63,7 @@ def _cmd_run(args) -> int:
     point = by_index[args.index]
     if args.seed is not None:
         try:
-            point.scenario = point.scenario.__class__.from_json_dict(
-                dict(point.scenario.to_json_dict(), seed=args.seed)
-            )
+            point.scenario = dataclasses.replace(point.scenario, seed=args.seed)
         except ConfigurationError as exc:
             print(f"bad --seed {args.seed}: {exc}", file=sys.stderr)
             return 1

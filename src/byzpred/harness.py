@@ -21,12 +21,14 @@ Scenario file (JSON, schema_version 1):
       }
     }
 
-The sweep is the cross-product of the axes.  Infeasible points (budget not
-realizable, f > t, duplicate f after resolution) are reported and skipped,
-never silently dropped.  One metrics record is emitted per executed point
-as a JSON line; records are byte-reproducible from the point alone, which
-`replay` checks.  A record (schema_version 2; sweep files stay at 1) holds
-the point (index, scenario, protocol, params) and what the execution gave:
+The sweep is the cross-product of the axes.  A point is indexed in that
+order.  An infeasible point (budget not realizable, f > t, f > n) is
+skipped with its index and reason, never silently dropped.  A duplicate f
+after resolution ("half" equal to 0, say) is expanded once and takes no
+index.  One metrics record is emitted per executed point as a JSON line;
+records are byte-reproducible from the point alone, which `replay` checks.
+A record (schema_version 2; sweep files stay at 1) holds the point (index,
+scenario, protocol, params) and what the execution gave:
 
     schema_version, index, scenario, protocol, params,
     realized_budget        the prediction errors actually placed,
@@ -42,11 +44,12 @@ the point (index, scenario, protocol, params) and what the execution gave:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import predictions
 from .adversaries import CATALOG, strategy_catalog
@@ -60,8 +63,8 @@ from .agreement import (
 from .blocks import es_rounds_needed
 from .engine import protocol_names, run_execution
 from .errors import ConfigurationError, ScenarioFileError
-from .scenario import AUTHENTICATED, UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
-from .verify import Verdict, all_pass, verify_execution
+from .scenario import UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
+from .verify import all_pass, verify_execution
 
 SWEEP_SCHEMA_VERSION = 1
 RECORD_SCHEMA_VERSION = 2
@@ -81,14 +84,6 @@ class SweepPoint:
     protocol: str
     params: Dict[str, Any]
 
-    def to_json_dict(self):
-        return {
-            "index": self.index,
-            "scenario": self.scenario.to_json_dict(),
-            "protocol": self.protocol,
-            "params": self.params,
-        }
-
     @classmethod
     def from_json_dict(cls, d: Dict[str, Any]) -> "SweepPoint":
         return cls(d["index"], Scenario.from_json_dict(d["scenario"]), d["protocol"], d["params"])
@@ -98,7 +93,6 @@ class SweepPoint:
 class SkippedPoint:
     index: int
     reason: str
-    description: Dict[str, Any]
 
 
 def resolve_t(spec, n: int, variant: str) -> int:
@@ -127,18 +121,18 @@ def resolve_budget(spec, n: int) -> int:
 
 
 def fault_ids(n: int, f: int, placement: str) -> frozenset:
+    """f faulty ids in 1..n, placed lowest, highest or spread evenly.  An f
+    above n raises `ConfigurationError`, so a sweep skips its points."""
     if f == 0:
         return frozenset()
+    if f > n:
+        raise ConfigurationError(f"f = {f} exceeds n = {n}")
     if placement == "lowest":
         return frozenset(range(1, f + 1))
     if placement == "highest":
         return frozenset(range(n - f + 1, n + 1))
     if placement == "spread":
-        ids = sorted({1 + (i * n) // f for i in range(f)})
-        pool = [p for p in range(1, n + 1) if p not in ids]
-        while len(ids) < f:
-            ids.append(pool.pop(0))
-        return frozenset(ids[:f])
+        return frozenset(1 + (i * n) // f for i in range(f))
     raise ScenarioFileError(f"unknown fault placement {placement!r}")
 
 
@@ -313,8 +307,8 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     _check_list("axis 'n'", ns, _is_int, "an integer")
     _check_params(protocol, params, ns)
     _check_list("axis 't'", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
-    _check_list("axis 'f'", f_specs, lambda e: e in ("half", "max") or _is_int(e),
-                "an integer, \"half\" or \"max\"")
+    _check_list("axis 'f'", f_specs, lambda e: e in ("half", "max") or (_is_int(e) and e >= 0),
+                "an integer of at least 0, \"half\" or \"max\"")
     _check_list("axis 'error_budget'", budgets, lambda e: isinstance(e, str) or _is_int(e),
                 "an integer or \"<k>n\"")
     _check_list("axis 'allocation'", allocations, lambda e: e in predictions.ALLOCATION_POLICIES,
@@ -332,59 +326,31 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
 
     points: List[SweepPoint] = []
     skipped: List[SkippedPoint] = []
-    index = 0
-    for variant in variants:
-        for n in ns:
-            for t_spec in t_specs:
-                t = resolve_t(t_spec, n, variant)
-                fs = []
-                for f_spec in f_specs:
-                    f = resolve_f(f_spec, t)
-                    if f not in fs:
-                        fs.append(f)
-                for f in fs:
-                    for budget_spec in budgets:
-                        budget = resolve_budget(budget_spec, n)
-                        for allocation in allocations:
-                            for adv in adversaries:
-                                for input_spec in inputs:
-                                    for placement in placements:
-                                        for seed in seeds:
-                                            desc = {
-                                                "variant": variant,
-                                                "n": n,
-                                                "t": t,
-                                                "f": f,
-                                                "error_budget": budget,
-                                                "allocation": allocation,
-                                                "adversary": adv.name,
-                                                "inputs": input_spec,
-                                                "fault_placement": placement,
-                                                "seed": seed,
-                                            }
-                                            try:
-                                                scenario = Scenario(
-                                                    n=n,
-                                                    t=t,
-                                                    fault_set=fault_ids(n, f, placement),
-                                                    inputs=input_vector(input_spec, n, domain),
-                                                    error_budget=budget,
-                                                    error_allocation=allocation,
-                                                    adversary=adv,
-                                                    seed=seed,
-                                                    variant=variant,
-                                                    value_domain=domain,
-                                                )
-                                            except ConfigurationError as exc:
-                                                skipped.append(
-                                                    SkippedPoint(index, str(exc), desc)
-                                                )
-                                                index += 1
-                                                continue
-                                            points.append(
-                                                SweepPoint(index, scenario, protocol, dict(params))
-                                            )
-                                            index += 1
+    for variant, n, t_spec in itertools.product(variants, ns, t_specs):
+        t = resolve_t(t_spec, n, variant)
+        fs = dict.fromkeys(resolve_f(f_spec, t) for f_spec in f_specs)
+        resolved = [resolve_budget(spec, n) for spec in budgets]
+        for f, budget, allocation, adv, input_spec, placement, seed in itertools.product(
+            fs, resolved, allocations, adversaries, inputs, placements, seeds
+        ):
+            index = len(points) + len(skipped)
+            try:
+                scenario = Scenario(
+                    n=n,
+                    t=t,
+                    fault_set=fault_ids(n, f, placement),
+                    inputs=input_vector(input_spec, n, domain),
+                    error_budget=budget,
+                    error_allocation=allocation,
+                    adversary=adv,
+                    seed=seed,
+                    variant=variant,
+                    value_domain=domain,
+                )
+            except ConfigurationError as exc:
+                skipped.append(SkippedPoint(index, str(exc)))
+            else:
+                points.append(SweepPoint(index, scenario, protocol, dict(params)))
     return points, skipped
 
 
@@ -435,10 +401,6 @@ def record_bytes(record: Dict[str, Any]) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _run_point_json(point_dict) -> Dict[str, Any]:
-    return run_point(SweepPoint.from_json_dict(point_dict))
-
-
 @dataclass
 class SweepSummary:
     executed: int = 0
@@ -478,8 +440,7 @@ def run_sweep(
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            jobs = [p.to_json_dict() for p in points]
-            for record in pool.imap(_run_point_json, jobs, chunksize=1):
+            for record in pool.imap(run_point, points, chunksize=1):
                 records.append(record)
                 if progress:
                     progress(record)
@@ -605,18 +566,12 @@ def run_conditional_standalone(
     smallest k covering the realized misclassification count is chosen.
     """
     cls_result = run_execution(scenario, "classify")
-    vectors = {int(p): bits for p, bits in cls_result.decisions.items()}
-    report = predictions.misclassification_report(
-        {p: predictions.bits_from_string(b) for p, b in vectors.items()},
-        scenario.n,
-        set(scenario.fault_set),
-    )
+    vectors = cls_result.trace.get("classifications", {})  # honest writers only
+    faulty = set(scenario.fault_set)
     if k is None:
-        k = max(report.num_total, 1)
-    truth = predictions.bits_to_string(
-        predictions.correct_classification(scenario.n, set(scenario.fault_set))
-    )
-    table = {str(p): vectors.get(p, truth) for p in range(1, scenario.n + 1)}
+        k = max(predictions.misclassification_report(vectors, scenario.n, faulty).num_total, 1)
+    truth = predictions.correct_classification(scenario.n, faulty)
+    table = {p: vectors.get(p, truth) for p in range(1, scenario.n + 1)}
     params = {"k": k, "classifications": table}
     if T is not None:
         params["T"] = T

@@ -64,7 +64,6 @@ class MisclassificationReport:
 
     misclassified_honest: frozenset
     misclassified_faulty: frozenset
-    correct: Bits
 
     @property
     def num_honest(self) -> int:
@@ -244,7 +243,6 @@ def misclassification_report(
     return MisclassificationReport(
         misclassified_honest=frozenset(wrong_honest),
         misclassified_faulty=frozenset(wrong_faulty),
-        correct=truth,
     )
 
 

@@ -101,8 +101,6 @@ class SimTokenScheme:
     adversary reproduced the keyed hash.
     """
 
-    name = "sim-token"
-
     def __init__(self, seed: int):
         self._secret = hashlib.sha256(b"byzpred-scheme" + str(seed).encode()).digest()
         # (signer, digest) -> its minted token, or None where verify must

@@ -58,8 +58,11 @@ def test_budget_resolution():
 def test_fault_placements():
     assert harness.fault_ids(8, 2, "lowest") == frozenset({1, 2})
     assert harness.fault_ids(8, 2, "highest") == frozenset({7, 8})
-    spread = harness.fault_ids(8, 3, "spread")
-    assert len(spread) == 3 and all(1 <= p <= 8 for p in spread)
+    assert harness.fault_ids(8, 3, "spread") == frozenset({1, 3, 6})
+    assert harness.fault_ids(4, 4, "spread") == frozenset({1, 2, 3, 4})
+    for placement in harness.FAULT_PLACEMENTS:
+        with pytest.raises(ConfigurationError, match="f = 5 exceeds n = 4"):
+            harness.fault_ids(4, 5, placement)
 
 
 def test_input_patterns():
@@ -75,9 +78,28 @@ def test_expansion_dedupes_f_and_reports_infeasible():
     doc["axes"]["f"] = [0, "half", "max"]  # t=1: half==0 duplicates
     doc["axes"]["error_budget"] = [0, 1000]  # 1000 > (n-f)*n: infeasible
     points, skipped = harness.expand_sweep(doc)
-    fs = {len(p.scenario.fault_set) for p in points}
-    assert fs == {0, 1}
-    assert skipped and all("budget" in s.reason for s in skipped)
+    # the duplicate f takes no index; a skipped point keeps its own
+    assert [(p.index, p.scenario.f, p.scenario.error_budget) for p in points] == [
+        (0, 0, 0), (2, 1, 0)
+    ]
+    assert [s.index for s in skipped] == [1, 3]
+    assert all("budget" in s.reason for s in skipped)
+
+
+@pytest.mark.parametrize("placement", harness.FAULT_PLACEMENTS)
+def test_f_above_n_is_skipped_under_every_placement(tmp_path, placement):
+    doc = sweep_doc()
+    doc["axes"].update(t=[1], f=[5], fault_placement=[placement])
+    points, skipped = harness.expand_sweep(doc)
+    assert points == [] and [(s.index, s.reason) for s in skipped] == [(0, "f = 5 exceeds n = 4")]
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(doc))
+    proc = run_cli("sweep", str(sweep_file))
+    assert proc.returncode == 0 and "points skipped:  1" in proc.stdout
+    assert "Traceback" not in proc.stderr
+    proc = run_cli("run", str(sweep_file), "--index", "0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "point 0 is infeasible: f = 5 exceeds n = 4\n"
 
 
 def test_sweep_file_parse_error_carries_location(tmp_path):
@@ -182,6 +204,7 @@ def _with_params(protocol, params):
         (_with_params("bb-committee", {"k": 1, "sender": 1, "committee": 3}),
          "key 'params': 'committee'"),
         (_with_key("protocol", "nope"), "key 'protocol': expected one of"),
+        (_with_axis("f", [-1, 0]), "axis 'f' entry 0: expected an integer of at least 0"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -412,6 +435,19 @@ def test_cli_run_rejects_an_unknown_protocol(tmp_path):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("scenario file error: key 'protocol': expected one of")
     assert "'nope'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_run_reports_an_infeasible_point(tmp_path):
+    doc = sweep_doc()
+    doc["axes"]["error_budget"] = [1000, 0]  # 1000 > (n-f)*n: infeasible
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(doc))
+    _points, skipped = harness.expand_sweep(doc)
+    for s in skipped:
+        proc = run_cli("run", str(sweep_file), "--index", str(s.index))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"point {s.index} is infeasible: {s.reason}\n"
+    assert [s.index for s in skipped] == [0, 2]
 
 
 def test_cli_seed_override(tmp_path):
