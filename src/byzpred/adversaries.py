@@ -530,14 +530,13 @@ def make_strategy(spec: AdversarySpec) -> Strategy:
 # Exhaustive enumeration for small instances
 # ---------------------------------------------------------------------------
 
-class ChoiceTableStrategy(_CvoteCollector):
+class ChoiceTableStrategy(Strategy):
     """Pre-committed per-(round, member, receiver) payload choices.
 
     Entries are ((round, member, receiver), (tag, action)) pairs.  An action
-    is a literal payload or one of the symbolic forms resolved at runtime
-    against what the member legitimately knows:
+    is a literal payload or one of the symbolic graded-consensus forms
+    resolved at runtime against what the member legitimately knows:
 
-        ("@chain", v)        start or extend a valid chain for value v
         ("@vote", v)         a signed graded-consensus vote for v
         ("@commit", v)       a commit for v with a proof assembled from
                              observed valid votes (dropped if impossible)
@@ -553,19 +552,12 @@ class ChoiceTableStrategy(_CvoteCollector):
     def __init__(self, params=None):
         super().__init__(params)
         self.table = dict(self.params.get("table", ()))
-        self._known_chains: Dict[Tuple[str, Any], MessageChain] = {}
         self._votes_seen: Dict[str, Dict[Tuple[int, Any], tuple]] = {}
         self._commits_seen: Dict[str, Dict[int, tuple]] = {}
 
-    def _note_chain(self, chain):
-        key = (chain.context, chain.value, len(chain))
-        self._known_chains.setdefault(key, chain)
-
     def _observe(self, honest_items):
         for _s, tag, payload in entries(honest_items):
-            if isinstance(payload, MessageChain):
-                self._note_chain(payload)
-            elif isinstance(payload, tuple) and len(payload) == 2:
+            if isinstance(payload, tuple) and len(payload) == 2:
                 if payload[0] == "vote" and isinstance(payload[1], tuple):
                     entry = payload[1]
                     self._votes_seen.setdefault(tag, {}).setdefault((entry[0], entry[1]), entry)
@@ -582,9 +574,6 @@ class ChoiceTableStrategy(_CvoteCollector):
             for sub in action[1:]:
                 out.extend(self._resolve(sub, member, rnd, actx, tag))
             return out
-        if head == "@chain":
-            chain = self._resolve_chain(action[1], member, actx)
-            return [chain] if chain is not None else []
         if head == "@vote":
             v = action[1]
             entry = (member, v, actx.sign_as(member, vote_content(tag, v)))
@@ -617,25 +606,6 @@ class ChoiceTableStrategy(_CvoteCollector):
             return [("cfwd", tuple(commits[s] for s in sorted(commits)))]
         return [action]
 
-    def _resolve_chain(self, value, member, actx):
-        contexts = sorted({c for (c, _v, _l) in self._known_chains})
-        context = contexts[0] if contexts else "bb-standalone"
-        cert_sigs = self._cvotes.get(member, ())
-        cert = assemble_committee_certificate(member, context, cert_sigs, actx.t, actx.verify)
-        if cert is None:
-            return None
-        existing = [
-            chain
-            for (c, v, _length), chain in sorted(
-                self._known_chains.items(), key=lambda kv: str(kv[0])
-            )
-            if c == context and v == value and member not in chain.signers
-        ]
-        if existing:
-            longest = max(existing, key=len)
-            return extend_chain(longest, cert, _MemberSigner(actx, member))
-        return start_chain(value, cert, _MemberSigner(actx, member))
-
     def emit(self, rnd, honest_items, shadow_items, actx):
         self._observe(honest_items)
         out = []
@@ -648,8 +618,6 @@ class ChoiceTableStrategy(_CvoteCollector):
                 for payload in self._resolve(action, member, rnd, actx, tag):
                     if payload is None:
                         continue
-                    if isinstance(payload, MessageChain):
-                        self._note_chain(payload)
                     out.append((member, tag, [(receiver, payload)]))
         return out
 

@@ -40,7 +40,6 @@ from .blocks import (
     graded_consensus_core_set,
     graded_consensus_standard,
     plurality_tiebreak,
-    _require_variant_bound,
 )
 from .engine import register_protocol
 from .errors import ConfigurationError, ProtocolViolation
@@ -282,7 +281,6 @@ def ba_with_predictions(ctx, value, prediction):
 
 @register_protocol("ba-with-predictions")
 def _wrapper_protocol(ctx, scenario, params):
-    _require_variant_bound(scenario)
     return ba_with_predictions(ctx, params["input"], params["prediction"])
 
 
@@ -296,7 +294,7 @@ def _classify_protocol(ctx, scenario, params):
 def _classification_param(ctx, params):
     spec = params.get("classifications", "truth")
     if spec == "truth":
-        return predictions.correct_classification(ctx.n, set(ctx.scenario.fault_set))
+        return predictions.correct_classification(ctx.n, ctx.scenario.fault_set)
     entry = spec.get(ctx.pid, spec.get(str(ctx.pid)))
     if entry is None:
         raise ConfigurationError(f"no classification vector for process {ctx.pid}")
@@ -308,8 +306,6 @@ def _classification_param(ctx, params):
 
 @register_protocol("ba-classification")
 def _conditional_protocol(ctx, scenario, params):
-    if scenario.variant == "authenticated" and scenario.t * 2 >= scenario.n:
-        raise ConfigurationError("authenticated conditional BA needs t < n/2")
     k = params["k"]
     T = params.get("T")
     bits = _classification_param(ctx, params)

@@ -600,7 +600,6 @@ def _conciliate_protocol(ctx, scenario, params):
 
 @register_protocol("graded-consensus")
 def _gc_standard_protocol(ctx, scenario, params):
-    _require_variant_bound(scenario)
     with ctx.scope("gc"):
         out = yield from graded_consensus_standard(ctx, params["input"])
     return out
@@ -608,21 +607,9 @@ def _gc_standard_protocol(ctx, scenario, params):
 
 @register_protocol("ba-early-stopping")
 def _es_protocol(ctx, scenario, params):
-    _require_variant_bound(scenario)
     T = params.get("T")
     if T is None:
         T = es_rounds_needed(scenario.variant, scenario.t, scenario.t)
     with ctx.scope("es"):
         out = yield from ba_early_stopping(ctx, params["input"], T)
     return out
-
-
-def _require_variant_bound(scenario):
-    if scenario.variant == "unauthenticated" and scenario.t * 3 >= scenario.n:
-        raise ConfigurationError(
-            f"unauthenticated n-wide protocols need t < n/3, got n={scenario.n} t={scenario.t}"
-        )
-    if scenario.variant == "authenticated" and scenario.t * 2 >= scenario.n:
-        raise ConfigurationError(
-            f"authenticated protocols need t < n/2, got n={scenario.n} t={scenario.t}"
-        )

@@ -137,6 +137,9 @@ def main(argv=None) -> int:
     except ScenarioFileError as exc:
         print(f"scenario file error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
+        return 1
     return 1
 
 

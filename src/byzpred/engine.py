@@ -299,7 +299,7 @@ def run_execution(
     shared_trace: Dict[str, Any] = {}
 
     pred_vectors, pred_report = predictions.generate_predictions(
-        scenario.n, set(scenario.fault_set), scenario.error_budget, scenario.error_allocation
+        scenario.n, scenario.fault_set, scenario.error_budget, scenario.error_allocation
     )
     shared_trace["predictions"] = pred_vectors
     shared_trace["prediction_report"] = {
@@ -461,7 +461,7 @@ class _AdversaryContext:
     def __init__(self, scenario: Scenario, scheme):
         self.n = scenario.n
         self.t = scenario.t
-        self.fault_set = set(scenario.fault_set)
+        self.fault_set = scenario.fault_set
         self.truth = predictions.correct_classification(scenario.n, self.fault_set)
         self.complement = tuple(1 - b for b in self.truth)
         self.value_domain = scenario.value_domain

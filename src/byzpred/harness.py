@@ -22,8 +22,10 @@ Scenario file (JSON, schema_version 1):
     }
 
 The sweep is the cross-product of the axes.  A point is indexed in that
-order.  An infeasible point (budget not realizable, f > t, f > n) is
-skipped with its index and reason, never silently dropped.  A duplicate f
+order.  An infeasible point (budget not realizable, f > t, f > n, or t
+over the variant's resilience bound: 3t < n unauthenticated, 2t < n
+authenticated) is skipped with its index and reason, never silently
+dropped.  A duplicate f
 after resolution ("half" equal to 0, say) is expanded once and takes no
 index.  One metrics record is emitted per executed point as a JSON line;
 records are byte-reproducible from the point alone, which `replay` checks.
@@ -63,8 +65,8 @@ from .agreement import (
 from .blocks import es_rounds_needed
 from .engine import protocol_names, run_execution
 from .errors import ConfigurationError, ScenarioFileError
-from .scenario import UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
-from .verify import all_pass, verify_execution
+from .scenario import AUTHENTICATED, UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
+from .verify import all_pass, misclassification, verify_execution
 
 SWEEP_SCHEMA_VERSION = 1
 RECORD_SCHEMA_VERSION = 2
@@ -111,9 +113,12 @@ def resolve_f(spec, t: int) -> int:
     return int(spec)
 
 
+_BUDGET_SPEC = re.compile(r"(\d*)n")
+
+
 def resolve_budget(spec, n: int) -> int:
     if isinstance(spec, str):
-        m = re.fullmatch(r"(\d*)n", spec)
+        m = _BUDGET_SPEC.fullmatch(spec)
         if not m:
             raise ScenarioFileError(f"bad error budget spec {spec!r}")
         return (int(m.group(1)) if m.group(1) else 1) * n
@@ -138,8 +143,6 @@ def fault_ids(n: int, f: int, placement: str) -> frozenset:
 
 def input_vector(spec, n: int, domain: Tuple[Any, ...]) -> Tuple[Any, ...]:
     if isinstance(spec, (list, tuple)):
-        if len(spec) != n:
-            raise ScenarioFileError(f"explicit inputs need {n} entries, got {len(spec)}")
         return tuple(spec)
     if spec == "unanimous-0":
         return (domain[0],) * n
@@ -229,7 +232,14 @@ def _is_ids(entry, n: int) -> bool:
     return isinstance(entry, list) and all(_is_int(p) and 1 <= p <= n for p in entry)
 
 
-def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
+def _is_bits(entry, n: int) -> bool:
+    """A classification vector of n bits: a string of 0/1 characters or a list."""
+    if isinstance(entry, str):
+        return len(entry) == n and not entry.strip("01")
+    return isinstance(entry, list) and len(entry) == n and all(b in (0, 1) for b in entry)
+
+
+def _check_params(protocol: str, params: Dict[str, Any], ns: List[int], variants) -> None:
     """Reject params that are no JSON object or that a protocol cannot run with.
 
     The `k` of the conditional BA, of the standalone broadcast, of graded
@@ -238,7 +248,10 @@ def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
     consensus with a core set and conciliation need a `window` of process
     ids or `windows` holding one for each process; a given broadcast
     `committee` must be a list of process ids.  A process id is an integer
-    in 1..n for every n of the sweep."""
+    in 1..n for every n of the sweep.  The conditional BA's `T` must be at
+    least k+3 if the sweep has the authenticated variant, and its
+    `classifications` are "truth" or hold a vector of n bits for each
+    process."""
     if not isinstance(params, dict):
         raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
     windowed = protocol in ("graded-consensus-core", "conciliate")
@@ -250,6 +263,23 @@ def _check_params(protocol: str, params: Dict[str, Any], ns: List[int]) -> None:
             raise ScenarioFileError(
                 f"key 'params': {key!r} must be an integer of at least {low} for {protocol},"
                 f" got {params!r}"
+            )
+    if protocol == "ba-classification":
+        T = params.get("T")
+        if AUTHENTICATED in variants and T is not None and T < params["k"] + 3:
+            raise ScenarioFileError(
+                f"key 'params': 'T' must be at least k+3 for authenticated {protocol},"
+                f" got {params!r}"
+            )
+        table = params.get("classifications", "truth")
+        if table != "truth" and not (
+            isinstance(table, dict)
+            and all(_is_bits(table.get(p, table.get(str(p))), n)
+                    for n in ns for p in range(1, n + 1))
+        ):
+            raise ScenarioFileError(
+                "key 'params': 'classifications' must be \"truth\" or an object holding a"
+                f" vector of n bits for each process 1..n, got {table!r}"
             )
     window, windows = params.get("window"), params.get("windows")
     if windowed and not (
@@ -305,11 +335,12 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
     placements = axes.get("fault_placement", ["lowest"])
     seeds = axes.get("seeds", [0])
     _check_list("axis 'n'", ns, _is_int, "an integer")
-    _check_params(protocol, params, ns)
+    _check_params(protocol, params, ns, variants)
     _check_list("axis 't'", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
     _check_list("axis 'f'", f_specs, lambda e: e in ("half", "max") or (_is_int(e) and e >= 0),
                 "an integer of at least 0, \"half\" or \"max\"")
-    _check_list("axis 'error_budget'", budgets, lambda e: isinstance(e, str) or _is_int(e),
+    _check_list("axis 'error_budget'", budgets,
+                lambda e: _is_int(e) or isinstance(e, str) and _BUDGET_SPEC.fullmatch(e),
                 "an integer or \"<k>n\"")
     _check_list("axis 'allocation'", allocations, lambda e: e in predictions.ALLOCATION_POLICIES,
                 "one of " + ", ".join(predictions.ALLOCATION_POLICIES))
@@ -317,8 +348,10 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
         _check_list("axis 'adversary'", adversary_specs, _is_adversary,
                     "a catalog strategy name or an object with one as \"name\" and valid \"params\"")
     _check_list("axis 'inputs'", inputs,
-                lambda e: e in INPUT_PATTERNS or isinstance(e, (list, tuple)),
-                "one of " + ", ".join(INPUT_PATTERNS) + " or a list of inputs")
+                lambda e: e in INPUT_PATTERNS
+                or isinstance(e, (list, tuple)) and all(len(e) == n for n in ns),
+                "one of " + ", ".join(INPUT_PATTERNS)
+                + " or a list of one input per process for every n of the sweep")
     _check_list("axis 'fault_placement'", placements, lambda e: e in FAULT_PLACEMENTS,
                 "one of " + ", ".join(FAULT_PLACEMENTS))
     _check_list("axis 'seeds'", seeds, _is_int, "an integer")
@@ -361,20 +394,9 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
 def run_point(point: SweepPoint) -> Dict[str, Any]:
     """Execute one point and build its metrics record."""
     result = run_execution(point.scenario, point.protocol, point.params)
-    verdicts = verify_execution(result)
+    mis = misclassification(result)
+    verdicts = verify_execution(result, mis)
     scenario = point.scenario
-    classifications = result.trace.get("classifications")  # honest writers only
-    if classifications:
-        mis = predictions.misclassification_report(
-            classifications, scenario.n, set(scenario.fault_set)
-        )
-        mis_record = {
-            "k_A": mis.num_total,
-            "k_H": mis.num_honest,
-            "k_F": mis.num_faulty,
-        }
-    else:
-        mis_record = None
     decisions = [result.decisions.get(p) for p in scenario.honest]
     distinct = {repr(v) for v in decisions}
     record = {
@@ -383,8 +405,10 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
         "scenario": scenario.to_json_dict(),
         "protocol": point.protocol,
         "params": point.params,
-        "realized_budget": result.trace.get("prediction_report"),
-        "misclassification": mis_record,
+        "realized_budget": result.trace["prediction_report"],
+        "misclassification": None if mis is None else {
+            "k_A": mis.num_total, "k_H": mis.num_honest, "k_F": mis.num_faulty
+        },
         "rounds_elapsed": result.rounds_elapsed,
         "honest_messages_total": result.honest_messages_total,
         "honest_messages_by_protocol": dict(sorted(result.honest_messages_by_protocol.items())),
@@ -543,7 +567,8 @@ def load_records(path: str) -> List[Dict[str, Any]]:
                     f" with: {adversary.param_dict()!r}", line=lineno
                 )
             try:
-                _check_params(point.protocol, point.params, [point.scenario.n])
+                _check_params(point.protocol, point.params, [point.scenario.n],
+                              [point.scenario.variant])
             except ScenarioFileError as exc:
                 raise ScenarioFileError(str(exc), line=lineno) from exc
             records.append(record)
@@ -567,10 +592,10 @@ def run_conditional_standalone(
     """
     cls_result = run_execution(scenario, "classify")
     vectors = cls_result.trace.get("classifications", {})  # honest writers only
-    faulty = set(scenario.fault_set)
     if k is None:
-        k = max(predictions.misclassification_report(vectors, scenario.n, faulty).num_total, 1)
-    truth = predictions.correct_classification(scenario.n, faulty)
+        report = predictions.misclassification_report(vectors, scenario.n, scenario.fault_set)
+        k = max(report.num_total, 1)
+    truth = predictions.correct_classification(scenario.n, scenario.fault_set)
     table = {p: vectors.get(p, truth) for p in range(1, scenario.n + 1)}
     params = {"k": k, "classifications": table}
     if T is not None:
@@ -596,7 +621,7 @@ def predicted_exit_phase(scenario: Scenario) -> int:
     misclassification bound, not the realized one."""
     variant, n, t, f = scenario.variant, scenario.n, scenario.t, scenario.f
     _vectors, report = predictions.generate_predictions(
-        n, set(scenario.fault_set), scenario.error_budget, scenario.error_allocation
+        n, scenario.fault_set, scenario.error_budget, scenario.error_allocation
     )
     k_a_bound = misclassification_proof_bound(n, f, report.total)
     alpha = compute_alpha(variant, t)

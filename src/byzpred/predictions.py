@@ -78,28 +78,9 @@ class MisclassificationReport:
         return self.num_honest + self.num_faulty
 
 
-def prediction_error_report(
-    predictions: Mapping[int, Bits], n: int, fault_set: Set[int]
-) -> PredictionErrorReport:
-    """Count wrong bits over honest holders only."""
-    truth = correct_classification(n, fault_set)
-    fah = 0
-    haf = 0
-    for holder, bits in predictions.items():
-        if holder in fault_set:
-            continue
-        for j in range(n):
-            if bits[j] == truth[j]:
-                continue
-            if truth[j] == 0:
-                fah += 1
-            else:
-                haf += 1
-    return PredictionErrorReport(faulty_as_honest=fah, honest_as_faulty=haf)
-
-
 def _flip_order(n: int, fault_set: Set[int], policy: str, f: int) -> Iterable[Tuple[int, int]]:
-    """Yield (holder, target) pairs in the order the policy spends its budget.
+    """Yield (holder, target) pairs in the order the policy spends its budget,
+    each pair at most once.
 
     Holders are honest identifiers in increasing order per target; targets
     are visited lowest-identifier first within their class.
@@ -155,7 +136,9 @@ def generate_predictions(
 
     Faulty holders receive the complement of the correct classification;
     their bits are not counted.  The realized budget is returned alongside
-    the vectors and is never silently different from the request.
+    the vectors and is never silently different from the request: each
+    flip turns one right bit of an honest holder wrong, so the report
+    counts the flips.
     """
     if budget < 0:
         raise ConfigurationError("error budget must be non-negative")
@@ -169,15 +152,16 @@ def generate_predictions(
         i: list(truth) if i not in fault_set else list(complement(truth))
         for i in range(1, n + 1)
     }
+    wrong = [0, 0]  # flips of faulty targets, of honest targets: the truth bit indexes
     remaining = budget
+    # the first step raises on an unknown policy, whatever the budget
     for holder, target in _flip_order(n, fault_set, policy, f):
         if remaining == 0:
             break
         vectors[holder][target - 1] ^= 1
+        wrong[truth[target - 1]] += 1
         remaining -= 1
-    out = {i: tuple(v) for i, v in vectors.items()}
-    report = prediction_error_report(out, n, fault_set)
-    return out, report
+    return {i: tuple(v) for i, v in vectors.items()}, PredictionErrorReport(*wrong)
 
 
 _BITS = frozenset((0, 1))

@@ -30,7 +30,11 @@ class AdversarySpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one execution deterministically."""
+    """Everything needed to reproduce one execution deterministically.
+
+    Construction raises `ConfigurationError` on anything infeasible, among
+    it a t over the variant's resilience bound: unauthenticated needs
+    3t < n and authenticated needs 2t < n."""
 
     n: int
     t: int
@@ -62,6 +66,11 @@ class Scenario:
             raise ConfigurationError("inputs must come from the value domain")
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"variant must be one of {VARIANTS}")
+        bound = 3 if self.variant == UNAUTHENTICATED else 2
+        if bound * self.t >= self.n:
+            raise ConfigurationError(
+                f"{self.variant} protocols need t < n/{bound}, got n={self.n} t={self.t}"
+            )
         if self.error_budget < 0:
             raise ConfigurationError("error budget must be non-negative")
         flippable = (self.n - len(self.fault_set)) * self.n

@@ -27,7 +27,6 @@ from typing import List, Optional
 
 from . import predictions
 from .agreement import (
-    conditional_round_budget,
     leader_window,
     size_condition_holds,
     wrapper_phase_count,
@@ -47,7 +46,24 @@ class Verdict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-def verify_execution(result: ExecutionResult) -> List[Verdict]:
+def misclassification(result: ExecutionResult) -> Optional[predictions.MisclassificationReport]:
+    """The misclassification report of the honest classifications in
+    `result`'s trace, or None if no process classified."""
+    classifications = result.trace.get("classifications")  # honest writers only
+    if not classifications:
+        return None
+    return predictions.misclassification_report(
+        classifications, result.scenario.n, result.scenario.fault_set
+    )
+
+
+def verify_execution(
+    result: ExecutionResult, report: Optional[predictions.MisclassificationReport] = None
+) -> List[Verdict]:
+    """Every verdict on `result`.  `report` is ``misclassification(result)``,
+    derived here unless the caller holds it already.  The ground truth, the
+    report and each distinct honest ordering are derived once and shared by
+    every classification oracle."""
     scenario = result.scenario
     verdicts: List[Verdict] = []
     honest = scenario.honest
@@ -64,18 +80,18 @@ def verify_execution(result: ExecutionResult) -> List[Verdict]:
     # honest processes alone write the trace dict, so these are theirs
     classifications = result.trace.get("classifications")
     if classifications:
-        report = predictions.misclassification_report(
-            classifications, scenario.n, set(scenario.fault_set)
-        )
-        verdicts.append(_vote_bound(result, scenario, classifications, report))
+        if report is None:
+            report = misclassification(result)
+        truth = predictions.correct_classification(scenario.n, scenario.fault_set)
+        # each distinct vector's ordering, in the order of its first holder
+        orderings = {c: predictions.ordering(c) for c in dict.fromkeys(classifications.values())}
+        verdicts.append(_vote_bound(result, scenario, truth, report))
         verdicts.append(_misclassification_bound(result, scenario, report))
-        verdicts.append(_position_stability(scenario, classifications))
-        verdicts.append(_faulty_position(scenario, classifications, report))
-        verdicts.append(_core_set_witness(scenario, classifications, report))
-        for v in _alg5_oracles(result, scenario, classifications, report):
-            verdicts.append(v)
-        for v in _alg7_oracles(result, scenario, classifications, report):
-            verdicts.append(v)
+        verdicts.append(_position_stability(scenario, truth, orderings))
+        verdicts.append(_faulty_position(scenario, orderings, report))
+        verdicts.append(_core_set_witness(scenario, orderings, report))
+        verdicts.extend(_alg5_oracles(result, scenario, orderings, report))
+        verdicts.extend(_alg7_oracles(result, scenario, classifications, orderings, report))
 
     chain_verdict = _chain_propagation(result, scenario)
     if chain_verdict is not None:
@@ -138,14 +154,11 @@ def _runtime_checks(result):
 # Classification oracles
 # ---------------------------------------------------------------------------
 
-def _vote_bound(result, scenario, classifications, report):
+def _vote_bound(result, scenario, truth, report):
     """Every misclassified process had at least threshold-f honest holders
     with the wrong prediction bit about it."""
     n, f = scenario.n, scenario.f
-    vectors = result.trace.get("predictions") or {}
-    if not vectors:
-        return Verdict("classification-vote-bound", True, "no prediction trace")
-    truth = predictions.correct_classification(n, set(scenario.fault_set))
+    vectors = result.trace["predictions"]
     bad = []
     for j in sorted(report.misclassified_faulty | report.misclassified_honest):
         wrong_holders = sum(
@@ -172,7 +185,7 @@ def _misclassification_bound(result, scenario, report):
     denom = math.ceil(n / 2) - f
     if denom <= 0:
         return Verdict("misclassification-bound", True, "bound vacuous: ceil(n/2) <= f")
-    realized = result.trace.get("prediction_report", {}).get("total", scenario.error_budget)
+    realized = result.trace["prediction_report"]["total"]
     ok = report.num_total <= realized / denom
     return Verdict(
         "misclassification-bound",
@@ -181,19 +194,10 @@ def _misclassification_bound(result, scenario, report):
     )
 
 
-def _distinct_orderings(classifications):
-    seen = {}
-    for pid, c in classifications.items():
-        seen.setdefault(c, []).append(pid)
-    return {c: predictions.ordering(c) for c in seen}
-
-
-def _position_stability(scenario, classifications):
+def _position_stability(scenario, truth, orderings):
     """Two honest classifications each misclassifying <= m processes place
     any process they both classify correctly within 2m positions."""
     n = scenario.n
-    truth = predictions.correct_classification(n, set(scenario.fault_set))
-    orderings = _distinct_orderings(classifications)
     items = []
     for c, order in orderings.items():
         m = predictions.hamming(c, truth)
@@ -216,13 +220,13 @@ def _position_stability(scenario, classifications):
     )
 
 
-def _faulty_position(scenario, classifications, report):
+def _faulty_position(scenario, orderings, report):
     """A faulty process placed at position <= n-t-k_A by any honest ordering
     must be in the misclassified set."""
     n, t = scenario.n, scenario.t
     cutoff = n - t - report.num_total
     bad = []
-    for c, order in _distinct_orderings(classifications).items():
+    for order in orderings.values():
         for idx, p in enumerate(order[: max(cutoff, 0)]):
             if p in scenario.fault_set and p not in report.misclassified_faulty:
                 bad.append((p, idx + 1))
@@ -233,19 +237,16 @@ def _faulty_position(scenario, classifications, report):
     )
 
 
-def _core_set_witness(scenario, classifications, report):
+def _core_set_witness(scenario, orderings, report):
     """Brute-force core-set search: every admissible window of every honest
     ordering shares >= window-size - k_A honest members."""
     n, t = scenario.n, scenario.t
     k_a = report.num_total
-    orderings = list(_distinct_orderings(classifications).values())
-    if not orderings:
-        return Verdict("core-set-witness", True, "no classifications")
     honest = set(scenario.honest)
     bad = []
     for lo in range(1, n + 1):
         for hi in range(lo + k_a, min(n - t - k_a, n) + 1):
-            window_sets = [set(o[lo - 1 : hi]) for o in orderings]
+            window_sets = [set(o[lo - 1 : hi]) for o in orderings.values()]
             core = honest.intersection(*window_sets)
             if len(core) < hi - lo + 1 - k_a:
                 bad.append((lo, hi, len(core)))
@@ -260,7 +261,7 @@ def _core_set_witness(scenario, classifications, report):
 # Conditional-BA trace oracles
 # ---------------------------------------------------------------------------
 
-def _alg5_oracles(result, scenario, classifications, report):
+def _alg5_oracles(result, scenario, orderings, report):
     runs = result.trace.get("alg5_runs") or {}
     out = []
     for tag, info in sorted(runs.items()):
@@ -269,9 +270,14 @@ def _alg5_oracles(result, scenario, classifications, report):
             "unauthenticated", scenario.n, scenario.t, k
         ):
             continue
-        out.append(_alg5_window_churn(scenario, classifications, k, report, tag))
-        out.append(_alg5_good_phase(scenario, classifications, k, tag))
-        decided = info.get("decided_phase") or {}
+        # each distinct honest ordering's leader windows, phase by phase
+        schedules = [
+            [set(leader_window(order, k, ph)) for ph in range(1, 2 * k + 2)]
+            for order in orderings.values()
+        ]
+        out.append(_alg5_window_churn(scenario, schedules, tag))
+        out.append(_alg5_good_phase(scenario, schedules, tag))
+        decided = info["decided_phase"]
         if decided:
             phases = sorted(decided.values())
             ok = phases[-1] - phases[0] <= 1
@@ -285,18 +291,9 @@ def _alg5_oracles(result, scenario, classifications, report):
     return out
 
 
-def _alg5_schedules(classifications, k):
-    """Each distinct honest ordering's leader windows, phase by phase."""
-    return [
-        [set(leader_window(order, k, ph)) for ph in range(1, 2 * k + 2)]
-        for order in _distinct_orderings(classifications).values()
-    ]
-
-
-def _alg5_window_churn(scenario, classifications, k, report, tag):
+def _alg5_window_churn(scenario, schedules, tag):
     """Each faulty process appears in some honest window in at most two
     consecutive phases."""
-    schedules = _alg5_schedules(classifications, k)
     bad = []
     for j in sorted(scenario.fault_set):
         phases = sorted(
@@ -311,19 +308,18 @@ def _alg5_window_churn(scenario, classifications, k, report, tag):
     )
 
 
-def _alg5_good_phase(scenario, classifications, k, tag):
+def _alg5_good_phase(scenario, schedules, tag):
     """Some phase has every honest window inside the honest set."""
     honest = set(scenario.honest)
-    schedules = _alg5_schedules(classifications, k)
-    for ph in range(2 * k + 1):
-        if all(sched[ph] <= honest for sched in schedules):
+    for windows in zip(*schedules):  # phase by phase
+        if all(win <= honest for win in windows):
             return Verdict(f"alg5-good-phase[{tag}]", True)
     return Verdict(
         f"alg5-good-phase[{tag}]", False, "no phase with all honest windows fault-free"
     )
 
 
-def _alg7_oracles(result, scenario, classifications, report):
+def _alg7_oracles(result, scenario, classifications, orderings, report):
     runs = result.trace.get("alg7_runs") or {}
     n, t, f = scenario.n, scenario.t, scenario.f
     out = []
@@ -331,14 +327,13 @@ def _alg7_oracles(result, scenario, classifications, report):
         k = info["k"]
         if k < report.num_total or not size_condition_holds("authenticated", n, t, k):
             continue
-        certified_honest = set(info.get("certified", ()))
+        certified_honest = set(info["certified"])
         # A faulty process can hold a certificate iff honest nominations plus
         # all f faulty signatures reach t+1; recompute nominations from the
         # honest orderings.
         votes = {j: 0 for j in range(1, n + 1)}
-        for pid, c in classifications.items():
-            order = predictions.ordering(c)
-            for j in order[: min(2 * k + 1, n)]:
+        for c in classifications.values():
+            for j in orderings[c][: min(2 * k + 1, n)]:
                 votes[j] += 1
         certified_faulty = {
             j for j in scenario.fault_set if votes[j] + f >= t + 1

@@ -10,9 +10,16 @@ import pytest
 
 from byzpred import harness
 from byzpred.adversaries import CATALOG, Strategy, entries
-from byzpred.engine import Broadcast, ProcessContext, register_protocol, run_execution
+from byzpred.engine import (
+    Broadcast,
+    OracleCheck,
+    ProcessContext,
+    register_protocol,
+    run_execution,
+)
 from byzpred.errors import ConfigurationError, ProtocolViolation
 from byzpred.scenario import AdversarySpec, Scenario
+from byzpred.verify import verify_execution
 
 GOLDEN_ORDER = Path(__file__).parent / "data" / "golden_order.jsonl"
 
@@ -72,14 +79,43 @@ def test_unknown_protocol_rejected():
 
 
 def test_unauth_fault_bound_enforced():
-    s = basic(n=6, t=2, inputs=(1,) * 6)
-    with pytest.raises(ConfigurationError):
-        run_execution(s, "ba-with-predictions")
+    with pytest.raises(ConfigurationError, match="need t < n/3"):
+        basic(n=6, t=2, inputs=(1,) * 6)
 
 
 def test_auth_fault_bound_enforced():
-    s = basic(n=6, t=3, inputs=(1,) * 6, variant="authenticated")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="need t < n/2"):
+        basic(n=6, t=3, inputs=(1,) * 6, variant="authenticated")
+
+
+@register_protocol("test-failing-check")
+def _failing_check_protocol(ctx, scenario, params):
+    # honest p2 and p4, a member's shadow under the silent strategy, fail
+    with ctx.scope("check"):
+        ctx.check("test-check", ctx.pid not in (2, 4), "boom")
+        yield []
+    return 0
+
+
+def test_a_failed_honest_check_fails_the_runtime_checks_verdict():
+    r = run_execution(basic(fault_set={4}, inputs=(0, 1, 0, 1)), "test-failing-check")
+    # only the honest failure is kept: a shadow writes to a throwaway list
+    assert r.check_failures == [OracleCheck("test-check", "p2: boom")]
+    assert [v.as_dict() for v in verify_execution(r)] == [
+        {"name": "runtime-checks", "ok": False, "detail": "test-check: p2: boom"}
+    ]
+
+
+def test_a_strategy_cannot_sign_as_an_honest_process(monkeypatch):
+    class HonestSigner(Strategy):
+        def emit(self, rnd, honest_items, shadow_items, actx):
+            actx.sign_as(4, ("own", rnd))  # a member's signature is granted
+            actx.sign_as(1, ("honest", rnd))
+            return []
+
+    monkeypatch.setitem(CATALOG, "honest-signer", HonestSigner)
+    s = basic(fault_set={4}, inputs=(0, 1, 0, 1), adversary="honest-signer")
+    with pytest.raises(ProtocolViolation, match="adversary requested a signature of honest process 1"):
         run_execution(s, "ba-with-predictions")
 
 

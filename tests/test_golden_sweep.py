@@ -24,7 +24,7 @@ import json
 import random
 from pathlib import Path
 
-from byzpred import adversaries, authtools, blocks, engine, harness
+from byzpred import adversaries, authtools, blocks, engine, harness, predictions
 from byzpred.scenario import AdversarySpec, Scenario
 
 DATA = Path(__file__).parent / "data"
@@ -107,6 +107,22 @@ def test_golden_sweep_covers_its_sweep_file():
 
 def test_golden_sweep_replays_byte_identical():
     check_replays_byte_identical("golden_sweep", 72)
+
+
+def test_each_golden_point_derives_one_misclassification_report(monkeypatch):
+    # the record's k_A, k_H, k_F and the verdicts read one report
+    calls = []
+    report = predictions.misclassification_report
+
+    def counted(*args):
+        calls.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(predictions, "misclassification_report", counted)
+    for record in harness.load_records(str(DATA / "golden_sweep.jsonl")):
+        calls.clear()
+        assert harness.replay_record(record)
+        assert len(calls) == (record["misclassification"] is not None), record["index"]
 
 
 def test_golden_order_covers_its_sweep_file():

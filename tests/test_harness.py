@@ -205,6 +205,17 @@ def _with_params(protocol, params):
          "key 'params': 'committee'"),
         (_with_key("protocol", "nope"), "key 'protocol': expected one of"),
         (_with_axis("f", [-1, 0]), "axis 'f' entry 0: expected an integer of at least 0"),
+        (_with_axis("inputs", ["alternating", [0, 1, 0]]), "axis 'inputs' entry 1"),
+        (_with_axis("error_budget", [0, "xn"]), "axis 'error_budget' entry 1"),
+        (dict(_with_params("ba-classification", {"k": 1, "T": 3}),
+              variant=["unauthenticated", "authenticated"]),
+         "key 'params': 'T' must be at least"),
+        (_with_params("ba-classification",
+                      {"k": 1, "classifications": {"1": "1111", "2": "1111", "3": "1111"}}),
+         "key 'params': 'classifications'"),
+        (_with_params("ba-classification",
+                      {"k": 1, "classifications": {str(p): [1, 1, 1] for p in range(1, 5)}}),
+         "key 'params': 'classifications'"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -224,6 +235,8 @@ def test_malformed_sweep_file_is_located(tmp_path, doc, located):
         ("graded-consensus-core", "unauthenticated",
          {"k": 0, "windows": {str(p): [1] for p in range(1, 5)}}),
         ("bb-committee", "authenticated", {"k": 1, "sender": 1, "committee": [1, 2, 4]}),
+        ("ba-classification", "authenticated",
+         {"k": 1, "T": 4, "classifications": {str(p): "1111" for p in range(1, 5)}}),
     ],
 )
 def test_standalone_params_that_run_pass_the_check(protocol, variant, params):
@@ -410,9 +423,15 @@ def with_adversary(record, name, params=None):
         (lambda record: dict(record, params=5), "key 'params' must be a JSON object"),
         (lambda record: with_adversary(record, "crash", {"round": "x"}),
          "unknown adversary strategy 'crash', or params it cannot run with: {'round': 'x'}"),
+        (lambda record: dict(record, scenario=dict(record["scenario"], t=2)),
+         "unauthenticated protocols need t < n/3, got n=4 t=2"),
+        (lambda record: dict(record, protocol="ba-classification", params={"k": 1, "T": 3},
+                             scenario=dict(record["scenario"], variant="authenticated")),
+         "key 'params': 'T' must be at least k+3"),
     ],
     ids=["index-only", "not-an-object", "scenario-without-t", "schema-1", "unknown-protocol",
-         "unknown-adversary", "params-without-k", "params-not-an-object", "crash-round-not-an-int"],
+         "unknown-adversary", "params-without-k", "params-not-an-object", "crash-round-not-an-int",
+         "t-over-the-bound", "authenticated-T-below-k-plus-3"],
 )
 def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
     points, _ = harness.expand_sweep(sweep_doc())
@@ -448,6 +467,34 @@ def test_cli_run_reports_an_infeasible_point(tmp_path):
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"point {s.index} is infeasible: {s.reason}\n"
     assert [s.index for s in skipped] == [0, 2]
+
+
+def test_points_over_the_resilience_bound_are_skipped(tmp_path):
+    # t=2 breaks 3t < n at n=4 and 7 and 2t < n at n=4
+    doc = sweep_doc(variant=["unauthenticated", "authenticated"])
+    doc["axes"].update(n=[4, 7, 10], t=[2], f=[1], error_budget=[0, "n"],
+                       allocation=["adversarial-worst"], adversary=["equivocator"])
+    points, skipped = harness.expand_sweep(doc)
+    assert [p.index for p in points] == [2, 3, 4, 5, 8, 9, 10, 11]
+    assert [(s.index, s.reason) for s in skipped] == [
+        (0, "unauthenticated protocols need t < n/3, got n=4 t=2"),
+        (1, "unauthenticated protocols need t < n/3, got n=4 t=2"),
+        (6, "authenticated protocols need t < n/2, got n=4 t=2"),
+        (7, "authenticated protocols need t < n/2, got n=4 t=2"),
+    ]
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(doc))
+    proc = run_cli("run", str(sweep_file), "--index", "6")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "point 6 is infeasible: authenticated protocols need t < n/2, got n=4 t=2\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "replay"])
+def test_cli_reports_a_missing_file(tmp_path, command):
+    missing = tmp_path / "missing.json"
+    proc = run_cli(command, str(missing))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"file error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_cli_seed_override(tmp_path):

@@ -165,17 +165,25 @@ def test_budget_realized_exactly_and_recounted(policy, data):
     faults = set(data.draw(st.permutations(range(1, n + 1)))[:f])
     budget = data.draw(st.integers(0, (n - f) * n))
     vectors, report = pr.generate_predictions(n, faults, budget, policy)
-    # independent recount of wrong bits over honest holders
+    # independent recount of wrong bits over honest holders, by direction
     truth = pr.correct_classification(n, faults)
-    recount = 0
+    recount = {0: 0, 1: 0}  # by truth bit: faulty predicted honest, honest predicted faulty
     for holder, bits in vectors.items():
         if holder in faults:
             continue
-        recount += sum(1 for j in range(n) if bits[j] != truth[j])
-    assert recount == report.total
+        for j in range(n):
+            if bits[j] != truth[j]:
+                recount[truth[j]] += 1
+    assert (recount[0], recount[1]) == (report.faulty_as_honest, report.honest_as_faulty)
     assert report.total <= budget
     if policy in ("spread-uniform",):
         assert report.total == budget  # every bit is flippable under spread
+
+
+@pytest.mark.parametrize("budget", [0, 1, 12])
+def test_unknown_policy_rejected_at_every_budget(budget):
+    with pytest.raises(ConfigurationError, match="unknown allocation policy 'lucky'"):
+        pr.generate_predictions(4, {4}, budget, "lucky")
 
 
 def test_adversarial_worst_targets_low_id_faulty_first():
