@@ -71,6 +71,31 @@ def leader_window(order, k: int, ph: int):
     return order[(3 * k + 1) * (ph - 1) : (3 * k + 1) * ph]
 
 
+def _ordering_of(ctx, classification):
+    """`predictions.ordering(classification)`, derived once per execution
+    for each distinct classification through ``ctx.memo``: the ordering
+    reads bits only through ``== 1`` and ``== 0``, so equal vectors give
+    equal orderings."""
+    order = ctx.memo.get(classification)
+    if order is None:
+        order = ctx.memo[classification] = predictions.ordering(classification)
+    return order
+
+
+def _leader_windows(ctx, classification, k: int):
+    """The 2k+1 leader windows of `classification`'s ordering for tolerance
+    k, as frozensets built once per execution and shared by every process
+    that holds the classification."""
+    key = (classification, k)
+    windows = ctx.memo.get(key)
+    if windows is None:
+        order = _ordering_of(ctx, classification)
+        windows = ctx.memo[key] = tuple(
+            frozenset(leader_window(order, k, ph)) for ph in range(1, 2 * k + 2)
+        )
+    return windows
+
+
 def wrapper_phase_count(t: int) -> int:
     return math.ceil(math.log2(max(t, 1))) + 1
 
@@ -130,17 +155,16 @@ def ba_with_classification_unauth(ctx, value, classification, k: int, T: Optiona
     budget = conditional_round_budget("unauthenticated", k)
     if T is not None:
         budget = min(budget, T)
-    order = predictions.ordering(classification)
+    windows = _leader_windows(ctx, classification, k)
     run_info = ctx.shared.setdefault("alg5_runs", {}).setdefault(
         ctx.tag, {"k": k, "decided_phase": {}}
     )
     start = ctx.rounds_used
     decision = None
 
-    for ph in range(1, 2 * k + 2):
+    for ph, window in enumerate(windows, 1):
         if ctx.rounds_used - start + 5 > budget:
             break
-        window = leader_window(order, k, ph)
         with ctx.scope(f"w{ph}"):
             with ctx.scope("gca"):
                 value, grade = yield from graded_consensus_core_set(ctx, value, k, window)
@@ -165,16 +189,15 @@ def ba_with_classification_unauth(ctx, value, classification, k: int, T: Optiona
 def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[int] = None):
     """Committee nomination, n parallel broadcast instances, plurality round.
 
-    Exactly k+3 rounds.  Agreement and strong unanimity hold when k bounds
-    the misclassification count, 2k+1 <= n-t-k and t < n/2.
+    Exactly k+3 rounds, so a given T must be at least k+3
+    (`check_conditional_params`; the wrapper's budgets cover it by
+    construction).  Agreement and strong unanimity hold when k bounds the
+    misclassification count, 2k+1 <= n-t-k and t < n/2.
     """
-    if T is not None and T < k + 3:
-        raise ConfigurationError(f"authenticated conditional BA needs T >= k+3, got {T}")
     n = ctx.n
     domain = ctx.scenario.value_domain
     context = ctx.tag or "alg7"
-    order = predictions.ordering(classification)
-    targets = order[: min(2 * k + 1, n)]
+    targets = _ordering_of(ctx, classification)[: min(2 * k + 1, n)]
 
     with ctx.scope("cvote"):
         inbox = yield committee_vote_payloads(ctx, context, targets)
@@ -291,25 +314,50 @@ def _classify_protocol(ctx, scenario, params):
     return predictions.bits_to_string(c)
 
 
-def _classification_param(ctx, params):
-    spec = params.get("classifications", "truth")
-    if spec == "truth":
-        return predictions.correct_classification(ctx.n, ctx.scenario.fault_set)
-    entry = spec.get(ctx.pid, spec.get(str(ctx.pid)))
-    if entry is None:
-        raise ConfigurationError(f"no classification vector for process {ctx.pid}")
-    bits = predictions.bits_from_string(entry) if isinstance(entry, str) else tuple(entry)
-    if len(bits) != ctx.n:
-        raise ConfigurationError("classification vector has wrong length")
-    return bits
+def _given_vector(table, pid: int, n: int):
+    """Process `pid`'s entry of a `classifications` table (keyed by pid or
+    its string) as a tuple of n bits, or None if it holds none: an entry is
+    a string of 0/1 characters or a list or tuple of bits."""
+    entry = table.get(pid, table.get(str(pid)))
+    if isinstance(entry, str):
+        ok = len(entry) == n and not entry.strip("01")
+        return predictions.bits_from_string(entry) if ok else None
+    if isinstance(entry, (list, tuple)) and len(entry) == n and all(b in (0, 1) for b in entry):
+        return tuple(entry)
+    return None
+
+
+def check_conditional_params(params, n: int, authenticated: bool, pids) -> None:
+    """The `ba-classification` parameter rules at width n: a given `T` is at
+    least k+3 when `authenticated`, and `classifications` is "truth" or
+    holds a vector of n bits for each process of `pids`.  Raises
+    `ConfigurationError` naming the broken rule."""
+    T = params.get("T")
+    if authenticated and T is not None and T < params["k"] + 3:
+        raise ConfigurationError(
+            f"'T' must be at least k+3 for authenticated ba-classification, got {params!r}"
+        )
+    table = params.get("classifications", "truth")
+    if table != "truth" and not (
+        isinstance(table, dict) and all(_given_vector(table, p, n) is not None for p in pids)
+    ):
+        raise ConfigurationError(
+            "'classifications' must be \"truth\" or an object holding a vector of n bits"
+            f" for each process 1..n, got {table!r}"
+        )
 
 
 @register_protocol("ba-classification")
 def _conditional_protocol(ctx, scenario, params):
-    k = params["k"]
-    T = params.get("T")
-    bits = _classification_param(ctx, params)
+    check_conditional_params(params, ctx.n, ctx.variant == "authenticated", (ctx.pid,))
+    table = params.get("classifications", "truth")
+    if table == "truth":
+        bits = predictions.correct_classification(ctx.n, ctx.scenario.fault_set)
+    else:
+        bits = _given_vector(table, ctx.pid, ctx.n)
     ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
     with ctx.scope("cond"):
-        out = yield from ba_with_classification(ctx, params["input"], bits, k, T)
+        out = yield from ba_with_classification(
+            ctx, params["input"], bits, params["k"], params.get("T")
+        )
     return out

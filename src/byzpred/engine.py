@@ -137,7 +137,6 @@ class ProcessContext:
         "variant",
         "scenario",
         "tag",
-        "_tag_stack",
         "rounds_used",
         "signer",
         "_failures",
@@ -153,12 +152,11 @@ class ProcessContext:
         self.variant = scenario.variant
         self.scenario = scenario
         self.tag = ""
-        self._tag_stack: List[str] = []
         self.rounds_used = 0
         self.signer = signer
         self._failures = failures  # the execution's failed checks; a throwaway list for a shadow
         self.shared = shared  # the execution's trace dict; honest writers only
-        self.memo = memo  # execution-wide cache for pure validation results
+        self.memo = memo  # execution-wide cache for pure derivations
         self.round_memo = round_memo  # per-inbox results; the engine clears it every round
 
     def scope(self, name: str) -> "_Scope":
@@ -196,9 +194,10 @@ class ProcessContext:
 
 
 class _Scope:
-    """`ProcessContext.scope`: pushes `name` on entry and restores the
-    outer tag on exit, however the body ends (a raise, or the protocol
-    generator being closed mid-scope)."""
+    """`ProcessContext.scope`: appends `/name` to the tag on entry (the
+    outermost scope's tag is `name` itself) and restores the outer tag on
+    exit, however the body ends (a raise, or the protocol generator being
+    closed mid-scope)."""
 
     __slots__ = ("ctx", "name", "outer")
 
@@ -208,15 +207,12 @@ class _Scope:
 
     def __enter__(self) -> str:
         ctx = self.ctx
-        self.outer = ctx.tag
-        ctx._tag_stack.append(self.name)
-        ctx.tag = tag = "/".join(ctx._tag_stack)
+        self.outer = outer = ctx.tag
+        ctx.tag = tag = f"{outer}/{self.name}" if outer else self.name
         return tag
 
     def __exit__(self, *exc_info) -> None:
-        ctx = self.ctx
-        ctx._tag_stack.pop()
-        ctx.tag = self.outer
+        self.ctx.tag = self.outer
 
 
 class Broadcast:
@@ -313,7 +309,7 @@ def run_execution(
     strategy = make_strategy(scenario.adversary)
     strategy.prepare(scenario)
 
-    shared_memo: Dict[Any, Any] = {}  # cross-process cache for pure validation results
+    shared_memo: Dict[Any, Any] = {}  # cross-process cache for pure derivations
     round_memo: Dict[Any, Any] = {}  # per-inbox results of the current round
     # The alive processes in pid order: [pid, ctx, bound generator send (None
     # once it left), member flag, the member's last idle item (at first untagged)].

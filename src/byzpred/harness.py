@@ -56,6 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from . import predictions
 from .adversaries import CATALOG, strategy_catalog
 from .agreement import (
+    check_conditional_params,
     compute_alpha,
     conditional_round_budget,
     size_condition_holds,
@@ -232,13 +233,6 @@ def _is_ids(entry, n: int) -> bool:
     return isinstance(entry, list) and all(_is_int(p) and 1 <= p <= n for p in entry)
 
 
-def _is_bits(entry, n: int) -> bool:
-    """A classification vector of n bits: a string of 0/1 characters or a list."""
-    if isinstance(entry, str):
-        return len(entry) == n and not entry.strip("01")
-    return isinstance(entry, list) and len(entry) == n and all(b in (0, 1) for b in entry)
-
-
 def _check_params(protocol: str, params: Dict[str, Any], ns: List[int], variants) -> None:
     """Reject params that are no JSON object or that a protocol cannot run with.
 
@@ -248,10 +242,9 @@ def _check_params(protocol: str, params: Dict[str, Any], ns: List[int], variants
     consensus with a core set and conciliation need a `window` of process
     ids or `windows` holding one for each process; a given broadcast
     `committee` must be a list of process ids.  A process id is an integer
-    in 1..n for every n of the sweep.  The conditional BA's `T` must be at
-    least k+3 if the sweep has the authenticated variant, and its
-    `classifications` are "truth" or hold a vector of n bits for each
-    process."""
+    in 1..n for every n of the sweep.  The conditional BA's own rules are
+    `agreement.check_conditional_params`, applied at every n of the sweep,
+    authenticated if the sweep has that variant."""
     if not isinstance(params, dict):
         raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
     windowed = protocol in ("graded-consensus-core", "conciliate")
@@ -265,22 +258,11 @@ def _check_params(protocol: str, params: Dict[str, Any], ns: List[int], variants
                 f" got {params!r}"
             )
     if protocol == "ba-classification":
-        T = params.get("T")
-        if AUTHENTICATED in variants and T is not None and T < params["k"] + 3:
-            raise ScenarioFileError(
-                f"key 'params': 'T' must be at least k+3 for authenticated {protocol},"
-                f" got {params!r}"
-            )
-        table = params.get("classifications", "truth")
-        if table != "truth" and not (
-            isinstance(table, dict)
-            and all(_is_bits(table.get(p, table.get(str(p))), n)
-                    for n in ns for p in range(1, n + 1))
-        ):
-            raise ScenarioFileError(
-                "key 'params': 'classifications' must be \"truth\" or an object holding a"
-                f" vector of n bits for each process 1..n, got {table!r}"
-            )
+        try:
+            for n in ns:
+                check_conditional_params(params, n, AUTHENTICATED in variants, range(1, n + 1))
+        except ConfigurationError as exc:
+            raise ScenarioFileError(f"key 'params': {exc}") from exc
     window, windows = params.get("window"), params.get("windows")
     if windowed and not (
         all(_is_ids(window, n) for n in ns) if windows is None

@@ -72,6 +72,78 @@ def test_classify_tallies_each_distinct_inbox_once(monkeypatch):
         assert len(calls) == expected, (adversary, params)
 
 
+def wrapper_point(variant, n, budget, adversary):
+    """The one f=t=max, alternating-input, adversarial-worst, lowest-placed,
+    seed-1 wrapper point."""
+    points, _ = harness.expand_sweep({
+        "schema_version": 1,
+        "protocol": "ba-with-predictions",
+        "variant": variant,
+        "axes": {"n": [n], "t": "max", "f": ["max"], "error_budget": [budget],
+                 "allocation": ["adversarial-worst"], "adversary": [adversary],
+                 "inputs": ["alternating"], "fault_placement": ["lowest"], "seeds": [1]},
+    })
+    (point,) = points
+    return point
+
+
+@pytest.mark.parametrize("variant, n, adversary", [
+    ("unauthenticated", 64, "vote-poisoner"),
+    ("authenticated", 32, "grade-splitter"),
+    ("unauthenticated", 31, {"name": "vote-poisoner", "params": {"mode": "per-receiver"}}),
+])
+def test_ordering_is_derived_once_per_distinct_classification(monkeypatch, variant, n, adversary):
+    # Every process turns its classification into an ordering at each
+    # phase's conditional BA; the execution derives each distinct vector's
+    # ordering once and shares it.
+    calls = []
+    ordering = predictions.ordering
+
+    def counted(c):
+        calls.append(c)
+        return ordering(c)
+
+    monkeypatch.setattr(predictions, "ordering", counted)
+    point = wrapper_point(variant, n, "4n", adversary)
+    result = run_execution(point.scenario, point.protocol, point.params)
+    honest = set(result.trace["classifications"].values())
+    assert len(calls) == len(set(calls))
+    assert honest <= set(calls)
+
+
+def test_leader_windows_follow_each_process_own_classification(monkeypatch):
+    # Honest processes hold two distinct classifications here, so each one's
+    # windows must come from its own vector's ordering, not from whichever
+    # vector was derived first; processes of one vector share each window.
+    point = wrapper_point("unauthenticated", 31, "n",
+                          {"name": "vote-poisoner", "params": {"mode": "per-receiver"}})
+    seen = []
+
+    def recording(block):
+        def wrapped(ctx, value, k, window):
+            seen.append((ctx.pid, ctx.tag, k, window))
+            return (yield from block(ctx, value, k, window))
+        return wrapped
+
+    monkeypatch.setattr(agreement, "graded_consensus_core_set",
+                        recording(agreement.graded_consensus_core_set))
+    monkeypatch.setattr(agreement, "conciliate", recording(agreement.conciliate))
+    result = run_execution(point.scenario, point.protocol, point.params)
+    classifications = result.trace["classifications"]
+    assert len(set(classifications.values())) == 2
+    shared = {}
+    windows_by_phase = {}
+    for pid, tag, k, window in seen:
+        if pid in point.scenario.fault_set:
+            continue
+        c = classifications[pid]
+        ph = int(tag.split("/")[-2][1:])  # ".../cond/w<ph>/<block>"
+        assert window == set(agreement.leader_window(predictions.ordering(c), k, ph)), (pid, tag)
+        assert shared.setdefault((c, k, ph), window) is window, (pid, tag)
+        windows_by_phase.setdefault((k, ph), set()).add(window)
+    assert any(len(windows) == 2 for windows in windows_by_phase.values())
+
+
 # ---------------------------------------------------------------------------
 # conditional unauthenticated BA (leader windows)
 # ---------------------------------------------------------------------------
