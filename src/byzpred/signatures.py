@@ -27,17 +27,26 @@ keyed hash of (signer, digest), and verification additionally requires the
 (signer, digest) pair to be present in the scheme's mint registry.  The
 adversary has no operation that mints tokens for honest signers, so honest
 signatures are unforgeable by construction.
+
+A minted signature holds the scheme's secret bytes, not the scheme, and
+hashes its token when the token is first read: by `.token`, by its
+encoding or `repr`, by `==` against another signature with the same signer
+and digest, or by a verify that cannot decide on identity.  Most honest
+signatures are verified only against the very object that was minted, or
+never, so most tokens are never computed.  The secret stays out of every
+encoding and `repr`, so a token that was never revealed still cannot be
+rebuilt from (signer, content).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 from .errors import ProtocolViolation
+
+_u32 = struct.Struct(">I").pack
 
 
 def encode(obj: Any) -> bytes:
@@ -51,15 +60,29 @@ def encode(obj: Any) -> bytes:
         return b"Z"
     if isinstance(obj, int):
         d = str(obj).encode("ascii")
-        return b"I" + struct.pack(">I", len(d)) + d
+        return b"I" + _u32(len(d)) + d
     if isinstance(obj, str):
         u = obj.encode("utf-8")
-        return b"S" + struct.pack(">I", len(u)) + u
+        return b"S" + _u32(len(u)) + u
     if isinstance(obj, bytes):
-        return b"B" + struct.pack(">I", len(obj)) + obj
+        return b"B" + _u32(len(obj)) + obj
     if isinstance(obj, (tuple, list)):
-        parts = [encode(x) for x in obj]
-        return b"T" + struct.pack(">I", len(obj)) + b"".join(parts)
+        # One pass over flat content: exact str and int elements and
+        # signatures are written inline, anything else by recursion.
+        parts = [b"T", _u32(len(obj))]
+        for x in obj:
+            tx = type(x)
+            if tx is str:
+                u = x.encode("utf-8")
+                parts += (b"S", _u32(len(u)), u)
+            elif tx is int:
+                d = b"%d" % x
+                parts += (b"I", _u32(len(d)), d)
+            elif tx is Signature:
+                parts.append(x.encoded)
+            else:
+                parts.append(encode(x))
+        return b"".join(parts)
     canonical = getattr(obj, "canonical", None)
     if canonical is not None:
         return encode(canonical())
@@ -70,21 +93,84 @@ def digest(content: Any) -> str:
     return hashlib.sha256(encode(content)).hexdigest()
 
 
-@dataclass(frozen=True)
-class Signature:
-    """An authenticator binding a signer to a content digest."""
+def _keyed_token(secret: bytes, signer: Any, dig: str) -> str:
+    return hashlib.sha256(secret + str(signer).encode() + dig.encode()).hexdigest()[:32]
 
-    signer: int
-    message_digest: str
-    token: str
+
+class _SignatureSlots:
+    """A Signature's fields, still writable: `SimTokenScheme.sign` fills one
+    and then makes it a Signature, which costs less than the frozen
+    constructor's per-field `object.__setattr__`."""
+
+    __slots__ = ("signer", "message_digest", "_secret", "_token", "_encoded")
+
+
+class Signature(_SignatureSlots):
+    """An authenticator binding a signer to a content digest.
+
+    Immutable.  `token` and `encoded` are computed on first read; equality
+    covers (signer, message_digest, token), and the hash covers (signer,
+    message_digest) alone, so hashing never computes a token.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, signer: int, message_digest: str, token: str):
+        for name, value in (
+            ("signer", signer),
+            ("message_digest", message_digest),
+            ("_secret", None),
+            ("_token", token),
+            ("_encoded", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def token(self) -> str:
+        token = self._token
+        if token is None and self._secret is not None:
+            token = _keyed_token(self._secret, self.signer, self.message_digest)
+            object.__setattr__(self, "_token", token)
+        return token
+
+    @property
+    def encoded(self) -> bytes:
+        """encode(self), computed once from this signature's own fields."""
+        enc = self._encoded
+        if enc is None:
+            enc = encode(self.canonical())
+            object.__setattr__(self, "_encoded", enc)
+        return enc
 
     def canonical(self):
         return ("sig", self.signer, self.message_digest, self.token)
 
-    @cached_property
-    def encoded(self) -> bytes:
-        """encode(self), computed once from this signature's own fields."""
-        return encode(self.canonical())
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Signature is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Signature is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.signer, self.message_digest) == (
+            other.signer, other.message_digest
+        ) and self.token == other.token
+
+    def __hash__(self):
+        return hash((self.signer, self.message_digest))
+
+    def __repr__(self):
+        return (
+            f"Signature(signer={self.signer!r}, message_digest={self.message_digest!r}, "
+            f"token={self.token!r})"
+        )
+
+    def __reduce__(self):
+        return (Signature, (self.signer, self.message_digest, self.token))
 
 
 # Exact types whose equal values always encode identically.  bool is left
@@ -99,13 +185,17 @@ class SimTokenScheme:
     verify() demands both a correct token and that this very scheme minted
     a signature for (signer, digest); forged tokens fail even if an
     adversary reproduced the keyed hash.
+
+    The mint registry maps (signer, digest) to the signature minted last
+    for it.  Verifying that very object for an int signer needs no token:
+    it was minted with this scheme's secret for exactly this pair.  Every
+    other signature, including equal-valued copies, forged tokens and a
+    signer spelled otherwise (True or 1.0 for 1), is checked by comparing
+    its token with the keyed hash.
     """
 
     def __init__(self, seed: int):
         self._secret = hashlib.sha256(b"byzpred-scheme" + str(seed).encode()).digest()
-        # (signer, digest) -> its minted token, or None where verify must
-        # hash it again: a non-int signer equal to an int (True for 1)
-        # shares the int's key but its token hashes another spelling
         self._minted = {}
         self._digest_memo = {}
 
@@ -116,7 +206,7 @@ class SimTokenScheme:
         if (
             type(content) is tuple
             and len(content) <= 4
-            and all(type(x) in _MEMO_SCALARS for x in content)
+            and _MEMO_SCALARS.issuperset(map(type, content))
         ):
             dig = self._digest_memo.get(content)
             if dig is None:
@@ -126,13 +216,18 @@ class SimTokenScheme:
         return digest(content)
 
     def _token(self, signer: int, dig: str) -> str:
-        return hashlib.sha256(self._secret + str(signer).encode() + dig.encode()).hexdigest()[:32]
+        return _keyed_token(self._secret, signer, dig)
 
     def sign(self, signer: int, content: Any) -> Signature:
         dig = self._digest(content)
-        token = self._token(signer, dig)
-        self._minted[(signer, dig)] = token if type(signer) is int else None
-        return Signature(signer=signer, message_digest=dig, token=token)
+        sig = _SignatureSlots()
+        sig.signer = signer
+        sig.message_digest = dig
+        sig._secret = self._secret
+        sig._token = sig._encoded = None
+        sig.__class__ = Signature
+        self._minted[(signer, dig)] = sig
+        return sig
 
     def verify(self, sig: Any, signer: int, content: Any) -> bool:
         if not isinstance(sig, Signature):
@@ -140,12 +235,12 @@ class SimTokenScheme:
         dig = self._digest(content)
         if not (sig.signer == signer and sig.message_digest == dig):
             return False
-        token = self._minted.get((signer, dig), False)
-        if token is False:
+        minted = self._minted.get((signer, dig))
+        if minted is None:
             return False
-        if token is None or type(signer) is not int:
-            token = self._token(signer, dig)
-        return sig.token == token
+        if minted is sig and type(signer) is int and type(sig.signer) is int:
+            return True
+        return sig.token == self._token(signer, dig)
 
 
 class SignOracle:
