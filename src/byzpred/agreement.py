@@ -165,15 +165,18 @@ def ba_with_classification_unauth(ctx, value, classification, k: int, T: Optiona
     for ph, window in enumerate(windows, 1):
         if ctx.rounds_used - start + 5 > budget:
             break
-        with ctx.scope(f"w{ph}"):
-            with ctx.scope("gca"):
-                value, grade = yield from graded_consensus_core_set(ctx, value, k, window)
-            with ctx.scope("con"):
-                conciliated = yield from conciliate(ctx, value, k, window)
-            if grade == 0:
-                value = conciliated
-            with ctx.scope("gcb"):
-                value, grade = yield from graded_consensus_core_set(ctx, value, k, window)
+        outer = ctx.enter(f"w{ph}")
+        phase_tag = ctx.enter("gca")
+        value, grade = yield from graded_consensus_core_set(ctx, value, k, window)
+        ctx.tag = phase_tag
+        ctx.enter("con")
+        conciliated = yield from conciliate(ctx, value, k, window)
+        ctx.tag = phase_tag
+        if grade == 0:
+            value = conciliated
+        ctx.enter("gcb")
+        value, grade = yield from graded_consensus_core_set(ctx, value, k, window)
+        ctx.tag = outer
         if decision is not None:
             return decision
         if grade == 1:
@@ -199,9 +202,10 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
     context = ctx.tag or "alg7"
     targets = _ordering_of(ctx, classification)[: min(2 * k + 1, n)]
 
-    with ctx.scope("cvote"):
-        inbox = yield committee_vote_payloads(ctx, context, targets)
-        my_cert = certificate_from_inbox(ctx, context, inbox)
+    outer = ctx.enter("cvote")
+    inbox = yield committee_vote_payloads(ctx, context, targets)
+    my_cert = certificate_from_inbox(ctx, context, inbox)
+    ctx.tag = outer
     run_info = ctx.shared.setdefault("alg7_runs", {}).setdefault(
         context, {"k": k, "certified": []}
     )
@@ -213,27 +217,29 @@ def ba_with_classification_auth(ctx, value, classification, k: int, T: Optional[
         s: BroadcastInstance(ctx, s, k, my_cert, validator) for s in range(1, n + 1)
     }
 
-    with ctx.scope("bb"):
-        yield from relay_rounds(ctx, instances, k, value)
+    ctx.enter("bb")
+    yield from relay_rounds(ctx, instances, k, value)
+    ctx.tag = outer
     bb_out = [instances[s].result() for s in range(1, n + 1)]
 
-    with ctx.scope("plur"):
-        sends = []
-        if my_cert is not None:
-            candidates = [v for v in bb_out if v is not BOT and v in domain]
-            mine = plurality_tiebreak(candidates) if candidates else value
-            sends = ctx.broadcast(("plur", mine, my_cert))
-        inbox = yield sends
-        votes = []
-        for src, p in distinct_by_sender(inbox).items():
-            if (
-                isinstance(p, tuple)
-                and len(p) == 3
-                and p[0] == "plur"
-                and p[1] in domain
-                and validator.certificate_ok(p[2], src)
-            ):
-                votes.append(p[1])
+    ctx.enter("plur")
+    sends = []
+    if my_cert is not None:
+        candidates = [v for v in bb_out if v is not BOT and v in domain]
+        mine = plurality_tiebreak(candidates) if candidates else value
+        sends = ctx.broadcast(("plur", mine, my_cert))
+    inbox = yield sends
+    ctx.tag = outer
+    votes = []
+    for src, p in distinct_by_sender(inbox).items():
+        if (
+            isinstance(p, tuple)
+            and len(p) == 3
+            and p[0] == "plur"
+            and p[1] in domain
+            and validator.certificate_ok(p[2], src)
+        ):
+            votes.append(p[1])
     return plurality_tiebreak(votes) if votes else value
 
 
@@ -256,35 +262,41 @@ def ba_with_predictions(ctx, value, prediction):
     phases = wrapper_phase_count(ctx.t)
     ctx.shared.setdefault("alpha", alpha)
 
-    with ctx.scope("classify"):
-        classification = yield from classify(ctx, prediction)
+    outer = ctx.enter("classify")
+    classification = yield from classify(ctx, prediction)
+    ctx.tag = outer
     decided = False
     decision = None
     for phase in range(1, phases + 1):
         T = alpha * 2 ** (phase - 1)
         k = 2 ** (phase - 1)
-        with ctx.scope(f"ph{phase}"):
-            with ctx.scope("gc1"):
-                value, g1 = yield from graded_consensus_standard(ctx, value)
-            with ctx.scope("es"):
-                early = yield from ba_early_stopping(ctx, value, T)
-            if g1 == 0:
-                value = early
-            with ctx.scope("gc2"):
-                value, g2 = yield from graded_consensus_standard(ctx, value)
-            with ctx.scope("cond"):
-                start = ctx.rounds_used
-                conditional = yield from ba_with_classification(ctx, value, classification, k, T)
-                used = ctx.rounds_used - start
-                if used > T:
-                    raise ProtocolViolation(
-                        f"process {ctx.pid}: sub-protocol used {used} rounds, budget {T}"
-                    )
-                yield from ctx.idle(T - used)
-            if g2 == 0:
-                value = conditional
-            with ctx.scope("gc3"):
-                value, g3 = yield from graded_consensus_standard(ctx, value)
+        outer = ctx.enter(f"ph{phase}")
+        phase_tag = ctx.enter("gc1")
+        value, g1 = yield from graded_consensus_standard(ctx, value)
+        ctx.tag = phase_tag
+        ctx.enter("es")
+        early = yield from ba_early_stopping(ctx, value, T)
+        ctx.tag = phase_tag
+        if g1 == 0:
+            value = early
+        ctx.enter("gc2")
+        value, g2 = yield from graded_consensus_standard(ctx, value)
+        ctx.tag = phase_tag
+        ctx.enter("cond")
+        start = ctx.rounds_used
+        conditional = yield from ba_with_classification(ctx, value, classification, k, T)
+        used = ctx.rounds_used - start
+        if used > T:
+            raise ProtocolViolation(
+                f"process {ctx.pid}: sub-protocol used {used} rounds, budget {T}"
+            )
+        yield from ctx.idle(T - used)
+        ctx.tag = phase_tag
+        if g2 == 0:
+            value = conditional
+        ctx.enter("gc3")
+        value, g3 = yield from graded_consensus_standard(ctx, value)
+        ctx.tag = outer
         returning = decided
         if not returning and g3 == 1:
             decision = value
@@ -309,8 +321,9 @@ def _wrapper_protocol(ctx, scenario, params):
 
 @register_protocol("classify")
 def _classify_protocol(ctx, scenario, params):
-    with ctx.scope("classify"):
-        c = yield from classify(ctx, params["prediction"])
+    outer = ctx.enter("classify")
+    c = yield from classify(ctx, params["prediction"])
+    ctx.tag = outer
     return predictions.bits_to_string(c)
 
 
@@ -356,8 +369,9 @@ def _conditional_protocol(ctx, scenario, params):
     else:
         bits = _given_vector(table, ctx.pid, ctx.n)
     ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
-    with ctx.scope("cond"):
-        out = yield from ba_with_classification(
-            ctx, params["input"], bits, params["k"], params.get("T")
-        )
+    outer = ctx.enter("cond")
+    out = yield from ba_with_classification(
+        ctx, params["input"], bits, params["k"], params.get("T")
+    )
+    ctx.tag = outer
     return out

@@ -375,25 +375,27 @@ def bb_instance_protocol(ctx, scenario, params):
     context = params.get("context", "bb-standalone")
     own_value = params["input"]
 
-    with ctx.scope("bb-setup"):
-        sends = committee_vote_payloads(ctx, context, committee)
-        inbox = yield sends
-        my_cert = certificate_from_inbox(ctx, context, inbox)
-    with ctx.scope("bb"):
-        inst = BroadcastInstance(ctx, sender, k, my_cert, chain_validator(ctx, context))
-        yield from relay_rounds(ctx, {sender: inst}, k, own_value)
-        if my_cert is not None:
-            ctx.check(
-                "bb-broadcast-budget",
-                inst.broadcasts_sent <= 2,
-                f"certified process broadcast {inst.broadcasts_sent} times",
-            )
-        else:
-            ctx.check(
-                "bb-uncertified-silent",
-                inst.broadcasts_sent == 0,
-                "uncertified process sent messages",
-            )
+    outer = ctx.enter("bb-setup")
+    sends = committee_vote_payloads(ctx, context, committee)
+    inbox = yield sends
+    my_cert = certificate_from_inbox(ctx, context, inbox)
+    ctx.tag = outer
+    ctx.enter("bb")
+    inst = BroadcastInstance(ctx, sender, k, my_cert, chain_validator(ctx, context))
+    yield from relay_rounds(ctx, {sender: inst}, k, own_value)
+    ctx.tag = outer
+    if my_cert is not None:
+        ctx.check(
+            "bb-broadcast-budget",
+            inst.broadcasts_sent <= 2,
+            f"certified process broadcast {inst.broadcasts_sent} times",
+        )
+    else:
+        ctx.check(
+            "bb-uncertified-silent",
+            inst.broadcasts_sent == 0,
+            "uncertified process sent messages",
+        )
     return inst.result()
 
 

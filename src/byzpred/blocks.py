@@ -554,18 +554,20 @@ def ba_early_stopping(ctx, value, T: int):
         if decided_phase is not None and ph > decided_phase + 1:
             break
         king = ((ph - 1) % n) + 1
-        with ctx.scope(f"k{ph}"):
-            with ctx.scope("gc"):
-                value, grade = yield from graded_consensus_standard(ctx, value)
-            with ctx.scope("king"):
-                sends = ctx.broadcast(value) if ctx.pid == king else []
-                inbox = yield sends
-                king_value = _domain_values(inbox, domain, {king}).get(king)
-            if grade == 0 and king_value is not None:
-                value = king_value
-            if grade == 1 and decision is None:
-                decision = value
-                decided_phase = ph
+        outer = ctx.enter(f"k{ph}")
+        phase_tag = ctx.enter("gc")
+        value, grade = yield from graded_consensus_standard(ctx, value)
+        ctx.tag = phase_tag
+        ctx.enter("king")
+        sends = ctx.broadcast(value) if ctx.pid == king else []
+        inbox = yield sends
+        ctx.tag = outer
+        king_value = _domain_values(inbox, domain, {king}).get(king)
+        if grade == 0 and king_value is not None:
+            value = king_value
+        if grade == 1 and decision is None:
+            decision = value
+            decided_phase = ph
 
     yield from ctx.idle(T - (ctx.rounds_used - start))
     return decision if decision is not None else value
@@ -584,24 +586,27 @@ def _window_for(ctx, params) -> List[int]:
 
 @register_protocol("graded-consensus-core")
 def _gc_core_protocol(ctx, scenario, params):
-    with ctx.scope("gc-core"):
-        out = yield from graded_consensus_core_set(
-            ctx, params["input"], params["k"], _window_for(ctx, params)
-        )
+    outer = ctx.enter("gc-core")
+    out = yield from graded_consensus_core_set(
+        ctx, params["input"], params["k"], _window_for(ctx, params)
+    )
+    ctx.tag = outer
     return out
 
 
 @register_protocol("conciliate")
 def _conciliate_protocol(ctx, scenario, params):
-    with ctx.scope("conciliate"):
-        out = yield from conciliate(ctx, params["input"], params["k"], _window_for(ctx, params))
+    outer = ctx.enter("conciliate")
+    out = yield from conciliate(ctx, params["input"], params["k"], _window_for(ctx, params))
+    ctx.tag = outer
     return out
 
 
 @register_protocol("graded-consensus")
 def _gc_standard_protocol(ctx, scenario, params):
-    with ctx.scope("gc"):
-        out = yield from graded_consensus_standard(ctx, params["input"])
+    outer = ctx.enter("gc")
+    out = yield from graded_consensus_standard(ctx, params["input"])
+    ctx.tag = outer
     return out
 
 
@@ -610,6 +615,7 @@ def _es_protocol(ctx, scenario, params):
     T = params.get("T")
     if T is None:
         T = es_rounds_needed(scenario.variant, scenario.t, scenario.t)
-    with ctx.scope("es"):
-        out = yield from ba_early_stopping(ctx, params["input"], T)
+    outer = ctx.enter("es")
+    out = yield from ba_early_stopping(ctx, params["input"], T)
+    ctx.tag = outer
     return out

@@ -12,6 +12,16 @@ from .engine import protocol_names
 from .errors import ConfigurationError, ScenarioFileError
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="byzpred",
@@ -31,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--output", default=None, help="records output path (JSON lines)")
     sweep_p.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         help="parallel workers (default: 1)",
     )

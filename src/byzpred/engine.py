@@ -8,11 +8,17 @@ yield == one communication round, so protocol code writes a round as
 ``inbox = yield sends`` and idles with ``yield from ctx.idle(r)``.  The
 engine keeps each process's round count: it adds one to
 ``ctx.rounds_used`` for every inbox it delivers, just before the process
-resumes on it.  A process sends under exactly one protocol
-tag per round, its current ``ctx.tag``: the engine keeps what a process
-yields as one send item ``(sender, tag, sends)``, and it drops every
-message a receiver gets under another tag, so protocol code never sees a
-tag.  Messages sent in round r are consumed by the receiver's next
+resumes on it.  A process sends and receives under the protocol tag it
+last set, ``ctx.tag``: the engine keeps what a process yields as one send
+item ``(sender, tag, sends)``, and it drops every message a receiver gets
+under another tag, so protocol code never sees a tag.  A sub-protocol runs
+under a sub-tag: ``outer = ctx.enter(name)`` joins the names into
+``outer/name`` (``name`` itself at the top), and the caller assigns
+``ctx.tag = outer`` back when the block ends.  A block that ends in a raise
+or a close needs no restore: the engine reads a process's tag only after a
+step that yielded, and a process whose step raised (an honest raise aborts
+the execution, a shadow's is counted) or whose generator was closed never
+steps again.  Messages sent in round r are consumed by the receiver's next
 computation step, so no round-r state ever depends on a round-r message.
 
 Faulty processes never run their own code on the network: the engine runs
@@ -127,8 +133,11 @@ class OracleCheck(NamedTuple):
 
 
 class ProcessContext:
-    """Per-process view handed to protocol generators.  ``shared`` is the
-    execution's trace dict, its one report (a throwaway dict for a shadow)."""
+    """Per-process view handed to protocol generators.  ``tag`` is the
+    protocol tag the process sends and receives under, the one it last set:
+    `enter` joins a sub-tag onto it, and the caller restores it.  ``shared``
+    is the execution's trace dict, its one report (a throwaway dict for a
+    shadow)."""
 
     __slots__ = (
         "pid",
@@ -159,10 +168,14 @@ class ProcessContext:
         self.memo = memo  # execution-wide cache for pure derivations
         self.round_memo = round_memo  # per-inbox results; the engine clears it every round
 
-    def scope(self, name: str) -> "_Scope":
-        """Context manager: run the body under the sub-tag `name`; entering
-        it returns the joined tag."""
-        return _Scope(self, name)
+    def enter(self, name: str) -> str:
+        """Move to the sub-tag `name` of the current tag, ``outer/name``
+        (`name` itself at the top), and return the current tag, which the
+        caller assigns back to ``ctx.tag`` when its block ends.  This is the
+        one place the tag-join rule lives."""
+        outer = self.tag
+        self.tag = f"{outer}/{name}" if outer else name
+        return outer
 
     def broadcast(self, payload) -> "Broadcast":
         """One copy per process, self included (self-delivery is free)."""
@@ -191,28 +204,6 @@ class ProcessContext:
         """Keep a failed assertion; a passing one leaves no trace."""
         if not ok:
             self._failures.append(OracleCheck(name, f"p{self.pid}: {detail}"))
-
-
-class _Scope:
-    """`ProcessContext.scope`: appends `/name` to the tag on entry (the
-    outermost scope's tag is `name` itself) and restores the outer tag on
-    exit, however the body ends (a raise, or the protocol generator being
-    closed mid-scope)."""
-
-    __slots__ = ("ctx", "name", "outer")
-
-    def __init__(self, ctx: ProcessContext, name: str):
-        self.ctx = ctx
-        self.name = name
-
-    def __enter__(self) -> str:
-        ctx = self.ctx
-        self.outer = outer = ctx.tag
-        ctx.tag = tag = f"{outer}/{self.name}" if outer else self.name
-        return tag
-
-    def __exit__(self, *exc_info) -> None:
-        self.ctx.tag = self.outer
 
 
 class Broadcast:

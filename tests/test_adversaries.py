@@ -156,8 +156,9 @@ def _own_scope_protocol(ctx, scenario, params):
     # under "m" too
     member = ctx.pid in scenario.fault_set
     for rnd in range(3):
-        with ctx.scope("m" if member or rnd else "h"):
-            yield [] if member else ctx.broadcast(("b", ctx.pid, rnd))
+        outer = ctx.enter("m" if member or rnd else "h")
+        yield [] if member else ctx.broadcast(("b", ctx.pid, rnd))
+        ctx.tag = outer
 
 
 def test_selective_ignorer_spends_its_quota_only_on_its_shadows_messages(delivered_through):

@@ -1,8 +1,11 @@
 """Conditional BA protocols and the guess-and-double wrapper."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from byzpred import agreement, harness, predictions
+from byzpred import agreement, engine, harness, predictions
 from byzpred.agreement import (
     compute_alpha,
     conditional_round_budget,
@@ -15,6 +18,7 @@ from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.verify import all_pass, failures, verify_execution
 
 CATALOG_FOR_SMALL = ["silent", "equivocator", "vote-poisoner", "grade-splitter"]
+DATA = Path(__file__).parent / "data"
 
 
 def scenario(n, t, fault_set=(), inputs=None, adversary="silent", variant="unauthenticated",
@@ -142,6 +146,71 @@ def test_leader_windows_follow_each_process_own_classification(monkeypatch):
         assert shared.setdefault((c, k, ph), window) is window, (pid, tag)
         windows_by_phase.setdefault((k, ph), set()).add(window)
     assert any(len(windows) == 2 for windows in windows_by_phase.values())
+
+
+class _TagRecorder:
+    """Generator stand-in for one process: appends the process's tag to
+    `tags` after each of its steps, the returning one included."""
+
+    __slots__ = ("gen", "ctx", "tags")
+
+    def __init__(self, gen, ctx, tags):
+        self.gen = gen
+        self.ctx = ctx
+        self.tags = tags
+
+    def send(self, inbox):
+        try:
+            return self.gen.send(inbox)
+        finally:
+            self.tags.append(self.ctx.tag)
+
+
+def honest_tag_runs(monkeypatch, point):
+    """Run `point` and return its honest processes' tag sequences, each run
+    length encoded as ``[[tag, steps], ...]``, as a list of ``{"pids",
+    "tags"}`` entries, one per distinct sequence, in order of its lowest
+    pid."""
+    faulty = point.scenario.fault_set
+    tags = {}
+    with monkeypatch.context() as patch:
+        for name, factory in list(engine._PROTOCOLS.items()):
+
+            def recording(ctx, scenario, params, factory=factory):
+                out = [] if ctx.pid in faulty else tags.setdefault(ctx.pid, [])
+                return _TagRecorder(factory(ctx, scenario, params), ctx, out)
+
+            patch.setitem(engine._PROTOCOLS, name, recording)
+        run_execution(point.scenario, point.protocol, point.params)
+    by_runs = {}
+    for pid in sorted(tags):
+        runs = []
+        for tag in tags[pid]:
+            if runs and runs[-1][0] == tag:
+                runs[-1][1] += 1
+            else:
+                runs.append([tag, 1])
+        key = json.dumps(runs)
+        by_runs.setdefault(key, {"pids": [], "tags": runs})["pids"].append(pid)
+    return list(by_runs.values())
+
+
+TAG_POINTS = [
+    (variant, n, adversary)
+    for variant in ("unauthenticated", "authenticated")
+    for n in (7, 16)
+    for adversary in ("equivocator", "silent")
+]
+
+
+@pytest.mark.parametrize("variant, n, adversary", TAG_POINTS)
+def test_honest_tag_sequences_are_pinned(monkeypatch, variant, n, adversary):
+    # The tag every honest process holds after every step, against the
+    # committed sequences: a tag set or restored one step early or late
+    # shows here even inside an idle span, where no record names it.
+    pinned = json.loads((DATA / "tag_sequences.json").read_text())
+    point = wrapper_point(variant, n, "n", adversary)
+    assert honest_tag_runs(monkeypatch, point) == pinned[f"{variant} n={n} {adversary}"]
 
 
 # ---------------------------------------------------------------------------

@@ -645,10 +645,12 @@ def test_receiver_missing_its_own_commit_forward_still_sees_its_direct_commits()
 
 @register_protocol("test-two-signed-gcs")
 def _two_signed_gcs_protocol(ctx, scenario, params):
-    with ctx.scope("first"):
-        first = yield from graded_consensus_standard(ctx, params["input"])
-    with ctx.scope("second"):
-        second = yield from graded_consensus_standard(ctx, params["input"])
+    outer = ctx.enter("first")
+    first = yield from graded_consensus_standard(ctx, params["input"])
+    ctx.tag = outer
+    ctx.enter("second")
+    second = yield from graded_consensus_standard(ctx, params["input"])
+    ctx.tag = outer
     return first, second
 
 

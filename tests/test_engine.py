@@ -1,5 +1,6 @@
 """Engine contracts: determinism, synchrony accounting, violations."""
 
+import gc
 import random
 import re
 import sys
@@ -91,9 +92,10 @@ def test_auth_fault_bound_enforced():
 @register_protocol("test-failing-check")
 def _failing_check_protocol(ctx, scenario, params):
     # honest p2 and p4, a member's shadow under the silent strategy, fail
-    with ctx.scope("check"):
-        ctx.check("test-check", ctx.pid not in (2, 4), "boom")
-        yield []
+    outer = ctx.enter("check")
+    ctx.check("test-check", ctx.pid not in (2, 4), "boom")
+    yield []
+    ctx.tag = outer
     return 0
 
 
@@ -124,12 +126,13 @@ def _round_count_protocol(ctx, scenario, params):
     # rounds with and without traffic, each followed by an idle span; the
     # decision is rounds_used after every round and every idle span
     counts = []
-    with ctx.scope("count"):
-        for rnd in range(3):
-            yield ctx.broadcast(("b", ctx.pid)) if rnd % 2 else []
-            counts.append(ctx.rounds_used)
-            yield from ctx.idle(rnd)
-            counts.append(ctx.rounds_used)
+    outer = ctx.enter("count")
+    for rnd in range(3):
+        yield ctx.broadcast(("b", ctx.pid)) if rnd % 2 else []
+        counts.append(ctx.rounds_used)
+        yield from ctx.idle(rnd)
+        counts.append(ctx.rounds_used)
+    ctx.tag = outer
     return tuple(counts)
 
 
@@ -152,31 +155,35 @@ def test_the_engine_counts_every_delivered_inbox(delivered_through):
 
 @register_protocol("test-bad-receiver")
 def _bad_receiver_protocol(ctx, scenario, params):
-    with ctx.scope("bad"):
-        yield [(scenario.n + 5, "boom")]
+    outer = ctx.enter("bad")
+    yield [(scenario.n + 5, "boom")]
+    ctx.tag = outer
     return 0
 
 
 @register_protocol("test-tagged-triple")
 def _tagged_triple_protocol(ctx, scenario, params):
     # the engine stamps the tag itself; a (receiver, tag, payload) triple is malformed
-    with ctx.scope("bad"):
-        yield [(1, ctx.tag, "boom")]
+    outer = ctx.enter("bad")
+    yield [(1, ctx.tag, "boom")]
+    ctx.tag = outer
     return 0
 
 
 @register_protocol("test-bare-int")
 def _bare_int_protocol(ctx, scenario, params):
-    with ctx.scope("bad"):
-        yield [1]
+    outer = ctx.enter("bad")
+    yield [1]
+    ctx.tag = outer
     return 0
 
 
 @register_protocol("test-none-send")
 def _none_send_protocol(ctx, scenario, params):
     # empty but not a list: the idle-step shortcut must not take it
-    with ctx.scope("bad"):
-        yield None
+    outer = ctx.enter("bad")
+    yield None
+    ctx.tag = outer
     return 0
 
 
@@ -214,17 +221,19 @@ def test_faulty_items_get_the_honest_send_check(monkeypatch, item, message):
 
 @register_protocol("test-extend-broadcast")
 def _extend_broadcast_protocol(ctx, scenario, params):
-    with ctx.scope("bad"):
-        sends = ctx.broadcast("hello")
-        sends.extend([(1, "again")])
-        yield sends
+    outer = ctx.enter("bad")
+    sends = ctx.broadcast("hello")
+    sends.extend([(1, "again")])
+    yield sends
+    ctx.tag = outer
     return 0
 
 
 @register_protocol("test-two-payload-broadcast")
 def _two_payload_broadcast_protocol(ctx, scenario, params):
-    with ctx.scope("two"):
-        inbox = yield Broadcast(("a", ("b", ctx.pid)), ctx.n)
+    outer = ctx.enter("two")
+    inbox = yield Broadcast(("a", ("b", ctx.pid)), ctx.n)
+    ctx.tag = outer
     return tuple(inbox)
 
 
@@ -256,17 +265,18 @@ def test_broadcast_is_a_read_only_sequence_of_pairs(messages_sent):
 def _mixed_sends_protocol(ctx, scenario, params):
     # rounds that interleave broadcasters, targeted senders and idle processes
     received = []
-    with ctx.scope("mix"):
-        for rnd in range(4):
-            kind = (ctx.pid + rnd) % 3
-            if kind == 0:
-                sends = []
-            elif kind == 1:
-                sends = ctx.broadcast(("b", ctx.pid, rnd))
-            else:
-                sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
-            inbox = yield sends
-            received.append(tuple(inbox))
+    outer = ctx.enter("mix")
+    for rnd in range(4):
+        kind = (ctx.pid + rnd) % 3
+        if kind == 0:
+            sends = []
+        elif kind == 1:
+            sends = ctx.broadcast(("b", ctx.pid, rnd))
+        else:
+            sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
+        inbox = yield sends
+        received.append(tuple(inbox))
+    ctx.tag = outer
     return tuple(received)
 
 
@@ -322,15 +332,16 @@ def _split_scopes_protocol(ctx, scenario, params):
     received = []
     for rnd in range(4):
         kind = (ctx.pid + rnd) % 3
-        with ctx.scope(f"s{(ctx.pid + rnd) % 2}"):
-            if kind == 0:
-                sends = []
-            elif kind == 1:
-                sends = ctx.broadcast(("b", ctx.pid, rnd))
-            else:
-                sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
-            inbox = yield sends
-            received.append((ctx.tag, tuple(inbox)))
+        outer = ctx.enter(f"s{(ctx.pid + rnd) % 2}")
+        if kind == 0:
+            sends = []
+        elif kind == 1:
+            sends = ctx.broadcast(("b", ctx.pid, rnd))
+        else:
+            sends = [(r, ("t", ctx.pid, rnd)) for r in range(ctx.n, 0, -2)]
+        inbox = yield sends
+        received.append((ctx.tag, tuple(inbox)))
+        ctx.tag = outer
     return tuple(received)
 
 
@@ -473,10 +484,11 @@ def test_every_inbox_holds_its_tags_pairs_in_delivery_order(monkeypatch, deliver
 def _quiet_listen_protocol(ctx, scenario, params):
     # nobody sends; the decision is every inbox the process saw
     received = []
-    with ctx.scope("quiet"):
-        for _ in range(3):
-            inbox = yield []
-            received.append(tuple(inbox))
+    outer = ctx.enter("quiet")
+    for _ in range(3):
+        inbox = yield []
+        received.append(tuple(inbox))
+    ctx.tag = outer
     return tuple(received)
 
 
@@ -529,10 +541,12 @@ def test_faulty_sends_in_a_round_without_honest_traffic_are_delivered(monkeypatc
 @register_protocol("test-idle-scopes")
 def _idle_scopes_protocol(ctx, scenario, params):
     # nobody sends: two idle rounds in scope a, one in scope b, one at the top
-    with ctx.scope("a"):
-        yield from ctx.idle(2)
-    with ctx.scope("b"):
-        yield []
+    outer = ctx.enter("a")
+    yield from ctx.idle(2)
+    ctx.tag = outer
+    ctx.enter("b")
+    yield []
+    ctx.tag = outer
     yield []
     return 0
 
@@ -582,15 +596,16 @@ def _quiet_exits_protocol(ctx, scenario, params):
     # nobody sends; process p idles p + 1 rounds and returns p, except
     # that the shadow raises ValueError in round 2 and process
     # params["raise"], if any, raises RuntimeError in round 2
-    with ctx.scope("quiet"):
+    outer = ctx.enter("quiet")
+    yield []
+    if ctx.pid in scenario.fault_set:
         yield []
-        if ctx.pid in scenario.fault_set:
-            yield []
-            raise ValueError("shadow")
-        if ctx.pid == params.get("raise"):
-            yield []
-            raise RuntimeError("honest")
-        yield from ctx.idle(ctx.pid)
+        raise ValueError("shadow")
+    if ctx.pid == params.get("raise"):
+        yield []
+        raise RuntimeError("honest")
+    yield from ctx.idle(ctx.pid)
+    ctx.tag = outer
     return ctx.pid
 
 
@@ -646,9 +661,10 @@ def _shared_members_protocol(ctx, scenario, params):
     # everyone broadcasts in its scope, three rounds
     received = []
     for rnd in range(3):
-        with ctx.scope(shared_members_tag(ctx.pid, scenario.fault_set)):
-            inbox = yield ctx.broadcast(("b", ctx.pid, rnd))
-            received.append(tuple(inbox))
+        outer = ctx.enter(shared_members_tag(ctx.pid, scenario.fault_set))
+        inbox = yield ctx.broadcast(("b", ctx.pid, rnd))
+        received.append(tuple(inbox))
+        ctx.tag = outer
     return tuple(received)
 
 
@@ -775,33 +791,67 @@ def test_threads_draw_the_seed_exact_permutations():
     assert errors == [] and wrong == []
 
 
-@pytest.mark.parametrize("ending", ["return", "raise", "close"])
-def test_scope_restores_the_tag_however_the_body_ends(ending):
-    ctx = ProcessContext(1, basic(), None, None, {}, {}, {})
-
-    def program():
-        with ctx.scope("outer") as outer:
-            assert outer == ctx.tag == "outer"
-            with ctx.scope("inner") as inner:
-                assert inner == ctx.tag == "outer/inner"
+@register_protocol("test-enter-endings")
+def _enter_endings_protocol(ctx, scenario, params):
+    # Every process enters "outer" and then "inner", broadcasts there, goes
+    # back to its caller's tag, idles two rounds and returns its inbox.  The
+    # member's shadow ends inside the inner block as params["ending"] says:
+    # it goes on like an honest process, raises, or idles there until the
+    # execution ends and its generator is closed.  params["log"] gets
+    # (pid, event, tag) for the entry, the close and the exit.
+    log = params["log"]
+    outer = ctx.enter("outer")
+    log.append((ctx.pid, "enter", ctx.enter("inner"), ctx.tag))
+    try:
+        inbox = yield ctx.broadcast(("b", ctx.pid))
+        if ctx.pid in scenario.fault_set and params["ending"] == "raise":
+            raise KeyError("body")
+        if ctx.pid in scenario.fault_set and params["ending"] == "close":
+            while True:
                 yield []
-                if ending == "raise":
-                    raise KeyError("body")
-            assert ctx.tag == "outer"
-        return ctx.tag
+    except GeneratorExit:
+        log.append((ctx.pid, "closed", ctx.tag))
+        raise
+    ctx.tag = outer
+    log.append((ctx.pid, "exit", ctx.tag))
+    yield from ctx.idle(2)
+    return tuple(inbox)
 
-    gen = program()
-    assert gen.send(None) == []
-    if ending == "close":
-        gen.close()  # GeneratorExit raised at the yield, inside both scopes
+
+@pytest.mark.parametrize("ending", ["return", "raise", "close"])
+def test_enter_joins_the_names_and_an_ended_block_needs_no_restore(delivered_through, ending):
+    # `enter` returns the caller's tag and sets the joined one, under which
+    # the process sends and receives; the caller puts its own tag back.  A
+    # block that ends in a raise or a close leaves the inner tag set, which
+    # nobody reads: that process is never resumed again.
+    log, resumed = [], {}
+
+    def count(ctx, inbox):
+        resumed[ctx.pid] = resumed.get(ctx.pid, 0) + 1
+        return inbox
+
+    with delivered_through(count):
+        r = run_execution(basic(fault_set={4}), "test-enter-endings", {"ending": ending, "log": log})
+        gc.collect()
+    inbox = ((1, ("b", 1)), (2, ("b", 2)), (3, ("b", 3)))  # silent drops the shadow's broadcast
+    assert r.decisions == {1: inbox, 2: inbox, 3: inbox}
+    assert r.rounds_elapsed == 3
+    normal = [("enter", "outer", "outer/inner"), ("exit", "")]
+    for pid in (1, 2, 3):
+        assert [e[1:] for e in log if e[0] == pid] == normal
+    shadow = [e[1:] for e in log if e[0] == 4]
+    if ending == "return":
+        assert shadow == normal
+        assert r.shadow_crashes == {} and resumed == {1: 3, 2: 3, 3: 3, 4: 3}
     elif ending == "raise":
-        with pytest.raises(KeyError, match="body"):
-            gen.send([])
+        # pruned in round 1 and counted, never resumed again
+        assert shadow == normal[:1]
+        assert r.shadow_crashes == {"KeyError": 1} and resumed == {1: 3, 2: 3, 3: 3, 4: 1}
     else:
-        with pytest.raises(StopIteration) as stop:
-            gen.send([])
-        assert stop.value.value == ""
-    assert ctx.tag == ""
+        # resumed every round until the execution ends, then closed
+        # mid-block, with the inner tag still set
+        assert shadow == [normal[0], ("closed", "outer/inner")]
+        assert r.shadow_crashes == {} and resumed == {1: 3, 2: 3, 3: 3, 4: 3}
 
 
 def test_scenario_validation():

@@ -509,6 +509,15 @@ def test_cli_seed_override(tmp_path):
     assert "bad --seed -1" in bad.stderr and "Traceback" not in bad.stderr
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_cli_sweep_rejects_a_worker_count_that_is_not_a_positive_int(tmp_path, workers):
+    sweep_file = tmp_path / "sweep.json"
+    sweep_file.write_text(json.dumps(sweep_doc()))
+    proc = run_cli("sweep", str(sweep_file), "--workers", workers)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --workers:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     doc = sweep_doc()
     doc["axes"]["seeds"] = [1, 2]
