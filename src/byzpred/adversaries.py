@@ -4,8 +4,10 @@ A strategy controls everything the faulty processes transmit.  The engine
 runs honest "shadow" programs for faulty processes and hands the strategy
 their would-be send items each round, together with the honest round's
 send items (rushing adversary); the strategy returns the actual faulty
-send items.  Strategies may sign as their own members but have no way to
-mint signatures of honest processes.
+send items.  Everything about a strategy lives here: each class declares
+the params it reads, `make_strategy` is the one check of a spec, a strategy
+signs as a member through ``actx.signer(member)`` (it gets no signer for an
+honest process), and `_rewrite` is the one rewriter of a shadow's sends.
 
 Enumeration soundness: honest code is deterministic, so the execution is a
 function of the faulty per-round, per-receiver payload choices.  Every
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .authtools import (
     MessageChain,
@@ -39,22 +41,6 @@ from .scenario import AdversarySpec
 SILENT = "silent"
 
 
-class _MemberSigner:
-    """SignOracle-shaped adapter over the adversary signing capability."""
-
-    __slots__ = ("_actx", "pid")
-
-    def __init__(self, actx, member):
-        self._actx = actx
-        self.pid = member
-
-    def sign(self, content):
-        return self._actx.sign_as(self.pid, content)
-
-    def verify(self, sig, signer, content):
-        return self._actx.verify(sig, signer, content)
-
-
 def entries(items):
     """Each send of `items` once, as ``(sender, tag, payload)``: each payload
     of a broadcast once, a pair list pair by pair."""
@@ -67,8 +53,18 @@ def entries(items):
                 yield sender, tag, payload
 
 
+def _count(value) -> bool:
+    """An integer of at least 0; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class Strategy:
     """Base: faulty processes replay their shadow (honest) behaviour.
+
+    `PARAMS` declares the params a strategy reads, each as ``name:
+    (default, test)``.  The constructor rejects a key that is not declared
+    and a given value its test refuses, with `ConfigurationError`, and
+    `self.params` holds every declared param, given or default.
 
     Traffic is a list of send items ``(sender, tag, sends)``, where `sends`
     is an `engine.Broadcast` (a tuple of payloads, each to every process)
@@ -79,16 +75,22 @@ class Strategy:
     the faulty items, which the engine delivers after the honest ones in
     the order given.  The base `emit` hands each shadow item to
     `transform`, which returns the member's items for the round; a
-    shadow's `Broadcast` passed on unchanged is delivered by reference.
-    Honest chain relays are multi-payload broadcasts, and equivocator and
-    grade-splitter pass them on unchanged unless they hold the member's
-    own length-1 chain, which they still equivocate receiver by receiver.
+    shadow's `Broadcast` passed on unchanged is delivered by reference, and
+    so is one that `_rewrite` keeps whole.
     """
 
     name = "honest-shadow"
+    PARAMS: Dict[str, Tuple[Any, Callable[[Any], bool]]] = {}
 
     def __init__(self, params: Optional[Dict[str, Any]] = None):
-        self.params = dict(params or {})
+        given = dict(params or {})
+        for key, value in given.items():
+            if key not in self.PARAMS or not self.PARAMS[key][1](value):
+                raise ConfigurationError(
+                    f"strategy {self.name!r} cannot run with {key} = {value!r};"
+                    f" it reads {sorted(self.PARAMS) or 'no params'}"
+                )
+        self.params = {key: given.get(key, default) for key, (default, _ok) in self.PARAMS.items()}
         self._tag_round: Dict[str, int] = {}
         self.scenario = None
 
@@ -125,6 +127,29 @@ class Strategy:
         return self._tag_round.get(tag, 0)
 
 
+_DROP = object()  # what a chooser returns for a payload its receiver does not get
+
+
+def _rewrite(member, tag, sends, choose, keeps):
+    """`member`'s items for its shadow's `sends`, with each payload p for
+    each receiver r replaced by ``choose(r, p)``, or left out where that is
+    `_DROP`.  ``keeps(p)`` may hold only where ``choose(r, p)`` is one and
+    the same for every r.  A `Broadcast` whose payloads all pass `keeps`
+    stays one broadcast of their replacements (chosen for receiver 1), so
+    every receiver shares the payload objects; anything else goes out as
+    one pair per receiver, payload by payload."""
+    if type(sends) is Broadcast and all(map(keeps, sends.payloads)):
+        payloads = tuple(q for q in (choose(1, p) for p in sends.payloads) if q is not _DROP)
+        return [(member, tag, Broadcast(payloads, sends.n) if payloads else [])]
+    return [(member, tag, [(r, q) for r, p in sends if (q := choose(r, p)) is not _DROP])]
+
+
+def _complemented(member, tag, sends, actx):
+    """`member`'s items for `sends` with every payload replaced by the
+    complement vector, one broadcast for a `Broadcast`."""
+    return _rewrite(member, tag, sends, lambda _r, _p: actx.complement, lambda _p: True)
+
+
 class SilentStrategy(Strategy):
     name = "silent"
 
@@ -136,13 +161,17 @@ class CrashStrategy(Strategy):
     """Honest behaviour until the configured round, then silence."""
 
     name = "crash"
+    PARAMS = {"round": (2, _count)}
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
-        return [] if rnd >= self.params.get("round", 2) else [(member, tag, sends)]
+        return [] if rnd >= self.params["round"] else [(member, tag, sends)]
 
 
 class EquivocatorStrategy(Strategy):
-    """Distinct per-receiver values in every broadcast step."""
+    """Distinct per-receiver values in every broadcast step.  Honest chain
+    relays are multi-payload broadcasts, and equivocator (like
+    grade-splitter) passes them on unchanged unless they hold the member's
+    own length-1 chain, which it still equivocates receiver by receiver."""
 
     name = "equivocator"
 
@@ -152,16 +181,18 @@ class EquivocatorStrategy(Strategy):
 
 def _perturbed(member, tag, sends, rnd, actx):
     """`member`'s items for `sends` with every payload passed through
-    `_perturb` for its receiver.  A `Broadcast` of chains that `_perturb`
-    leaves as they are (every chain but the member's own length-1 chain)
-    goes on unchanged, delivered by reference; anything else goes out as
-    one perturbed pair per receiver."""
-    if type(sends) is Broadcast and all(
-        isinstance(p, MessageChain) and (len(p) != 1 or p.origin != member)
-        for p in sends.payloads
-    ):
-        return [(member, tag, sends)]
-    return [(member, tag, [(r, _perturb(p, member, r, rnd, tag, actx)) for r, p in sends])]
+    `_perturb` for its receiver."""
+    return _rewrite(
+        member, tag, sends,
+        lambda r, p: _perturb(p, member, r, rnd, tag, actx),
+        lambda p: _unperturbed(p, member),
+    )
+
+
+def _unperturbed(payload, member) -> bool:
+    """Whether `_perturb` hands `payload` on as it is to every receiver:
+    true of every chain but `member`'s own length-1 chain."""
+    return isinstance(payload, MessageChain) and (len(payload) != 1 or payload.origin != member)
 
 
 def _rotate(value, salt, domain):
@@ -182,7 +213,7 @@ def _perturb(payload, member, receiver, rnd, tag, actx):
             chain = actx.memo.get(key)
             if chain is None:
                 cert = payload.links[0][0]
-                chain = start_chain(value, cert, _MemberSigner(actx, member))
+                chain = start_chain(value, cert, actx.signer(member))
                 actx.memo[key] = chain
             return chain
         return payload
@@ -197,7 +228,7 @@ def _perturb(payload, member, receiver, rnd, tag, actx):
             key = ("eqv-vote", member, tag, v)
             entry = actx.memo.get(key)
             if entry is None:
-                entry = ("vote", (member, v, actx.sign_as(member, vote_content(tag, v))))
+                entry = ("vote", (member, v, actx.signer(member).sign(vote_content(tag, v))))
                 actx.memo[key] = entry
             return entry
         if len(payload) == 3 and payload[0] == "plur":
@@ -214,25 +245,19 @@ class VotePoisonerStrategy(Strategy):
     the member sends one pair per receiver."""
 
     name = "vote-poisoner"
+    PARAMS = {"mode": ("complement", ("complement", "per-receiver").__contains__)}
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
         if not tag.endswith("classify"):
             return [(member, tag, sends)]
-        if self.params.get("mode", "complement") == "per-receiver":
-            pairs = [
-                (r, tuple((1 - b) if (j + r) % 2 else b for j, b in enumerate(actx.truth)))
-                for r, _payload in sends
-            ]
-            return [(member, tag, pairs)]
-        return [(member, tag, _complement_of(sends, actx))]
-
-
-def _complement_of(sends, actx):
-    """`sends` with every payload replaced by the complement vector: one
-    broadcast for a `Broadcast`, one pair per receiver otherwise."""
-    if type(sends) is Broadcast:
-        return Broadcast((actx.complement,) * len(sends.payloads), sends.n)
-    return [(r, actx.complement) for r, _payload in sends]
+        if self.params["mode"] == "complement":
+            return _complemented(member, tag, sends, actx)
+        truth = actx.truth
+        return _rewrite(
+            member, tag, sends,
+            lambda r, _p: tuple((1 - b) if (j + r) % 2 else b for j, b in enumerate(truth)),
+            lambda _p: False,
+        )
 
 
 class SelectiveIgnorerStrategy(Strategy):
@@ -248,6 +273,7 @@ class SelectiveIgnorerStrategy(Strategy):
     """
 
     name = "selective-ignorer"
+    PARAMS = {"ignore": (None, _count)}  # None: floor(t/2)
 
     def __init__(self, params=None):
         super().__init__(params)
@@ -257,7 +283,7 @@ class SelectiveIgnorerStrategy(Strategy):
         return self.scenario.value_domain[0], (1,) * self.scenario.n
 
     def filter_member_inbox(self, member, inbox, rnd):
-        quota = self.params.get("ignore")
+        quota = self.params["ignore"]
         if quota is None:
             quota = self.scenario.t // 2
         dropped = self._dropped.get(member, 0)
@@ -332,13 +358,13 @@ class ChainWithholderStrategy(_CvoteCollector):
         self._private[(context, member)] = state
         if cert is None:
             return
-        chain = start_chain(second, cert, _MemberSigner(actx, member))
+        chain = start_chain(second, cert, actx.signer(member))
         for other in sorted(actx.fault_set):
             if other == member or other in chain.signers:
                 continue
             ocert = self._member_cert(other, context, actx)
             if ocert is not None:
-                chain = extend_chain(chain, ocert, _MemberSigner(actx, other))
+                chain = extend_chain(chain, ocert, actx.signer(other))
         state["chain"] = chain
 
 
@@ -350,25 +376,21 @@ class CertificateHoarderStrategy(Strategy):
     """Collects committee votes but stays silent through the broadcast
     rounds, spending the certificate only on a poisoned, per-receiver
     plurality message in the final round.  A shadow broadcast without
-    chains or plurality messages goes on unchanged."""
+    plurality messages stays one broadcast, with its chains left out."""
 
     name = "certificate-hoarder"
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
-        if type(sends) is Broadcast and not any(
-            isinstance(p, MessageChain) or _is_plur(p) for p in sends.payloads
-        ):
-            return [(member, tag, sends)]
-        out = []
-        for r, payload in sends:
+        domain = actx.value_domain
+
+        def choose(r, payload):
             if isinstance(payload, MessageChain):
-                continue  # withhold all chain traffic
+                return _DROP  # withhold all chain traffic
             if _is_plur(payload):
-                poison = _rotate(payload[1], r, actx.value_domain)
-                out.append((r, ("plur", poison, payload[2])))
-            else:
-                out.append((r, payload))
-        return [(member, tag, out)]
+                return ("plur", _rotate(payload[1], r, domain), payload[2])
+            return payload
+
+        return _rewrite(member, tag, sends, choose, lambda p: not _is_plur(p))
 
 
 class GradeSplitterStrategy(Strategy):
@@ -415,7 +437,7 @@ class GradeSplitterStrategy(Strategy):
         if not sends or not self._active:
             return [(member, tag, sends)]
         if tag.endswith("classify"):
-            return [(member, tag, _complement_of(sends, actx))]
+            return _complemented(member, tag, sends, actx)
         head, _, _ = tag.partition("/")
         phase = int(head[2:]) if head.startswith("ph") and head[2:].isdigit() else None
         leaf = tag.rsplit("/", 1)[-1]
@@ -486,40 +508,30 @@ class ForgerStrategy(Strategy):
         return out
 
 
-CATALOG: Dict[str, type] = {
-    cls.name: cls
-    for cls in (
-        SilentStrategy,
-        CrashStrategy,
-        EquivocatorStrategy,
-        VotePoisonerStrategy,
-        SelectiveIgnorerStrategy,
-        ChainWithholderStrategy,
-        CertificateHoarderStrategy,
-        GradeSplitterStrategy,
-        ForgerStrategy,
-    )
-}
+_CATALOG_STRATEGIES = (
+    SilentStrategy, CrashStrategy, EquivocatorStrategy, VotePoisonerStrategy,
+    SelectiveIgnorerStrategy, ChainWithholderStrategy, CertificateHoarderStrategy,
+    GradeSplitterStrategy, ForgerStrategy,
+)
+CATALOG: Dict[str, Callable] = {cls.name: cls for cls in _CATALOG_STRATEGIES}
 CATALOG["honest-shadow"] = Strategy
 
 
 def strategy_catalog() -> List[AdversarySpec]:
-    """Default-parameter specs for every catalog strategy."""
-    specs = [
-        AdversarySpec.make("silent"),
-        AdversarySpec.make("crash", {"round": 2}),
-        AdversarySpec.make("equivocator"),
-        AdversarySpec.make("vote-poisoner", {"mode": "complement"}),
-        AdversarySpec.make("selective-ignorer"),
-        AdversarySpec.make("chain-withholder"),
-        AdversarySpec.make("certificate-hoarder"),
-        AdversarySpec.make("grade-splitter"),
-        AdversarySpec.make("forger"),
+    """One spec per catalog strategy, holding its declared defaults; a
+    default of None is derived from the scenario and stays out."""
+    return [
+        AdversarySpec.make(cls.name, {
+            key: default for key, (default, _ok) in cls.PARAMS.items() if default is not None
+        })
+        for cls in _CATALOG_STRATEGIES
     ]
-    return specs
 
 
 def make_strategy(spec: AdversarySpec) -> Strategy:
+    """The strategy `spec` names, built with its params.  An unknown name,
+    a param the strategy does not read or a value it cannot run with raises
+    `ConfigurationError`: this is the one check of a strategy spec."""
     cls = CATALOG.get(spec.name)
     if cls is None:
         raise ConfigurationError(f"unknown adversary strategy {spec.name!r}")
@@ -544,14 +556,17 @@ class ChoiceTableStrategy(Strategy):
         ("@cfwd", "*")       forward observed commits
         ("@multi", a, b)     both actions in one round
 
-    Unlisted slots stay silent.
+    Unlisted slots stay silent.  The entries are tuples, which JSON cannot
+    express, so no sweep file or record can give a table.
     """
 
     name = "choice-table"
+    PARAMS = {"table": ((), lambda table: isinstance(table, (list, tuple))
+                        and all(type(pair) is tuple for pair in table))}
 
     def __init__(self, params=None):
         super().__init__(params)
-        self.table = dict(self.params.get("table", ()))
+        self.table = dict(self.params["table"])
         self._votes_seen: Dict[str, Dict[Tuple[int, Any], tuple]] = {}
         self._commits_seen: Dict[str, Dict[int, tuple]] = {}
 
@@ -576,7 +591,7 @@ class ChoiceTableStrategy(Strategy):
             return out
         if head == "@vote":
             v = action[1]
-            entry = (member, v, actx.sign_as(member, vote_content(tag, v)))
+            entry = (member, v, actx.signer(member).sign(vote_content(tag, v)))
             self._votes_seen.setdefault(tag, {}).setdefault((member, v), entry)
             return [("vote", entry)]
         if head == "@fwd":
@@ -590,14 +605,14 @@ class ChoiceTableStrategy(Strategy):
             v = action[1]
             votes = self._votes_seen.setdefault(tag, {})
             if (member, v) not in votes:
-                votes[(member, v)] = (member, v, actx.sign_as(member, vote_content(tag, v)))
+                votes[(member, v)] = (member, v, actx.signer(member).sign(vote_content(tag, v)))
             proof_entries = sorted(
                 (votes[k] for k in votes if k[1] == v), key=lambda e: e[0]
             )[: actx.n - actx.t]
             if len({e[0] for e in proof_entries}) < actx.n - actx.t:
                 return []
             proof = tuple(proof_entries)
-            sig = actx.sign_as(member, commit_content(tag, v, proof_digest(proof)))
+            sig = actx.signer(member).sign(commit_content(tag, v, proof_digest(proof)))
             entry = (member, v, proof, sig)
             self._commits_seen.setdefault(tag, {}).setdefault(member, entry)
             return [("commit", entry)]

@@ -321,9 +321,8 @@ def _wrapper_protocol(ctx, scenario, params):
 
 @register_protocol("classify")
 def _classify_protocol(ctx, scenario, params):
-    outer = ctx.enter("classify")
+    ctx.enter("classify")
     c = yield from classify(ctx, params["prediction"])
-    ctx.tag = outer
     return predictions.bits_to_string(c)
 
 
@@ -369,9 +368,7 @@ def _conditional_protocol(ctx, scenario, params):
     else:
         bits = _given_vector(table, ctx.pid, ctx.n)
     ctx.shared.setdefault("classifications", {})[ctx.pid] = bits
-    outer = ctx.enter("cond")
-    out = yield from ba_with_classification(
+    ctx.enter("cond")
+    return (yield from ba_with_classification(
         ctx, params["input"], bits, params["k"], params.get("T")
-    )
-    ctx.tag = outer
-    return out
+    ))

@@ -372,7 +372,7 @@ def bb_instance_protocol(ctx, scenario, params):
     sender = params["sender"]
     k = params["k"]
     committee = sorted(params.get("committee", range(1, min(2 * k + 2, ctx.n + 1))))
-    context = params.get("context", "bb-standalone")
+    context = "bb-standalone"
     own_value = params["input"]
 
     outer = ctx.enter("bb-setup")
@@ -383,7 +383,6 @@ def bb_instance_protocol(ctx, scenario, params):
     ctx.enter("bb")
     inst = BroadcastInstance(ctx, sender, k, my_cert, chain_validator(ctx, context))
     yield from relay_rounds(ctx, {sender: inst}, k, own_value)
-    ctx.tag = outer
     if my_cert is not None:
         ctx.check(
             "bb-broadcast-budget",

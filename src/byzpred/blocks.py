@@ -586,28 +586,22 @@ def _window_for(ctx, params) -> List[int]:
 
 @register_protocol("graded-consensus-core")
 def _gc_core_protocol(ctx, scenario, params):
-    outer = ctx.enter("gc-core")
-    out = yield from graded_consensus_core_set(
+    ctx.enter("gc-core")
+    return (yield from graded_consensus_core_set(
         ctx, params["input"], params["k"], _window_for(ctx, params)
-    )
-    ctx.tag = outer
-    return out
+    ))
 
 
 @register_protocol("conciliate")
 def _conciliate_protocol(ctx, scenario, params):
-    outer = ctx.enter("conciliate")
-    out = yield from conciliate(ctx, params["input"], params["k"], _window_for(ctx, params))
-    ctx.tag = outer
-    return out
+    ctx.enter("conciliate")
+    return (yield from conciliate(ctx, params["input"], params["k"], _window_for(ctx, params)))
 
 
 @register_protocol("graded-consensus")
 def _gc_standard_protocol(ctx, scenario, params):
-    outer = ctx.enter("gc")
-    out = yield from graded_consensus_standard(ctx, params["input"])
-    ctx.tag = outer
-    return out
+    ctx.enter("gc")
+    return (yield from graded_consensus_standard(ctx, params["input"]))
 
 
 @register_protocol("ba-early-stopping")
@@ -615,7 +609,5 @@ def _es_protocol(ctx, scenario, params):
     T = params.get("T")
     if T is None:
         T = es_rounds_needed(scenario.variant, scenario.t, scenario.t)
-    outer = ctx.enter("es")
-    out = yield from ba_early_stopping(ctx, params["input"], T)
-    ctx.tag = outer
-    return out
+    ctx.enter("es")
+    return (yield from ba_early_stopping(ctx, params["input"], T))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -45,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="parallel workers (default: 1)",
     )
-    sweep_p.add_argument(
-        "--keep-going",
-        action="store_true",
-        help="do not abort on property violations (exit code still reflects them)",
-    )
 
     replay_p = sub.add_parser("replay", help="re-execute records and compare byte-for-byte")
     replay_p.add_argument("records", help="records file produced by sweep")
@@ -89,6 +85,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Run every point and print the summary.  On a property violation,
+    also print the first violating record's scenario and its failed
+    verdicts to stderr, and return 2."""
     doc = harness.load_sweep_file(args.file)
 
     def progress(record):
@@ -100,19 +99,17 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
 
-    try:
-        records, summary = harness.run_sweep(
-            doc,
-            output_path=args.output,
-            workers=args.workers,
-            stop_on_violation=not args.keep_going,
-            progress=progress,
-        )
-    except ConfigurationError as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
-        return 2
+    _records, summary = harness.run_sweep(
+        doc, output_path=args.output, workers=args.workers, progress=progress
+    )
     print(summary.as_text())
-    return 0 if summary.violations == 0 else 2
+    bad = summary.first_violation
+    if bad is not None:
+        failed = [v for v in bad["verdicts"] if not v["ok"]]
+        print("property violation; reproducing scenario: "
+              f"{json.dumps(bad['scenario'], sort_keys=True)}"
+              f" verdicts: {json.dumps(failed, sort_keys=True)}", file=sys.stderr)
+    return 0 if bad is None else 2
 
 
 def _cmd_replay(args) -> int:

@@ -14,23 +14,26 @@ item ``(sender, tag, sends)``, and it drops every message a receiver gets
 under another tag, so protocol code never sees a tag.  A sub-protocol runs
 under a sub-tag: ``outer = ctx.enter(name)`` joins the names into
 ``outer/name`` (``name`` itself at the top), and the caller assigns
-``ctx.tag = outer`` back when the block ends.  A block that ends in a raise
-or a close needs no restore: the engine reads a process's tag only after a
-step that yielded, and a process whose step raised (an honest raise aborts
-the execution, a shadow's is counted) or whose generator was closed never
-steps again.  Messages sent in round r are consumed by the receiver's next
-computation step, so no round-r state ever depends on a round-r message.
+``ctx.tag = outer`` back when the block ends.  A block that ends the
+process, by a return, a raise or a close, needs no restore: the engine reads
+a process's tag only after a step that yielded, and a process that returned,
+whose step raised (an honest raise aborts the execution, a shadow's is
+counted) or whose generator was closed never steps again.  Messages sent
+in round r are consumed by the receiver's next computation step, so no
+round-r state ever depends on a round-r message.
 
 Faulty processes never run their own code on the network: the engine runs
 "shadow" copies of the honest program for them (so strategies like
 crash-at-round-r can replay honest behaviour), but everything they
 transmit is produced by the adversary strategy, which sees the honest
 round-r send items before choosing the faulty round-r items (rushing
-adversary).  Honest and faulty items share one format and one check: a
-malformed send, a receiver outside 1..n or a faulty item with an honest
-sender raises `ProtocolViolation`.  A member receives exactly as an
-honest process does; the strategy sees each member's inbox before its
-shadow steps, and the shadow steps on what the strategy returns.
+adversary).  A strategy signs as a member through ``actx.signer(member)``,
+the `SignOracle` that member's shadow signs with; asking for an honest
+process's raises `ProtocolViolation`.  Honest and faulty items share one
+format and one check: a malformed send, a receiver outside 1..n or a faulty
+item with an honest sender raises `ProtocolViolation`.  A member receives
+exactly as an honest process does; the strategy sees each member's inbox
+before its shadow steps, and the shadow steps on what the strategy returns.
 
 Message accounting counts messages with an honest sender and a receiver
 other than the sender; self-delivery is instantaneous and free.  Inbox
@@ -49,10 +52,9 @@ stays one item from send to delivery, whoever sends it.
 (`authtools.relay_rounds`) sends all of a round's chains as one.  The
 engine counts an honest broadcast as n-1 messages per payload and puts one
 shared ``(sender, payload)`` pair per payload into every inbox of the
-sender's tag instead of a tuple per receiver.  A strategy that passes a
-shadow's broadcast on unchanged gets it delivered the same way; equivocator
-and grade-splitter pass on every relayed chain broadcast that holds no
-length-1 chain the member opened itself.  Every inbox still holds the same
+sender's tag instead of a tuple per receiver.  A strategy's broadcast, a
+shadow's passed on or one that `adversaries._rewrite` keeps whole, is
+delivered the same way.  Every inbox still holds the same
 messages in the same order as if each broadcast had been n separate pairs
 per payload, payload by payload.
 
@@ -318,7 +320,7 @@ def run_execution(
         gen = factory(ctx, scenario, dict(params, input=value, prediction=prediction))
         procs.append([pid, ctx, gen.send, faulty, (pid, None, None)])
 
-    adv_ctx = _AdversaryContext(scenario, scheme)
+    adv_ctx = _AdversaryContext(scenario, scheme, {p[0]: p[1].signer for p in procs if p[3]})
     emit, filter_member_inbox = strategy.emit, strategy.filter_member_inbox
     decisions: Dict[int, Any] = {}
     finished_round: Dict[int, int] = {}
@@ -445,7 +447,7 @@ def run_execution(
 class _AdversaryContext:
     """What a strategy is allowed to see and do."""
 
-    def __init__(self, scenario: Scenario, scheme):
+    def __init__(self, scenario: Scenario, scheme, signers: Dict[int, SignOracle]):
         self.n = scenario.n
         self.t = scenario.t
         self.fault_set = scenario.fault_set
@@ -453,12 +455,15 @@ class _AdversaryContext:
         self.complement = tuple(1 - b for b in self.truth)
         self.value_domain = scenario.value_domain
         self._scheme = scheme
+        self._signers = signers  # member -> the SignOracle its shadow signs with
         self.memo: Dict[Any, Any] = {}
 
-    def sign_as(self, member: int, content) -> Any:
-        if member not in self.fault_set:
+    def signer(self, member: int) -> SignOracle:
+        """`member`'s `SignOracle`; an honest process has none here."""
+        oracle = self._signers.get(member)
+        if oracle is None:
             raise ProtocolViolation(f"adversary requested a signature of honest process {member}")
-        return self._scheme.sign(member, content)
+        return oracle
 
     def verify(self, sig, signer, content) -> bool:
         return self._scheme.verify(sig, signer, content)

@@ -113,16 +113,17 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, d: Mapping[str, Any]) -> "Scenario":
-        adv = d.get("adversary", {"name": "silent", "params": {}})
+        """The scenario `to_json_dict` wrote; a missing key raises `KeyError`."""
+        adv = d["adversary"]
         return cls(
             n=d["n"],
             t=d["t"],
-            fault_set=frozenset(d.get("fault_set", ())),
+            fault_set=frozenset(d["fault_set"]),
             inputs=tuple(d["inputs"]),
-            error_budget=d.get("error_budget", 0),
-            error_allocation=d.get("error_allocation", "concentrated-on-faulty"),
-            adversary=AdversarySpec.make(adv["name"], adv.get("params")),
-            seed=d.get("seed", 0),
-            variant=d.get("variant", UNAUTHENTICATED),
-            value_domain=tuple(d.get("value_domain", (0, 1))),
+            error_budget=d["error_budget"],
+            error_allocation=d["error_allocation"],
+            adversary=AdversarySpec.make(adv["name"], adv["params"]),
+            seed=d["seed"],
+            variant=d["variant"],
+            value_domain=tuple(d["value_domain"]),
         )

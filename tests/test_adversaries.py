@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from byzpred import adversaries, harness
+from byzpred import adversaries, engine, harness
 from byzpred.adversaries import (
     CATALOG,
     SILENT,
@@ -24,7 +24,7 @@ from byzpred.authtools import (
     start_chain,
     validate_chain,
 )
-from byzpred.engine import Broadcast, register_protocol, run_execution
+from byzpred.engine import register_protocol, run_execution
 from byzpred.errors import ConfigurationError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.signatures import SignOracle, SimTokenScheme, digest
@@ -184,9 +184,18 @@ def test_selective_ignorer_spends_its_quota_only_on_its_shadows_messages(deliver
     assert stepped[4][2] is stepped[1][2]
 
 
-def test_unknown_strategy_rejected():
+def test_unknown_strategy_rejected(monkeypatch):
     with pytest.raises(ConfigurationError):
         make_strategy(AdversarySpec.make("nonexistent"))
+    # a param the strategy does not read, or a value it cannot run with,
+    # fails in `run_execution` before any process is built
+    built = []
+    monkeypatch.setitem(engine._PROTOCOLS, "test-built", lambda *args: built.append(args))
+    for params, message in [({"round": 2, "bogus": 1}, "cannot run with bogus = 1"),
+                            ({"round": -1}, "cannot run with round = -1")]:
+        with pytest.raises(ConfigurationError, match=message):
+            run_execution(scenario(AdversarySpec.make("crash", params)), "test-built")
+    assert built == []
 
 
 @pytest.mark.parametrize("spec", strategy_catalog(), ids=lambda s: s.name)
@@ -281,21 +290,15 @@ def own_chain_values(delivered_through, adversary):
 
 @pytest.mark.parametrize("adversary", ["equivocator", "grade-splitter"])
 def test_a_members_own_chain_is_still_equivocated(monkeypatch, delivered_through, adversary):
-    # Relayed chain broadcasts pass through equivocator and grade-splitter
-    # unchanged, since `_perturb` leaves every chain but the member's own
-    # length-1 chain as it is.  That own chain must still reach honest
-    # receivers with two values.
+    # Relayed chain broadcasts stay one broadcast under equivocator and
+    # grade-splitter, since `_unperturbed` tells `_rewrite` that `_perturb`
+    # leaves every chain but the member's own length-1 chain as it is.  That
+    # own chain must still reach honest receivers with two values.
     assert own_chain_values(delivered_through, adversary) >= 2
-    # negative control: a helper that passes every chain broadcast on
-    # unchanged sends each member's own chain with one value only
-    perturbed = adversaries._perturbed
-
-    def pass_every_chain_broadcast(member, tag, sends, rnd, actx):
-        if type(sends) is Broadcast and all(isinstance(p, MessageChain) for p in sends.payloads):
-            return [(member, tag, sends)]
-        return perturbed(member, tag, sends, rnd, actx)
-
-    monkeypatch.setattr(adversaries, "_perturbed", pass_every_chain_broadcast)
+    # negative control: a keeps rule that holds for every chain keeps each
+    # broadcast whole, so each member's own chain goes out with one value
+    monkeypatch.setattr(adversaries, "_unperturbed",
+                        lambda payload, member: isinstance(payload, MessageChain))
     assert own_chain_values(delivered_through, adversary) == 1
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from byzpred import harness
-from byzpred.adversaries import CATALOG, _CvoteCollector, _MemberSigner
+from byzpred.adversaries import CATALOG, _CvoteCollector
 from byzpred.authtools import (
     ChainValidator,
     CommitteeCertificate,
@@ -258,7 +258,7 @@ class _ChainInjector(_CvoteCollector):
                 sigs = self._cvotes.get(member, ())
                 cert = assemble_committee_certificate(member, "bb-standalone", sigs, actx.t,
                                                       actx.verify)
-                signer = _MemberSigner(actx, member)
+                signer = actx.signer(member)
                 if chain is None:
                     chain = start_chain(self.value, cert, signer)
                 else:
@@ -338,7 +338,7 @@ class _OriginForger(_CvoteCollector):
             cert = assemble_committee_certificate(
                 member, self.context, self._cvotes.get(member, ()), actx.t, actx.verify
             ) or CommitteeCertificate(member, self.context, ())
-            links = start_chain(1, cert, _MemberSigner(actx, member)).links
+            links = start_chain(1, cert, actx.signer(member)).links
             chain = MessageChain(1, self.origin, self.context, links)
             out.append((member, self.tag, [(r, chain) for r in range(1, actx.n + 1)]))
         return out

@@ -6,13 +6,14 @@ choice the single in-window faulty process can make (exhaustive at n=4).
 """
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from byzpred import blocks
+from byzpred import blocks, cli
 from byzpred.adversaries import CATALOG, SILENT, Strategy, enumerate_choice_tables
 from byzpred.blocks import (
     commit_content,
@@ -513,6 +514,8 @@ class ProofSwapper(Strategy):
     over that value; it records which committers each honest cfwd names."""
 
     name = "proof-swapper"
+    MODES = ("as-signed", "reordered", "replaced", "revalued")
+    PARAMS = {"mode": ("as-signed", MODES.__contains__)}
 
     def __init__(self, params=None):
         super().__init__(params)
@@ -526,11 +529,11 @@ class ProofSwapper(Strategy):
         if mode == "reordered":
             proof = (proof[1], proof[0]) + proof[2:]
         elif mode == "replaced":
-            own = (member, value, actx.sign_as(member, vote_content(tag, value)))
+            own = (member, value, actx.signer(member).sign(vote_content(tag, value)))
             proof = proof[:-1] + (own,)
         elif mode == "revalued":
             value = 1 - value
-            sig = actx.sign_as(member, commit_content(tag, value, proof_digest(proof)))
+            sig = actx.signer(member).sign(commit_content(tag, value, proof_digest(proof)))
         payload = ("commit", (signer, value, proof, sig))
         return [(member, tag, [(rcv, payload) for rcv, _p in sends])]
 
@@ -797,3 +800,30 @@ def test_es_keeps_agreement_when_two_faulty_kings_split(monkeypatch):
     r = run_execution(s, "ba-early-stopping", {})
     verdicts = verify_execution(r)
     assert all_pass(verdicts), [v for v in verdicts if not v.ok]
+
+
+def test_a_sweep_with_a_violation_prints_its_summary_and_reproduction(
+    monkeypatch, tmp_path, capsys
+):
+    # The xfail's point as a one-point sweep through `cli.main`: the point
+    # runs, the summary goes to stdout, and the violating record's scenario
+    # and failed verdicts go to stderr, with exit status 2.  The point stops
+    # violating agreement once es stops deciding on a binary grade.
+    monkeypatch.setitem(CATALOG, KingSplitter.name, KingSplitter)
+    doc = {"schema_version": 1, "protocol": "ba-early-stopping", "axes": {
+        "n": [7], "t": [2], "f": [2], "adversary": [KingSplitter.name],
+        "inputs": ["split-half"], "seeds": [1]}}
+    sweep_file = tmp_path / "split.json"
+    sweep_file.write_text(json.dumps(doc))
+    assert cli.main(["sweep", str(sweep_file)]) == 2
+    out, err = capsys.readouterr()
+    assert "points executed: 1" in out and "violations:      1" in out
+    s = scenario(7, 2, {1, 2}, (0, 0, 0, 1, 1, 1, 1),
+                 adversary=AdversarySpec.make(KingSplitter.name), seed=1)
+    reproduction = err.splitlines()[-1]
+    assert reproduction.startswith(
+        "property violation; reproducing scenario: "
+        + json.dumps(s.to_json_dict(), sort_keys=True) + " verdicts: "
+    )
+    failed = json.loads(reproduction.partition(" verdicts: ")[2])
+    assert [v["name"] for v in failed] == ["agreement"]

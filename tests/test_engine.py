@@ -111,8 +111,8 @@ def test_a_failed_honest_check_fails_the_runtime_checks_verdict():
 def test_a_strategy_cannot_sign_as_an_honest_process(monkeypatch):
     class HonestSigner(Strategy):
         def emit(self, rnd, honest_items, shadow_items, actx):
-            actx.sign_as(4, ("own", rnd))  # a member's signature is granted
-            actx.sign_as(1, ("honest", rnd))
+            actx.signer(4).sign(("own", rnd))  # a member's signature is granted
+            actx.signer(1)
             return []
 
     monkeypatch.setitem(CATALOG, "honest-signer", HonestSigner)

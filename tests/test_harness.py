@@ -216,6 +216,11 @@ def _with_params(protocol, params):
         (_with_params("ba-classification",
                       {"k": 1, "classifications": {str(p): [1, 1, 1] for p in range(1, 5)}}),
          "key 'params': 'classifications'"),
+        # strategy params the strategy does not read, and a table JSON cannot give
+        (_with_axis("adversary", [{"name": "crash", "params": {"round": 2, "bogus": 1}}]),
+         "axis 'adversary' entry 0"),
+        (_with_axis("adversary", [{"name": "choice-table", "params": {
+            "table": [[[1, 4, 2], ["classify", [0, 0, 0, 0]]]]}}]), "axis 'adversary' entry 0"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -276,14 +281,6 @@ def test_summary_axes_present():
     text = summary.as_text()
     assert "by n" in text and "violations" in text
     assert summary.by_axis["n"]["4"]["runs"] == 2
-
-
-def test_sweep_aborts_on_violation_with_reproduction():
-    # a clean sweep run with stop_on_violation set completes and reports
-    # no violations
-    doc = sweep_doc()
-    records, summary = harness.run_sweep(doc, stop_on_violation=True)
-    assert summary.violations == 0  # clean baseline
 
 
 def test_hand_corrupted_result_fails_agreement_with_ids():
@@ -400,8 +397,10 @@ def test_cli_replay_selects_by_record_index(tmp_path):
         assert f"no record with index {index}" in proc.stderr
 
 
-def without_t(record):
-    return dict(record, scenario={k: v for k, v in record["scenario"].items() if k != "t"})
+def without(key):
+    return lambda record: dict(
+        record, scenario={k: v for k, v in record["scenario"].items() if k != key}
+    )
 
 
 def with_adversary(record, name, params=None):
@@ -414,7 +413,9 @@ def with_adversary(record, name, params=None):
     [
         (lambda record: {"index": 0}, "fails with KeyError('scenario')"),
         (lambda record: [record], "fails with TypeError("),
-        (without_t, "fails with KeyError('t')"),
+        (without("t"), "fails with KeyError('t')"),
+        (without("seed"), "fails with KeyError('seed')"),
+        (without("value_domain"), "fails with KeyError('value_domain')"),
         (lambda record: dict(record, schema_version=1),
          "unsupported record schema_version 1, expected 2"),
         (lambda record: dict(record, protocol="nope"), "unknown protocol 'nope'"),
@@ -423,15 +424,19 @@ def with_adversary(record, name, params=None):
         (lambda record: dict(record, params=5), "key 'params' must be a JSON object"),
         (lambda record: with_adversary(record, "crash", {"round": "x"}),
          "unknown adversary strategy 'crash', or params it cannot run with: {'round': 'x'}"),
+        (lambda record: with_adversary(record, "crash", {"round": 2, "bogus": 1}),
+         "unknown adversary strategy 'crash', or params it cannot run with:"
+         " {'bogus': 1, 'round': 2}"),
         (lambda record: dict(record, scenario=dict(record["scenario"], t=2)),
          "unauthenticated protocols need t < n/3, got n=4 t=2"),
         (lambda record: dict(record, protocol="ba-classification", params={"k": 1, "T": 3},
                              scenario=dict(record["scenario"], variant="authenticated")),
          "key 'params': 'T' must be at least k+3"),
     ],
-    ids=["index-only", "not-an-object", "scenario-without-t", "schema-1", "unknown-protocol",
-         "unknown-adversary", "params-without-k", "params-not-an-object", "crash-round-not-an-int",
-         "t-over-the-bound", "authenticated-T-below-k-plus-3"],
+    ids=["index-only", "not-an-object", "scenario-without-t", "scenario-without-seed",
+         "scenario-without-value_domain", "schema-1", "unknown-protocol", "unknown-adversary",
+         "params-without-k", "params-not-an-object", "crash-round-not-an-int",
+         "crash-param-it-does-not-read", "t-over-the-bound", "authenticated-T-below-k-plus-3"],
 )
 def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
     points, _ = harness.expand_sweep(sweep_doc())
