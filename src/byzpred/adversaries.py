@@ -34,7 +34,7 @@ from .authtools import (
     start_chain,
 )
 from .blocks import commit_content, proof_digest, vote_content
-from .engine import Broadcast
+from .engine import Broadcast, is_count
 from .errors import ConfigurationError
 from .scenario import AdversarySpec
 
@@ -51,11 +51,6 @@ def entries(items):
         else:
             for _rcv, payload in sends:
                 yield sender, tag, payload
-
-
-def _count(value) -> bool:
-    """An integer of at least 0; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class Strategy:
@@ -161,7 +156,7 @@ class CrashStrategy(Strategy):
     """Honest behaviour until the configured round, then silence."""
 
     name = "crash"
-    PARAMS = {"round": (2, _count)}
+    PARAMS = {"round": (2, is_count)}
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
         return [] if rnd >= self.params["round"] else [(member, tag, sends)]
@@ -273,7 +268,7 @@ class SelectiveIgnorerStrategy(Strategy):
     """
 
     name = "selective-ignorer"
-    PARAMS = {"ignore": (None, _count)}  # None: floor(t/2)
+    PARAMS = {"ignore": (None, is_count)}  # None: floor(t/2)
 
     def __init__(self, params=None):
         super().__init__(params)

@@ -41,8 +41,8 @@ from .blocks import (
     graded_consensus_standard,
     plurality_tiebreak,
 )
-from .engine import register_protocol
-from .errors import ConfigurationError, ProtocolViolation
+from .engine import is_count, register_protocol, require, run_execution
+from .errors import ProtocolViolation
 
 # ---------------------------------------------------------------------------
 # Round formulas
@@ -339,29 +339,25 @@ def _given_vector(table, pid: int, n: int):
     return None
 
 
-def check_conditional_params(params, n: int, authenticated: bool, pids) -> None:
-    """The `ba-classification` parameter rules at width n: a given `T` is at
-    least k+3 when `authenticated`, and `classifications` is "truth" or
-    holds a vector of n bits for each process of `pids`.  Raises
-    `ConfigurationError` naming the broken rule."""
+def check_conditional_params(params, n: int, variant: str) -> None:
+    """The `ba-classification` params at width n: `k` and a given `T` are
+    integers of at least 0, a given `T` is at least k+3 when authenticated,
+    and `classifications` is "truth" or holds a vector of n bits for each
+    process 1..n.  Raises `ConfigurationError` naming the broken rule."""
+    require(params, "k", is_count(params.get("k")), "an integer of at least 0")
     T = params.get("T")
-    if authenticated and T is not None and T < params["k"] + 3:
-        raise ConfigurationError(
-            f"'T' must be at least k+3 for authenticated ba-classification, got {params!r}"
-        )
+    require(params, "T", T is None or is_count(T), "an integer of at least 0")
+    require(params, "T", variant != "authenticated" or T is None or T >= params["k"] + 3,
+            "at least k+3 for authenticated ba-classification")
     table = params.get("classifications", "truth")
-    if table != "truth" and not (
-        isinstance(table, dict) and all(_given_vector(table, p, n) is not None for p in pids)
-    ):
-        raise ConfigurationError(
-            "'classifications' must be \"truth\" or an object holding a vector of n bits"
-            f" for each process 1..n, got {table!r}"
-        )
+    ok = table == "truth" or isinstance(table, dict) and all(
+        _given_vector(table, p, n) is not None for p in range(1, n + 1))
+    require(params, "classifications", ok,
+            "\"truth\" or an object holding a vector of n bits for each process 1..n")
 
 
-@register_protocol("ba-classification")
+@register_protocol("ba-classification", ("k", "T", "classifications"), check_conditional_params)
 def _conditional_protocol(ctx, scenario, params):
-    check_conditional_params(params, ctx.n, ctx.variant == "authenticated", (ctx.pid,))
     table = params.get("classifications", "truth")
     if table == "truth":
         bits = predictions.correct_classification(ctx.n, ctx.scenario.fault_set)
@@ -372,3 +368,19 @@ def _conditional_protocol(ctx, scenario, params):
     return (yield from ba_with_classification(
         ctx, params["input"], bits, params["k"], params.get("T")
     ))
+
+
+def run_conditional_standalone(scenario, k: Optional[int] = None, T: Optional[int] = None):
+    """Run the classify round, then the conditional BA with its vectors as
+    the classifications, and return (classify result, conditional result,
+    k); k defaults to the smallest covering the realized misclassification."""
+    cls_result = run_execution(scenario, "classify")
+    vectors = cls_result.trace.get("classifications", {})  # honest writers only
+    if k is None:
+        report = predictions.misclassification_report(vectors, scenario.n, scenario.fault_set)
+        k = max(report.num_total, 1)
+    truth = predictions.correct_classification(scenario.n, scenario.fault_set)
+    table = {p: vectors.get(p, truth) for p in range(1, scenario.n + 1)}
+    cond_result = run_execution(scenario, "ba-classification",
+                                {"k": k, "T": T, "classifications": table})
+    return cls_result, cond_result, k

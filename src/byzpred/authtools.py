@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import signatures
-from .engine import Broadcast, register_protocol
+from .engine import Broadcast, is_count, is_pids, register_protocol, require
 from .signatures import Signature
 
 BOT = None  # the non-domain default value
@@ -398,4 +398,12 @@ def bb_instance_protocol(ctx, scenario, params):
     return inst.result()
 
 
-register_protocol("bb-committee")(bb_instance_protocol)
+def _check_bb(params, n: int, variant: str) -> None:
+    """`k` is an integer of at least 0, `sender` a process id, a given `committee` a list of ids."""
+    require(params, "k", is_count(params.get("k")), "an integer of at least 0")
+    require(params, "sender", is_pids([params.get("sender")], n), f"a process id in 1..{n}")
+    require(params, "committee", is_pids(params.get("committee", []), n),
+            f"a list of process ids in 1..{n}")
+
+
+register_protocol("bb-committee", ("k", "sender", "committee"), _check_bb)(bb_instance_protocol)

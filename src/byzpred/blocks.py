@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence, Tuple
 
-from .engine import register_protocol
+from .engine import is_count, is_pids, register_protocol, require
 from .errors import ConfigurationError
 from .signatures import Signature, digest
 
@@ -577,25 +577,38 @@ def ba_early_stopping(ctx, value, T: int):
 # Standalone protocol registrations
 # ---------------------------------------------------------------------------
 
-def _window_for(ctx, params) -> List[int]:
+def _window_for(params, pid):
     windows = params.get("windows")
-    if windows is not None:
-        return list(windows[ctx.pid] if ctx.pid in windows else windows[str(ctx.pid)])
-    return list(params["window"])
+    if windows is None:
+        return params.get("window")
+    return windows.get(pid, windows.get(str(pid)))
 
 
-@register_protocol("graded-consensus-core")
+def _check_windowed(params, n: int, variant: str) -> None:
+    """`k` is an integer of at least 0, and exactly one of `window` and
+    `windows` gives each process a list of process ids."""
+    require(params, "k", is_count(params.get("k")), "an integer of at least 0")
+    if ("window" in params) == ("windows" in params) or not (
+        isinstance(params.get("windows", {}), dict)
+        and all(is_pids(_window_for(params, p), n) for p in range(1, n + 1))
+    ):
+        raise ConfigurationError(
+            "'window' or 'windows', not both, must be given: a list of process ids in 1..n,"
+            f" or an object holding one for each process 1..n, got {params!r}"
+        )
+
+
+@register_protocol("graded-consensus-core", ("k", "window", "windows"), _check_windowed)
 def _gc_core_protocol(ctx, scenario, params):
     ctx.enter("gc-core")
-    return (yield from graded_consensus_core_set(
-        ctx, params["input"], params["k"], _window_for(ctx, params)
-    ))
+    window = _window_for(params, ctx.pid)
+    return (yield from graded_consensus_core_set(ctx, params["input"], params["k"], window))
 
 
-@register_protocol("conciliate")
+@register_protocol("conciliate", ("k", "window", "windows"), _check_windowed)
 def _conciliate_protocol(ctx, scenario, params):
     ctx.enter("conciliate")
-    return (yield from conciliate(ctx, params["input"], params["k"], _window_for(ctx, params)))
+    return (yield from conciliate(ctx, params["input"], params["k"], _window_for(params, ctx.pid)))
 
 
 @register_protocol("graded-consensus")
@@ -604,7 +617,13 @@ def _gc_standard_protocol(ctx, scenario, params):
     return (yield from graded_consensus_standard(ctx, params["input"]))
 
 
-@register_protocol("ba-early-stopping")
+def _check_es(params, n: int, variant: str) -> None:
+    """A given `T` is an integer of at least 0."""
+    T = params.get("T")
+    require(params, "T", T is None or is_count(T), "an integer of at least 0")
+
+
+@register_protocol("ba-early-stopping", ("T",), _check_es)
 def _es_protocol(ctx, scenario, params):
     T = params.get("T")
     if T is None:

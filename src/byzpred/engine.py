@@ -107,17 +107,24 @@ Send = Tuple[int, Any]
 Item = Tuple[int, str, Any]
 
 _PROTOCOLS: Dict[str, Callable] = {}
+# name -> (the params it reads, the check of their values or None); a name not here reads none
+_PARAMS: Dict[str, Tuple[Tuple[str, ...], Optional[Callable]]] = {}
 
 
-def register_protocol(name: str):
+def register_protocol(name: str, reads: Tuple[str, ...] = (), check: Optional[Callable] = None):
     """Class/function decorator registering a protocol factory under `name`.
 
     A factory is called as ``factory(ctx, scenario, params)`` and must
-    return the per-process generator.
+    return the per-process generator; the engine adds each process's
+    ``input`` and ``prediction`` to the params.  `reads` names the params
+    the protocol reads and `check` checks their values (`check_params`).
+    A registration under `name` alone keeps the name's declaration.
     """
 
     def deco(fn):
         _PROTOCOLS[name] = fn
+        if reads:
+            _PARAMS[name] = (tuple(reads), check)
         return fn
 
     return deco
@@ -125,6 +132,37 @@ def register_protocol(name: str):
 
 def protocol_names() -> List[str]:
     return sorted(_PROTOCOLS)
+
+
+def check_params(protocol: str, params: Dict[str, Any], n: int, variant: str) -> None:
+    """Raise `ConfigurationError` for a key of `params` that `protocol` does
+    not read, or, through its ``check(params, n, variant)``, for values it
+    cannot run with at width n under `variant`, missing ones included."""
+    reads, check = _PARAMS.get(protocol, ((), None))
+    for key in params:
+        if key not in reads:
+            raise ConfigurationError(
+                f"{key!r} is not a param of {protocol}; it reads"
+                f" {', '.join(map(repr, reads)) or 'no params'}"
+            )
+    if check is not None:
+        check(params, n, variant)
+
+
+def is_count(value) -> bool:
+    """An integer of at least 0; a bool is not one."""
+    return type(value) is int and value >= 0
+
+
+def is_pids(value, n: int) -> bool:
+    """A list of process ids in 1..n."""
+    return isinstance(value, list) and all(type(p) is int and 1 <= p <= n for p in value)
+
+
+def require(params: Dict[str, Any], key: str, ok: bool, what: str) -> None:
+    """Raise `ConfigurationError` saying that param `key` must be `what`, unless `ok`."""
+    if not ok:
+        raise ConfigurationError(f"{key!r} must be {what}, got {params!r}")
 
 
 class OracleCheck(NamedTuple):
@@ -275,12 +313,15 @@ def run_execution(
     params: Optional[Dict[str, Any]] = None,
 ) -> ExecutionResult:
     """Drive one execution to completion; the result is a pure function of
-    (scenario, protocol, params)."""
+    (scenario, protocol, params).  An unknown protocol, or params it does
+    not read or cannot run with at the scenario's width and variant
+    (`check_params`), raises `ConfigurationError` before any factory runs."""
     if protocol not in _PROTOCOLS:
         raise ConfigurationError(
             f"unknown protocol {protocol!r}; known: {', '.join(protocol_names())}"
         )
     params = dict(params or {})
+    check_params(protocol, params, scenario.n, scenario.variant)
     factory = _PROTOCOLS[protocol]
 
     scheme = SimTokenScheme(scenario.seed)

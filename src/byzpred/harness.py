@@ -7,7 +7,7 @@ Scenario file (JSON, schema_version 1):
       "protocol": "ba-with-predictions",
       "variant": "unauthenticated",  # or a list of variants
       "value_domain": [0, 1],        # ascending distinct ints or strings
-      "params": {},
+      "params": {},                  # only params the protocol declares (engine.check_params)
       "axes": {
         "n": [4, 7],
         "t": "max",                    # or list of ints
@@ -56,7 +56,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from . import predictions
 from .adversaries import make_strategy, strategy_catalog
 from .agreement import (
-    check_conditional_params,
     compute_alpha,
     conditional_round_budget,
     size_condition_holds,
@@ -64,9 +63,9 @@ from .agreement import (
     wrapper_rounds_through_phase,
 )
 from .blocks import es_rounds_needed
-from .engine import protocol_names, run_execution
+from .engine import check_params, protocol_names, run_execution
 from .errors import ConfigurationError, ScenarioFileError
-from .scenario import AUTHENTICATED, UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
+from .scenario import UNAUTHENTICATED, VARIANTS, AdversarySpec, Scenario
 from .verify import all_pass, misclassification, verify_execution
 
 SWEEP_SCHEMA_VERSION = 1
@@ -223,59 +222,17 @@ def _is_domain(domain) -> bool:
     return list(domain) == sorted(set(domain))
 
 
-def _is_ids(entry, n: int) -> bool:
-    """A list of process ids in 1..n."""
-    return isinstance(entry, list) and all(_is_int(p) and 1 <= p <= n for p in entry)
-
-
-def _check_params(protocol: str, params: Dict[str, Any], ns: List[int], variants) -> None:
-    """Reject params that are no JSON object or that a protocol cannot run with.
-
-    The `k` of the conditional BA, of the standalone broadcast, of graded
-    consensus with a core set and of conciliation, any given `T` and the
-    broadcast's `sender` must be integers of at least 0, 0 and 1.  Graded
-    consensus with a core set and conciliation need a `window` of process
-    ids or `windows` holding one for each process; a given broadcast
-    `committee` must be a list of process ids.  A process id is an integer
-    in 1..n for every n of the sweep.  The conditional BA's own rules are
-    `agreement.check_conditional_params`, applied at every n of the sweep,
-    authenticated if the sweep has that variant."""
+def _check_params(protocol: str, params, ns: List[int], variants, line=None) -> None:
+    """Reject params that are no JSON object, or that `protocol` does not
+    read or cannot run with at some n and variant (`engine.check_params`),
+    with an error at `line` if given."""
     if not isinstance(params, dict):
-        raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}")
-    windowed = protocol in ("graded-consensus-core", "conciliate")
-    checks = (("k", 0, windowed or protocol in ("ba-classification", "bb-committee")),
-              ("T", 0, params.get("T") is not None),
-              ("sender", 1, protocol == "bb-committee"))
-    for key, low, needed in checks:
-        if needed and not (_is_int(params.get(key)) and params[key] >= low):
-            raise ScenarioFileError(
-                f"key 'params': {key!r} must be an integer of at least {low} for {protocol},"
-                f" got {params!r}"
-            )
-    if protocol == "ba-classification":
-        try:
-            for n in ns:
-                check_conditional_params(params, n, AUTHENTICATED in variants, range(1, n + 1))
-        except ConfigurationError as exc:
-            raise ScenarioFileError(f"key 'params': {exc}") from exc
-    window, windows = params.get("window"), params.get("windows")
-    if windowed and not (
-        all(_is_ids(window, n) for n in ns) if windows is None
-        else isinstance(windows, dict)
-        and all(_is_ids(windows.get(p, windows.get(str(p))), n)
-                for n in ns for p in range(1, n + 1))
-    ):
-        raise ScenarioFileError(
-            f"key 'params': 'window' or 'windows' must be given for {protocol}: a list of"
-            f" process ids in 1..n, or an object holding one for each process 1..n, got {params!r}"
-        )
-    if protocol == "bb-committee" and "committee" in params and not all(
-        _is_ids(params["committee"], n) for n in ns
-    ):
-        raise ScenarioFileError(
-            f"key 'params': 'committee' must be a list of integers in 1..n for every n of"
-            f" the sweep, got {params['committee']!r}"
-        )
+        raise ScenarioFileError(f"key 'params' must be a JSON object, got {params!r}", line=line)
+    try:
+        for n, variant in itertools.product(ns, variants):
+            check_params(protocol, params, n, variant)
+    except ConfigurationError as exc:
+        raise ScenarioFileError(f"key 'params': {exc}", line=line) from exc
 
 
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
@@ -534,42 +491,10 @@ def load_records(path: str) -> List[Dict[str, Any]]:
                     f"unknown adversary strategy {adversary.name!r}, or params it cannot run"
                     f" with: {adversary.param_dict()!r}", line=lineno
                 )
-            try:
-                _check_params(point.protocol, point.params, [point.scenario.n],
-                              [point.scenario.variant])
-            except ScenarioFileError as exc:
-                raise ScenarioFileError(str(exc), line=lineno) from exc
+            _check_params(point.protocol, point.params, [point.scenario.n],
+                          [point.scenario.variant], lineno)
             records.append(record)
     return records
-
-
-# ---------------------------------------------------------------------------
-# Standalone conditional-BA runs (classification derived from a real vote round)
-# ---------------------------------------------------------------------------
-
-def run_conditional_standalone(
-    scenario: Scenario,
-    k: Optional[int] = None,
-    T: Optional[int] = None,
-):
-    """Run the classify round, then the conditional BA with the resulting
-    per-process classifications as parameters.
-
-    Returns (classify_result, conditional_result, k).  When k is None the
-    smallest k covering the realized misclassification count is chosen.
-    """
-    cls_result = run_execution(scenario, "classify")
-    vectors = cls_result.trace.get("classifications", {})  # honest writers only
-    if k is None:
-        report = predictions.misclassification_report(vectors, scenario.n, scenario.fault_set)
-        k = max(report.num_total, 1)
-    truth = predictions.correct_classification(scenario.n, scenario.fault_set)
-    table = {p: vectors.get(p, truth) for p in range(1, scenario.n + 1)}
-    params = {"k": k, "classifications": table}
-    if T is not None:
-        params["T"] = T
-    cond_result = run_execution(scenario, "ba-classification", params)
-    return cls_result, cond_result, k
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_alg5_strong_unanimity_within_two_phases():
     # unanimous honest inputs: decided in phase 1, returned in phase 2
     for adv in CATALOG_FOR_SMALL:
         s = scenario(16, 1, {9}, (1,) * 16, adversary=adv, seed=3)
-        _cls, cond, k = harness.run_conditional_standalone(s, k=1)
+        _cls, cond, k = agreement.run_conditional_standalone(s, k=1)
         assert all(v == 1 for v in cond.decisions.values()), adv
         assert cond.rounds_elapsed <= 10, adv  # two 5-round phases
 
@@ -231,7 +231,7 @@ def test_alg5_agreement_mixed_inputs():
         for seed in range(3):
             s = scenario(16, 1, {4}, tuple(i % 2 for i in range(16)),
                          adversary=adv, seed=seed, budget=8)
-            _cls, cond, k = harness.run_conditional_standalone(s)
+            _cls, cond, k = agreement.run_conditional_standalone(s)
             if not (2 * k + 1) * (3 * k + 1) + k <= 16 - 1:
                 continue
             assert len(set(cond.decisions.values())) == 1, (adv, seed)
@@ -241,7 +241,7 @@ def test_alg5_agreement_mixed_inputs():
 def test_alg5_round_and_message_budget(messages_sent):
     # criterion-4 numbers: n=40, t=5, k=1, f=1
     s = scenario(40, 5, {3}, tuple(i % 2 for i in range(40)), adversary="equivocator")
-    _cls, cond, k = harness.run_conditional_standalone(s, k=1)
+    _cls, cond, k = agreement.run_conditional_standalone(s, k=1)
     assert cond.rounds_elapsed <= 5 * (2 * k + 1)
     assert cond.honest_messages_total <= 5 * 40 * ((2 * k + 1) * (3 * k + 1) + k)
     _classify, per_sender = messages_sent
@@ -253,14 +253,14 @@ def test_alg5_returns_within_budget_even_with_bad_k():
     # round budget still binds
     s = scenario(16, 5, {1, 2, 3, 4, 5}, tuple(i % 2 for i in range(16)),
                  adversary="vote-poisoner", budget=64)
-    _cls, cond, k = harness.run_conditional_standalone(s, k=1)
+    _cls, cond, k = agreement.run_conditional_standalone(s, k=1)
     assert cond.rounds_elapsed <= 5 * (2 * 1 + 1)
     assert all(v in (0, 1) for v in cond.decisions.values())
 
 
 def test_alg5_time_boxed_truncation():
     s = scenario(16, 1, {9}, tuple(i % 2 for i in range(16)))
-    _cls, cond, _k = harness.run_conditional_standalone(s, k=1, T=5)
+    _cls, cond, _k = agreement.run_conditional_standalone(s, k=1, T=5)
     assert cond.rounds_elapsed <= 5
 
 
@@ -272,7 +272,7 @@ def test_alg7_strong_unanimity_and_rounds():
     for adv in CATALOG_FOR_SMALL + ["certificate-hoarder", "chain-withholder"]:
         s = scenario(16, 6, {10, 11}, (1,) * 16, adversary=adv,
                      variant="authenticated", seed=1)
-        _cls, cond, k = harness.run_conditional_standalone(s, k=2)
+        _cls, cond, k = agreement.run_conditional_standalone(s, k=2)
         assert all(v == 1 for v in cond.decisions.values()), adv
         assert cond.rounds_elapsed == k + 3, adv
 
@@ -282,7 +282,7 @@ def test_alg7_agreement_mixed_inputs_and_committee_stats():
         for seed in range(2):
             s = scenario(16, 6, {10, 11}, tuple(i % 2 for i in range(16)),
                          adversary=adv, variant="authenticated", seed=seed, budget=16)
-            _cls, cond, k = harness.run_conditional_standalone(s)
+            _cls, cond, k = agreement.run_conditional_standalone(s)
             if 2 * k + 1 > 16 - 6 - k:
                 continue
             verdicts = verify_execution(cond)

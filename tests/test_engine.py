@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from byzpred import harness
+from byzpred import engine, harness
 from byzpred.adversaries import CATALOG, Strategy, entries
 from byzpred.engine import (
     Broadcast,
@@ -77,6 +77,21 @@ def test_accounting_breakdown_sums(messages_sent):
 def test_unknown_protocol_rejected():
     with pytest.raises(ConfigurationError):
         run_execution(basic(), "no-such-protocol")
+
+
+def test_params_a_protocol_cannot_run_with_rejected(monkeypatch):
+    # a missing param and one the protocol does not read fail in
+    # `run_execution` before any process is built; the declaration stays
+    # with the name when a factory is registered under it again
+    built = []
+    monkeypatch.setitem(engine._PROTOCOLS, "conciliate", engine._PROTOCOLS["conciliate"])
+    register_protocol("conciliate")(lambda *args: built.append(args))
+    unread = "'T' is not a param of conciliate; it reads 'k', 'window', 'windows'"
+    for params, message in [({"k": 1}, "'window' or 'windows', not both, must be given"),
+                            ({"k": 1, "window": [1], "T": 3}, unread)]:
+        with pytest.raises(ConfigurationError, match=message):
+            run_execution(basic(), "conciliate", params)
+    assert built == []
 
 
 def test_unauth_fault_bound_enforced():
@@ -591,7 +606,7 @@ def test_an_idle_shadow_shows_emit_its_current_tag(monkeypatch):
     assert all(item[2] == [] for items in probe.shadow_items.values() for item in items)
 
 
-@register_protocol("test-quiet-exits")
+@register_protocol("test-quiet-exits", ("raise",))
 def _quiet_exits_protocol(ctx, scenario, params):
     # nobody sends; process p idles p + 1 rounds and returns p, except
     # that the shadow raises ValueError in round 2 and process
@@ -791,7 +806,7 @@ def test_threads_draw_the_seed_exact_permutations():
     assert errors == [] and wrong == []
 
 
-@register_protocol("test-enter-endings")
+@register_protocol("test-enter-endings", ("ending", "log"))
 def _enter_endings_protocol(ctx, scenario, params):
     # Every process enters "outer" and then "inner", broadcasts there, goes
     # back to its caller's tag, idles two rounds and returns its inbox.  The

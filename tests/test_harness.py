@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from byzpred import harness
+from byzpred import agreement, engine, harness
 from byzpred.errors import ConfigurationError, ScenarioFileError
 from byzpred.scenario import AdversarySpec, Scenario
 from byzpred.verify import Verdict, verify_execution
@@ -221,6 +221,21 @@ def _with_params(protocol, params):
          "axis 'adversary' entry 0"),
         (_with_axis("adversary", [{"name": "choice-table", "params": {
             "table": [[[1, 4, 2], ["classify", [0, 0, 0, 0]]]]}}]), "axis 'adversary' entry 0"),
+        # protocol params: `window` beside `windows`, a sender outside 1..n,
+        # and keys the protocol does not read
+        (_with_params("conciliate", {"k": 1, "window": "garbage",
+                                     "windows": {str(p): [1, 2] for p in range(1, 5)}}),
+         "key 'params': 'window' or 'windows', not both"),
+        (dict(_with_params("bb-committee", {"k": 1, "sender": 9}), variant="authenticated"),
+         "key 'params': 'sender' must be a process id in 1..4"),
+        (_with_params("ba-early-stopping", {"t_budget": 3}),
+         "key 'params': 't_budget' is not a param of ba-early-stopping; it reads 'T'"),
+        (_with_params("ba-with-predictions", {"T": 3}),
+         "key 'params': 'T' is not a param of ba-with-predictions; it reads no params"),
+        (_with_params("graded-consensus", {"T": 3}),
+         "key 'params': 'T' is not a param of graded-consensus; it reads no params"),
+        (_with_params("classify", {"input": 7}),
+         "key 'params': 'input' is not a param of classify; it reads no params"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -233,22 +248,35 @@ def test_malformed_sweep_file_is_located(tmp_path, doc, located):
     assert "scenario file error" in proc.stderr and located in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "protocol, variant, params",
-    [
-        ("conciliate", "unauthenticated", {"k": 1, "window": [1, 2]}),
-        ("graded-consensus-core", "unauthenticated",
-         {"k": 0, "windows": {str(p): [1] for p in range(1, 5)}}),
-        ("bb-committee", "authenticated", {"k": 1, "sender": 1, "committee": [1, 2, 4]}),
-        ("ba-classification", "authenticated",
-         {"k": 1, "T": 4, "classifications": {str(p): "1111" for p in range(1, 5)}}),
-    ],
-)
+STANDALONE_PARAMS = [
+    ("conciliate", "unauthenticated", {"k": 1, "window": [1, 2]}),
+    ("graded-consensus-core", "unauthenticated",
+     {"k": 0, "windows": {str(p): [1] for p in range(1, 5)}}),
+    ("bb-committee", "authenticated", {"k": 1, "sender": 1, "committee": [1, 2, 4]}),
+    ("ba-classification", "authenticated",
+     {"k": 1, "T": 4, "classifications": {str(p): "1111" for p in range(1, 5)}}),
+    ("ba-early-stopping", "unauthenticated", {"T": 9}),
+    ("conciliate", "unauthenticated",
+     {"k": 1, "windows": {str(p): [1, 2, 3, 4] for p in range(1, 5)}}),
+    ("graded-consensus-core", "authenticated", {"k": 1, "window": [1, 2, 3, 4]}),
+]
+
+
+@pytest.mark.parametrize("protocol, variant, params", STANDALONE_PARAMS)
 def test_standalone_params_that_run_pass_the_check(protocol, variant, params):
     doc = _with_params(protocol, params)
     doc["variant"] = variant
     records, summary = harness.run_sweep(doc)
     assert summary.executed >= 1 and all(r["ok"] for r in records)
+
+
+def test_every_declared_param_has_a_passing_case():
+    # so that a declaration refusing a param its protocol reads fails a case above
+    declared = {(name, key) for name in engine.protocol_names() if not name.startswith("test-")
+                for key in engine._PARAMS.get(name, ((), None))[0]}
+    covered = {(protocol, key) for protocol, _variant, params in STANDALONE_PARAMS
+               for key in params}
+    assert declared - covered == set()
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +327,7 @@ def test_conditional_standalone_uses_vote_round_classifications():
         seed=1, error_budget=16, error_allocation="adversarial-worst",
         adversary=AdversarySpec.make("vote-poisoner"),
     )
-    cls_result, cond_result, k = harness.run_conditional_standalone(s)
+    cls_result, cond_result, k = agreement.run_conditional_standalone(s)
     assert set(cls_result.decisions) == set(s.honest)
     assert cond_result.protocol == "ba-classification"
     assert k >= 1
@@ -432,11 +460,14 @@ def with_adversary(record, name, params=None):
         (lambda record: dict(record, protocol="ba-classification", params={"k": 1, "T": 3},
                              scenario=dict(record["scenario"], variant="authenticated")),
          "key 'params': 'T' must be at least k+3"),
+        (lambda record: dict(record, params={"T": 3}),
+         "key 'params': 'T' is not a param of ba-with-predictions; it reads no params"),
     ],
     ids=["index-only", "not-an-object", "scenario-without-t", "scenario-without-seed",
          "scenario-without-value_domain", "schema-1", "unknown-protocol", "unknown-adversary",
          "params-without-k", "params-not-an-object", "crash-round-not-an-int",
-         "crash-param-it-does-not-read", "t-over-the-bound", "authenticated-T-below-k-plus-3"],
+         "crash-param-it-does-not-read", "t-over-the-bound", "authenticated-T-below-k-plus-3",
+         "param-it-does-not-read"],
 )
 def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
     points, _ = harness.expand_sweep(sweep_doc())
