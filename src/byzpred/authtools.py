@@ -37,6 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import signatures
 from .engine import Broadcast, is_count, is_pids, register_protocol, require
+from .errors import ConfigurationError
 from .signatures import Signature
 
 BOT = None  # the non-domain default value
@@ -399,11 +400,15 @@ def bb_instance_protocol(ctx, scenario, params):
 
 
 def _check_bb(params, n: int, variant: str) -> None:
-    """`k` is an integer of at least 0, `sender` a process id, a given `committee` a list of ids."""
+    """`k` is an integer of at least 0, `sender` a process id, a given
+    `committee` a list of ids, and the variant authenticated."""
     require(params, "k", is_count(params.get("k")), "an integer of at least 0")
     require(params, "sender", is_pids([params.get("sender")], n), f"a process id in 1..{n}")
     require(params, "committee", is_pids(params.get("committee", []), n),
             f"a list of process ids in 1..{n}")
+    if variant != "authenticated":
+        raise ConfigurationError("bb-committee signs its votes and chains, so it needs the"
+                                 f" authenticated variant, got {variant!r}")
 
 
 register_protocol("bb-committee", ("k", "sender", "committee"), _check_bb)(bb_instance_protocol)

@@ -21,37 +21,26 @@ Scenario file (JSON, schema_version 1):
       }
     }
 
-The sweep is the cross-product of the axes.  A point is indexed in that
-order.  An infeasible point (budget not realizable, f > t, f > n, or t
-over the variant's resilience bound: 3t < n unauthenticated, 2t < n
-authenticated) is skipped with its index and reason, never silently
-dropped.  A duplicate f
-after resolution ("half" equal to 0, say) is expanded once and takes no
-index.  One metrics record is emitted per executed point as a JSON line;
-records are byte-reproducible from the point alone, which `replay` checks.
-A record (schema_version 2; sweep files stay at 1) holds the point (index,
-scenario, protocol, params) and what the execution gave:
-
-    schema_version, index, scenario, protocol, params,
-    realized_budget        the prediction errors actually placed,
-    misclassification      k_A, k_H and k_F of the honest classifications,
-                           or null if no process classified,
-    rounds_elapsed, honest_messages_total, honest_messages_by_protocol,
-    alpha                  the wrapper's alpha, or null,
-    decision               the honest decision if all agree, else null,
-    decisions_distinct, verdicts (name, ok, detail), ok.
-
-`load_records` refuses a record of any other schema_version.
+`KEYS` lists the top-level keys and `AXES` the axes, each with its default
+and the test of its entries; an unknown key or axis is refused.  The sweep
+is the cross-product of the axes in `AXES` order: variant, then the axes as
+above.  A point is indexed in that order.  An infeasible point (budget not
+realizable, f > t, f > n, or t over the variant's resilience bound: 3t < n
+unauthenticated, 2t < n authenticated) is skipped with its index and
+reason, never silently dropped.  A duplicate f after resolution ("half"
+equal to 0, say) is expanded once and takes no index.  One metrics record
+(`Record`) is emitted per executed point as a JSON line; records are
+byte-reproducible from the point alone, which `replay` checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import predictions
 from .adversaries import make_strategy, strategy_catalog
@@ -155,18 +144,6 @@ def input_vector(spec, n: int, domain: Tuple[Any, ...]) -> Tuple[Any, ...]:
     raise ScenarioFileError(f"unknown input pattern {spec!r}")
 
 
-def resolve_adversaries(spec) -> List[AdversarySpec]:
-    if spec == "catalog":
-        return strategy_catalog()
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            out.append(AdversarySpec.make(item))
-        else:
-            out.append(AdversarySpec.make(item["name"], item.get("params")))
-    return out
-
-
 def load_sweep_file(path: str) -> Dict[str, Any]:
     try:
         with open(path) as fh:
@@ -183,34 +160,16 @@ def load_sweep_file(path: str) -> Dict[str, Any]:
     return doc
 
 
+def _refuse_unknown(what: str, given, known, line=None) -> None:
+    """Refuse a key of `given` that `known` does not list, naming it as a `what`."""
+    for key in given:
+        if key not in known:
+            raise ScenarioFileError(f"unknown {what} {key!r}; known: {', '.join(known)}",
+                                    line=line)
+
+
 def _is_int(entry) -> bool:
     return isinstance(entry, int) and not isinstance(entry, bool)
-
-
-def _is_adversary(entry) -> bool:
-    """A strategy name, or an object with one as "name" and, if given, an
-    object as "params", that `adversaries.make_strategy` accepts."""
-    if isinstance(entry, str):
-        entry = {"name": entry}
-    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("params"), (dict, type(None)))):
-        return False
-    try:
-        make_strategy(AdversarySpec.make(entry["name"], entry.get("params")))
-    except ConfigurationError:
-        return False
-    return True
-
-
-def _check_list(where: str, entries, accepts: Callable[[Any], bool], expected: str) -> None:
-    """Reject `entries` (an axis or a top-level key, named by `where`) if it
-    is not a list or holds an entry `accepts` refuses, with an error naming
-    it and the entry's position."""
-    if not isinstance(entries, (list, tuple)):
-        raise ScenarioFileError(f"{where} must be a list, got {entries!r}")
-    for pos, entry in enumerate(entries):
-        if not accepts(entry):
-            raise ScenarioFileError(f"{where} entry {pos}: expected {expected}, got {entry!r}")
 
 
 def _is_domain(domain) -> bool:
@@ -235,17 +194,116 @@ def _check_params(protocol: str, params, ns: List[int], variants, line=None) -> 
         raise ScenarioFileError(f"key 'params': {exc}", line=line) from exc
 
 
+KEYS = ("schema_version", "protocol", "variant", "value_domain", "params", "axes")
+
+
+def _entry(accepts: Callable[[Any], bool]) -> Callable[[Any, Dict[str, list]], Any]:
+    """The test of an axis whose accepted entries expand as written."""
+    return lambda entry, _outer: entry if accepts(entry) else None
+
+
+def _adversary(entry, _outer=None) -> Optional[AdversarySpec]:
+    """The spec of a strategy name, or of an object with one as "name" and,
+    if given, an object as "params", that `adversaries.make_strategy`
+    accepts; None for anything else."""
+    if isinstance(entry, str):
+        entry = {"name": entry}
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("params"), (dict, type(None)))):
+        return None
+    spec = AdversarySpec.make(entry["name"], entry.get("params"))
+    try:
+        make_strategy(spec)
+    except ConfigurationError:
+        return None
+    return spec
+
+
+def _inputs(entry, outer: Dict[str, list]):
+    """An input pattern, or a list of one input per process for every n of the sweep."""
+    listed = isinstance(entry, (list, tuple)) and all(len(entry) == n for n in outer["n"])
+    return entry if listed or entry in INPUT_PATTERNS else None
+
+
+@dataclass(frozen=True)
+class Axis:
+    """A sweep axis.  `test(entry, outer)` gives an entry as expansion reads
+    it, or None to refuse it, and `expected` says what it accepts; `outer`
+    holds the entries of the axes listed before.  `shorthand` maps a file's
+    value to the entry list it stands for, `values` maps the entries to the
+    axis' values at a point whose outer axes are set, and `summary`, if
+    given, reads the axis from a record's scenario for `summarize`."""
+
+    name: str
+    default: Any
+    test: Callable[[Any, Dict[str, list]], Any]
+    expected: str
+    shorthand: Callable[[Any], Any] = lambda value: value
+    values: Callable[[list, Dict[str, Any]], Iterable] = lambda entries, _point: entries
+    summary: Optional[Callable[[Dict[str, Any]], Any]] = None
+
+    def read(self, doc: Dict[str, Any], outer: Dict[str, list]) -> list:
+        """This axis' entries in sweep document `doc`, or its default, each as
+        `test` reads it; an error names the axis (the key, for one in `KEYS`)."""
+        where = f"key {self.name!r}" if self.name in KEYS else f"axis {self.name!r}"
+        source = doc if self.name in KEYS else doc.get("axes", {})
+        entries = self.shorthand(source.get(self.name, self.default))
+        if not isinstance(entries, (list, tuple)):
+            raise ScenarioFileError(f"{where} must be a list, got {entries!r}")
+        read = [self.test(entry, outer) for entry in entries]
+        if None in read:
+            pos = read.index(None)
+            raise ScenarioFileError(
+                f"{where} entry {pos}: expected {self.expected}, got {entries[pos]!r}")
+        return read
+
+
+# In expansion order: the first axis varies slowest.
+AXES = (
+    Axis("variant", UNAUTHENTICATED, _entry(lambda e: e in VARIANTS),
+         "one of " + ", ".join(VARIANTS),
+         shorthand=lambda value: [value] if isinstance(value, str) else value,
+         summary=lambda sc: sc["variant"]),
+    Axis("n", [4], _entry(_is_int), "an integer", summary=lambda sc: sc["n"]),
+    Axis("t", "max", _entry(lambda e: e == "max" or _is_int(e)), "an integer or \"max\"",
+         shorthand=lambda value: value if isinstance(value, list) else [value],
+         values=lambda specs, p: [resolve_t(spec, p["n"], p["variant"]) for spec in specs]),
+    Axis("f", [0], _entry(lambda e: e in ("half", "max") or (_is_int(e) and e >= 0)),
+         "an integer of at least 0, \"half\" or \"max\"",
+         values=lambda specs, p: dict.fromkeys(resolve_f(spec, p["t"]) for spec in specs),
+         summary=lambda sc: len(sc["fault_set"])),
+    Axis("error_budget", [0],
+         _entry(lambda e: _is_int(e) or (isinstance(e, str) and _BUDGET_SPEC.fullmatch(e))),
+         "an integer or \"<k>n\"",
+         values=lambda specs, p: [resolve_budget(spec, p["n"]) for spec in specs],
+         summary=lambda sc: sc["error_budget"]),
+    Axis("allocation", ["concentrated-on-faulty"],
+         _entry(lambda e: e in predictions.ALLOCATION_POLICIES),
+         "one of " + ", ".join(predictions.ALLOCATION_POLICIES)),
+    Axis("adversary", [AdversarySpec().name], _adversary,
+         "a catalog strategy name or an object with one as \"name\" and valid \"params\"",
+         shorthand=lambda value: [{"name": spec.name, "params": spec.param_dict()}
+                                  for spec in strategy_catalog()] if value == "catalog" else value,
+         summary=lambda sc: sc["adversary"]["name"]),
+    Axis("inputs", ["alternating"], _inputs, "one of " + ", ".join(INPUT_PATTERNS)
+         + " or a list of one input per process for every n of the sweep"),
+    Axis("fault_placement", ["lowest"], _entry(lambda e: e in FAULT_PLACEMENTS),
+         "one of " + ", ".join(FAULT_PLACEMENTS)),
+    Axis("seeds", [0], _entry(_is_int), "an integer"),
+)
+
+
 def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoint]]:
+    _refuse_unknown("key", doc, KEYS)
+    axes = doc.get("axes", {})
+    if not isinstance(axes, dict):
+        raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")
+    _refuse_unknown("axis", axes, [axis.name for axis in AXES if axis.name not in KEYS])
     protocol = doc.get("protocol", "ba-with-predictions")
     if protocol not in protocol_names():
         raise ScenarioFileError(
             f"key 'protocol': expected one of {', '.join(protocol_names())}, got {protocol!r}"
         )
-    variants = doc.get("variant", UNAUTHENTICATED)
-    if isinstance(variants, str):
-        variants = [variants]
-    _check_list("key 'variant'", variants, lambda e: e in VARIANTS,
-                "one of " + ", ".join(VARIANTS))
     domain = doc.get("value_domain", (0, 1))
     if not _is_domain(domain):
         raise ScenarioFileError(
@@ -253,77 +311,63 @@ def expand_sweep(doc: Dict[str, Any]) -> Tuple[List[SweepPoint], List[SkippedPoi
             f" or of distinct strings, got {domain!r}"
         )
     domain = tuple(domain)
+    entries: Dict[str, list] = {}
+    grid: List[Dict[str, Any]] = [{}]  # the points so far, each as its axis values
+    for axis in AXES:
+        entries[axis.name] = axis.read(doc, entries)
+        grid = [{**p, axis.name: value} for p in grid
+                for value in axis.values(entries[axis.name], p)]
     params = doc.get("params", {})
-    axes = doc.get("axes", {})
-    if not isinstance(axes, dict):
-        raise ScenarioFileError(f"'axes' must be a JSON object, got {axes!r}")
-    ns = axes.get("n", [4])
-    t_specs = axes.get("t", "max")
-    if not isinstance(t_specs, list):
-        t_specs = [t_specs]
-    f_specs = axes.get("f", [0])
-    budgets = axes.get("error_budget", [0])
-    allocations = axes.get("allocation", ["concentrated-on-faulty"])
-    adversary_specs = axes.get("adversary", [AdversarySpec().name])
-    inputs = axes.get("inputs", ["alternating"])
-    placements = axes.get("fault_placement", ["lowest"])
-    seeds = axes.get("seeds", [0])
-    _check_list("axis 'n'", ns, _is_int, "an integer")
-    _check_params(protocol, params, ns, variants)
-    _check_list("axis 't'", t_specs, lambda e: e == "max" or _is_int(e), "an integer or \"max\"")
-    _check_list("axis 'f'", f_specs, lambda e: e in ("half", "max") or (_is_int(e) and e >= 0),
-                "an integer of at least 0, \"half\" or \"max\"")
-    _check_list("axis 'error_budget'", budgets,
-                lambda e: _is_int(e) or isinstance(e, str) and _BUDGET_SPEC.fullmatch(e),
-                "an integer or \"<k>n\"")
-    _check_list("axis 'allocation'", allocations, lambda e: e in predictions.ALLOCATION_POLICIES,
-                "one of " + ", ".join(predictions.ALLOCATION_POLICIES))
-    if adversary_specs != "catalog":
-        _check_list("axis 'adversary'", adversary_specs, _is_adversary,
-                    "a catalog strategy name or an object with one as \"name\" and valid \"params\"")
-    _check_list("axis 'inputs'", inputs,
-                lambda e: e in INPUT_PATTERNS
-                or isinstance(e, (list, tuple)) and all(len(e) == n for n in ns),
-                "one of " + ", ".join(INPUT_PATTERNS)
-                + " or a list of one input per process for every n of the sweep")
-    _check_list("axis 'fault_placement'", placements, lambda e: e in FAULT_PLACEMENTS,
-                "one of " + ", ".join(FAULT_PLACEMENTS))
-    _check_list("axis 'seeds'", seeds, _is_int, "an integer")
-    adversaries = resolve_adversaries(adversary_specs)
-
+    _check_params(protocol, params, entries["n"], entries["variant"])
     points: List[SweepPoint] = []
     skipped: List[SkippedPoint] = []
-    for variant, n, t_spec in itertools.product(variants, ns, t_specs):
-        t = resolve_t(t_spec, n, variant)
-        fs = dict.fromkeys(resolve_f(f_spec, t) for f_spec in f_specs)
-        resolved = [resolve_budget(spec, n) for spec in budgets]
-        for f, budget, allocation, adv, input_spec, placement, seed in itertools.product(
-            fs, resolved, allocations, adversaries, inputs, placements, seeds
-        ):
-            index = len(points) + len(skipped)
-            try:
-                scenario = Scenario(
-                    n=n,
-                    t=t,
-                    fault_set=fault_ids(n, f, placement),
-                    inputs=input_vector(input_spec, n, domain),
-                    error_budget=budget,
-                    error_allocation=allocation,
-                    adversary=adv,
-                    seed=seed,
-                    variant=variant,
-                    value_domain=domain,
-                )
-            except ConfigurationError as exc:
-                skipped.append(SkippedPoint(index, str(exc)))
-            else:
-                points.append(SweepPoint(index, scenario, protocol, dict(params)))
+    for index, p in enumerate(grid):
+        try:
+            scenario = Scenario(
+                n=p["n"],
+                t=p["t"],
+                fault_set=fault_ids(p["n"], p["f"], p["fault_placement"]),
+                inputs=input_vector(p["inputs"], p["n"], domain),
+                error_budget=p["error_budget"],
+                error_allocation=p["allocation"],
+                adversary=p["adversary"],
+                seed=p["seeds"],
+                variant=p["variant"],
+                value_domain=domain,
+            )
+        except ConfigurationError as exc:
+            skipped.append(SkippedPoint(index, str(exc)))
+        else:
+            points.append(SweepPoint(index, scenario, protocol, dict(params)))
     return points, skipped
 
 
 # ---------------------------------------------------------------------------
 # Metrics records
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Record:
+    """The metrics record of one executed point (schema_version 2; sweep
+    files stay at 1): the point, then what its execution gave.  `run_point`
+    gives it as a JSON object keyed by these fields."""
+
+    schema_version: int
+    index: int
+    scenario: Dict[str, Any]
+    protocol: str
+    params: Dict[str, Any]
+    realized_budget: Dict[str, Any]  # the prediction errors actually placed
+    misclassification: Optional[Dict[str, int]]  # k_A, k_H, k_F; null if none classified
+    rounds_elapsed: int
+    honest_messages_total: int
+    honest_messages_by_protocol: Dict[str, int]
+    alpha: Optional[int]  # the wrapper's alpha, or null
+    decision: Any  # the honest decision if all agree, else null
+    decisions_distinct: int
+    verdicts: List[Dict[str, Any]]  # name, ok, detail
+    ok: bool
+
 
 def run_point(point: SweepPoint) -> Dict[str, Any]:
     """Execute one point and build its metrics record."""
@@ -333,26 +377,25 @@ def run_point(point: SweepPoint) -> Dict[str, Any]:
     scenario = point.scenario
     decisions = [result.decisions.get(p) for p in scenario.honest]
     distinct = {repr(v) for v in decisions}
-    record = {
-        "schema_version": RECORD_SCHEMA_VERSION,
-        "index": point.index,
-        "scenario": scenario.to_json_dict(),
-        "protocol": point.protocol,
-        "params": point.params,
-        "realized_budget": result.trace["prediction_report"],
-        "misclassification": None if mis is None else {
+    return vars(Record(
+        schema_version=RECORD_SCHEMA_VERSION,
+        index=point.index,
+        scenario=scenario.to_json_dict(),
+        protocol=point.protocol,
+        params=point.params,
+        realized_budget=result.trace["prediction_report"],
+        misclassification=None if mis is None else {
             "k_A": mis.num_total, "k_H": mis.num_honest, "k_F": mis.num_faulty
         },
-        "rounds_elapsed": result.rounds_elapsed,
-        "honest_messages_total": result.honest_messages_total,
-        "honest_messages_by_protocol": dict(sorted(result.honest_messages_by_protocol.items())),
-        "alpha": result.trace.get("alpha"),
-        "decision": decisions[0] if len(distinct) == 1 else None,
-        "decisions_distinct": len(distinct),
-        "verdicts": [v.as_dict() for v in verdicts],
-        "ok": all_pass(verdicts),
-    }
-    return record
+        rounds_elapsed=result.rounds_elapsed,
+        honest_messages_total=result.honest_messages_total,
+        honest_messages_by_protocol=dict(sorted(result.honest_messages_by_protocol.items())),
+        alpha=result.trace.get("alpha"),
+        decision=decisions[0] if len(distinct) == 1 else None,
+        decisions_distinct=len(distinct),
+        verdicts=[v.as_dict() for v in verdicts],
+        ok=all_pass(verdicts),
+    ))
 
 
 def record_bytes(record: Dict[str, Any]) -> bytes:
@@ -392,18 +435,13 @@ def run_sweep(
 ) -> Tuple[List[Dict[str, Any]], SweepSummary]:
     points, skipped = expand_sweep(doc)
     records: List[Dict[str, Any]] = []
-
+    pool = None
     if workers > 1 and len(points) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            for record in pool.imap(run_point, points, chunksize=1):
-                records.append(record)
-                if progress:
-                    progress(record)
-    else:
-        for point in points:
-            record = run_point(point)
+        pool = multiprocessing.Pool(workers)
+    with pool or contextlib.nullcontext():
+        for record in pool.imap(run_point, points, chunksize=1) if pool else map(run_point, points):
             records.append(record)
             if progress:
                 progress(record)
@@ -417,37 +455,26 @@ def run_sweep(
 
 
 def summarize(records: List[Dict[str, Any]], skipped: List[SkippedPoint]) -> SweepSummary:
-    summary = SweepSummary(executed=len(records), skipped=len(skipped))
-    axes = ("n", "f", "error_budget", "adversary", "variant")
-    acc: Dict[str, Dict[str, List[Tuple[int, int]]]] = {a: {} for a in axes}
-    for record in records:
-        if not record["ok"]:
-            summary.violations += 1
-            if summary.first_violation is None:
-                summary.first_violation = record
-        sc = record["scenario"]
-        keyvals = {
-            "n": sc["n"],
-            "f": len(sc["fault_set"]),
-            "error_budget": sc["error_budget"],
-            "adversary": sc["adversary"]["name"],
-            "variant": sc["variant"],
-        }
-        for axis, key in keyvals.items():
-            acc[axis].setdefault(str(key), []).append(
-                (record["rounds_elapsed"], record["honest_messages_total"])
-            )
-    for axis, groups in acc.items():
-        summary.by_axis[axis] = {}
-        for key, vals in groups.items():
-            rounds = [r for r, _m in vals]
-            msgs = [m for _r, m in vals]
-            summary.by_axis[axis][key] = {
-                "runs": len(vals),
+    violating = [record for record in records if not record["ok"]]
+    summary = SweepSummary(len(records), len(skipped), len(violating),
+                           violating[0] if violating else None)
+    for axis in AXES:
+        if axis.summary is None:
+            continue
+        groups: Dict[str, Tuple[List[int], List[int]]] = {}  # rounds and messages by key
+        for record in records:
+            rounds, msgs = groups.setdefault(str(axis.summary(record["scenario"])), ([], []))
+            rounds.append(record["rounds_elapsed"])
+            msgs.append(record["honest_messages_total"])
+        summary.by_axis[axis.name] = {
+            key: {
+                "runs": len(rounds),
                 "mean_rounds": sum(rounds) / len(rounds),
                 "max_rounds": max(rounds),
                 "mean_msgs": sum(msgs) / len(msgs),
             }
+            for key, (rounds, msgs) in groups.items()
+        }
     return summary
 
 
@@ -459,10 +486,13 @@ def replay_record(record: Dict[str, Any]) -> bool:
 
 def load_records(path: str) -> List[Dict[str, Any]]:
     """The records of a JSON-lines file.  A line that does not hold a
-    record of this schema_version, or whose point names an unknown
-    protocol or adversary strategy or gives either params it cannot run
-    with, raises `ScenarioFileError` naming the line."""
+    record of this schema_version, that holds a key `Record` or `Scenario`
+    has no field for, or whose point names an unknown protocol or adversary
+    strategy or gives either params it cannot run with, raises
+    `ScenarioFileError` naming the line."""
     records = []
+    record_keys = [f.name for f in fields(Record)]
+    scenario_keys = [f.name for f in fields(Scenario)]
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -483,10 +513,12 @@ def load_records(path: str) -> List[Dict[str, Any]]:
                     f"unsupported record schema_version {record.get('schema_version')!r},"
                     f" expected {RECORD_SCHEMA_VERSION}", line=lineno
                 )
+            _refuse_unknown("record key", record, record_keys, lineno)
+            _refuse_unknown("scenario key", record["scenario"], scenario_keys, lineno)
             if point.protocol not in protocol_names():
                 raise ScenarioFileError(f"unknown protocol {point.protocol!r}", line=lineno)
             adversary = point.scenario.adversary
-            if not _is_adversary({"name": adversary.name, "params": adversary.param_dict()}):
+            if _adversary({"name": adversary.name, "params": adversary.param_dict()}) is None:
                 raise ScenarioFileError(
                     f"unknown adversary strategy {adversary.name!r}, or params it cannot run"
                     f" with: {adversary.param_dict()!r}", line=lineno
@@ -501,13 +533,6 @@ def load_records(path: str) -> List[Dict[str, Any]]:
 # Round-envelope prediction (criterion 6 support)
 # ---------------------------------------------------------------------------
 
-def misclassification_proof_bound(n: int, f: int, realized_budget: int) -> float:
-    denom = math.ceil(n / 2) - f
-    if denom <= 0:
-        return math.inf
-    return realized_budget / denom
-
-
 def predicted_exit_phase(scenario: Scenario) -> int:
     """Earliest wrapper phase whose sub-protocol guarantees fire, plus the
     one helper phase, capped at the phase count.  Uses the proof-level
@@ -516,7 +541,7 @@ def predicted_exit_phase(scenario: Scenario) -> int:
     _vectors, report = predictions.generate_predictions(
         n, scenario.fault_set, scenario.error_budget, scenario.error_allocation
     )
-    k_a_bound = misclassification_proof_bound(n, f, report.total)
+    k_a_bound = report.total / predictions.flips_to_misclassify(n, f, honest=True)
     alpha = compute_alpha(variant, t)
     phases = wrapper_phase_count(t)
     for phase in range(1, phases + 1):

@@ -12,7 +12,6 @@ and honest-predicted-faulty parts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Set, Tuple
 
@@ -31,6 +30,14 @@ ALLOCATION_POLICIES = (
 def honest_threshold(n: int) -> int:
     """Votes needed to classify a process as honest: ceil((n+1)/2)."""
     return (n + 2) // 2
+
+
+def flips_to_misclassify(n: int, f: int, honest: bool) -> int:
+    """Honest holders that must hold a wrong bit about a process before the
+    f faulty votes can misclassify it: ceil(n/2) - f if it is honest, else
+    honest_threshold(n) - f.  The first divides the misclassification bound;
+    with 2f < n, as in every `Scenario`, both are at least 1."""
+    return (n + 1) // 2 - f if honest else honest_threshold(n) - f
 
 
 def correct_classification(n: int, fault_set: Set[int]) -> Bits:
@@ -107,8 +114,8 @@ def _flip_order(n: int, fault_set: Set[int], policy: str, f: int) -> Iterable[Tu
         # let the voting-round adversary push it over the honest threshold,
         # then start hurting honest targets the same way; leftovers flip the
         # remaining bits deterministically.
-        need_faulty = max(honest_threshold(n) - f, 0)
-        need_honest = max(math.ceil(n / 2) - f, 0)
+        need_faulty = max(flips_to_misclassify(n, f, honest=False), 0)
+        need_honest = max(flips_to_misclassify(n, f, honest=True), 0)
         front = []
         for target in faulty:
             front.extend((holder, target) for holder in honest[:need_faulty])

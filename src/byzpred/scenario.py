@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Tuple
 
 from .errors import ConfigurationError
@@ -98,32 +98,24 @@ class Scenario:
         return len(vals) == 1
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "fault_set": sorted(self.fault_set),
-            "inputs": list(self.inputs),
-            "error_budget": self.error_budget,
-            "error_allocation": self.error_allocation,
-            "adversary": {"name": self.adversary.name, "params": self.adversary.param_dict()},
-            "seed": self.seed,
-            "variant": self.variant,
-            "value_domain": list(self.value_domain),
-        }
+        """This scenario as a JSON object keyed by its field names."""
+        return dict(
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            fault_set=sorted(self.fault_set),
+            inputs=list(self.inputs),
+            adversary={"name": self.adversary.name, "params": self.adversary.param_dict()},
+            value_domain=list(self.value_domain),
+        )
 
     @classmethod
     def from_json_dict(cls, d: Mapping[str, Any]) -> "Scenario":
         """The scenario `to_json_dict` wrote; a missing key raises `KeyError`."""
-        adv = d["adversary"]
-        return cls(
-            n=d["n"],
-            t=d["t"],
-            fault_set=frozenset(d["fault_set"]),
-            inputs=tuple(d["inputs"]),
-            error_budget=d["error_budget"],
-            error_allocation=d["error_allocation"],
+        values = {f.name: d[f.name] for f in fields(cls)}
+        adv = values["adversary"]
+        return cls(**dict(
+            values,
+            fault_set=frozenset(values["fault_set"]),
+            inputs=tuple(values["inputs"]),
             adversary=AdversarySpec.make(adv["name"], adv["params"]),
-            seed=d["seed"],
-            variant=d["variant"],
-            value_domain=tuple(d["value_domain"]),
-        )
+            value_domain=tuple(values["value_domain"]),
+        ))

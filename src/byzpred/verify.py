@@ -21,7 +21,6 @@ string and never stops the others from being evaluated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -166,10 +165,7 @@ def _vote_bound(result, scenario, truth, report):
             for i, vec in vectors.items()
             if i not in scenario.fault_set and vec[j - 1] != truth[j - 1]
         )
-        if truth[j - 1] == 0:
-            need = predictions.honest_threshold(n) - f
-        else:
-            need = math.ceil(n / 2) - f
+        need = predictions.flips_to_misclassify(n, f, honest=truth[j - 1] == 1)
         if wrong_holders < need:
             bad.append((j, wrong_holders, need))
     return Verdict(
@@ -181,10 +177,7 @@ def _vote_bound(result, scenario, truth, report):
 
 def _misclassification_bound(result, scenario, report):
     """k_A <= B / (ceil(n/2) - f), using the realized error budget."""
-    n, f = scenario.n, scenario.f
-    denom = math.ceil(n / 2) - f
-    if denom <= 0:
-        return Verdict("misclassification-bound", True, "bound vacuous: ceil(n/2) <= f")
+    denom = predictions.flips_to_misclassify(scenario.n, scenario.f, honest=True)
     realized = result.trace["prediction_report"]["total"]
     ok = report.num_total <= realized / denom
     return Verdict(

@@ -73,6 +73,21 @@ def test_input_patterns():
     assert harness.input_vector([1, 0, 1], 3, (0, 1)) == (1, 0, 1)
 
 
+def test_an_empty_sweep_expands_to_the_default_point():
+    points, skipped = harness.expand_sweep({"schema_version": 1})
+    assert skipped == [] and [(p.index, p.protocol, p.params) for p in points] == [
+        (0, "ba-with-predictions", {})
+    ]
+    assert points[0].scenario == Scenario(
+        n=4, t=1, fault_set=frozenset(), inputs=(0, 1, 0, 1), error_budget=0,
+        error_allocation="concentrated-on-faulty", adversary=AdversarySpec.make("silent"),
+        seed=0, variant="unauthenticated", value_domain=(0, 1),
+    )
+    # f=0 hides the placement: one faulty process shows it is the lowest id
+    (point,), _ = harness.expand_sweep({"schema_version": 1, "axes": {"f": [1]}})
+    assert point.scenario.fault_set == frozenset({1})
+
+
 def test_expansion_dedupes_f_and_reports_infeasible():
     doc = sweep_doc()
     doc["axes"]["f"] = [0, "half", "max"]  # t=1: half==0 duplicates
@@ -236,6 +251,14 @@ def _with_params(protocol, params):
          "key 'params': 'T' is not a param of graded-consensus; it reads no params"),
         (_with_params("classify", {"input": 7}),
          "key 'params': 'input' is not a param of classify; it reads no params"),
+        # a misspelt axis or key, which would otherwise sweep its default
+        (_with_axis("placement", ["spread"]), "unknown axis 'placement'; known: n, t, f,"),
+        (_with_axis("allocaton", ["random"]), "unknown axis 'allocaton'; known: n, t, f,"),
+        (_with_key("param", {"T": 3}), "unknown key 'param'; known: schema_version, protocol,"),
+        # the broadcast signs, so it refuses the unauthenticated variant
+        (_with_params("bb-committee", {"k": 1, "sender": 1}),
+         "key 'params': bb-committee signs its votes and chains, so it needs the"
+         " authenticated variant, got 'unauthenticated'"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -462,12 +485,15 @@ def with_adversary(record, name, params=None):
          "key 'params': 'T' must be at least k+3"),
         (lambda record: dict(record, params={"T": 3}),
          "key 'params': 'T' is not a param of ba-with-predictions; it reads no params"),
+        (lambda record: dict(record, rounds=3), "unknown record key 'rounds'; known:"),
+        (lambda record: dict(record, scenario=dict(record["scenario"], f=0)),
+         "unknown scenario key 'f'; known: n, t, fault_set,"),
     ],
     ids=["index-only", "not-an-object", "scenario-without-t", "scenario-without-seed",
          "scenario-without-value_domain", "schema-1", "unknown-protocol", "unknown-adversary",
          "params-without-k", "params-not-an-object", "crash-round-not-an-int",
          "crash-param-it-does-not-read", "t-over-the-bound", "authenticated-T-below-k-plus-3",
-         "param-it-does-not-read"],
+         "param-it-does-not-read", "unknown-record-key", "unknown-scenario-key"],
 )
 def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
     points, _ = harness.expand_sweep(sweep_doc())
