@@ -41,7 +41,12 @@ unvoidable committer whose broadcast reaches everyone.
 Receivers share broadcast payloads, so the authenticated protocol keeps
 three memos per tag keyed on object identity (is a vote valid, is a commit
 valid, what value and digest a commit proof carries) and two merged views
-(of the vote forwards and of the commit forwards) per set of forwards.
+(of the vote forwards and of the commit forwards) per set of forwards.  A
+receiver's own forward is merged last into the forwards it received.  For
+an honest receiver self-delivery has already put that forward in its inbox
+by reference, so appending it changes neither the set of forwards nor the
+shared view; a faulty member's shadow may lack it, because its strategy may
+replace or withhold what the member sends itself.
 """
 
 from __future__ import annotations
@@ -279,15 +284,13 @@ def _gc_standard_unauth(ctx, value):
 _MULTI = object()  # sentinel: signer seen voting for more than one value
 
 
-def _note_vote(votes_value, vote_bank, entry):
-    signer, val = entry[0], entry[1]
-    known = votes_value.get(signer)
+def _note_vote(votes, entry):
+    """Note a valid vote into `votes` (signer -> its first vote, or _MULTI)."""
+    known = votes.get(entry[0])
     if known is None:
-        votes_value[signer] = val
-        vote_bank[(signer, val)] = entry
-    elif known is not _MULTI and known != val:
-        votes_value[signer] = _MULTI
-        vote_bank[(signer, val)] = entry
+        votes[entry[0]] = entry
+    elif known is not _MULTI and known[1] != entry[1]:
+        votes[entry[0]] = _MULTI
 
 
 def vote_content(tag, value):
@@ -304,41 +307,15 @@ def proof_digest(proof):
     return digest(tuple(e[2] for e in proof))
 
 
-def _commit_choice(votes_value, vote_bank, n, t):
+def _commit_choice(votes, n, t):
     """(value, proof, proof digest) of a non-voided n-t vote quorum, or None."""
-    tally = _count(v for v in votes_value.values() if v is not _MULTI)
+    kept = [e for e in votes.values() if e is not _MULTI]
+    tally = _count(e[1] for e in kept)
     if not tally or max(tally.values()) < n - t:
         return None
     w = plurality_tiebreak([v for v, c in tally.items() if c >= n - t])
-    proof = tuple(
-        sorted(
-            (vote_bank[(s, w)] for s, v in votes_value.items() if v is not _MULTI and v == w),
-            key=lambda e: e[0],
-        )[: n - t]
-    )
+    proof = tuple(sorted((e for e in kept if e[1] == w), key=lambda e: e[0])[: n - t])
     return w, proof, proof_digest(proof)
-
-
-def _votes_cover(votes_value, entries) -> bool:
-    """True if noting `entries` into this vote view would change nothing."""
-    for entry in entries:
-        known = votes_value.get(entry[0])
-        if known is None or (known is not _MULTI and known != entry[1]):
-            return False
-    return True
-
-
-def _commits_cover(commit_values, entries) -> bool:
-    """True if noting `entries` into this commit view would change nothing."""
-    return all(entry[1] in commit_values.get(entry[0], ()) for entry in entries)
-
-
-def _commit_summary(commit_values):
-    """(every committed value, the committers seen committing to more than one)."""
-    return (
-        frozenset(v for vals in commit_values.values() for v in vals),
-        frozenset(s for s, vals in commit_values.items() if len(vals) > 1),
-    )
 
 
 def _gc_standard_auth(ctx, value):
@@ -347,7 +324,7 @@ def _gc_standard_auth(ctx, value):
     tag = ctx.tag
     verify = ctx.signer.verify
     # The `vote`, `commit` and `proof` memos (see `vote_ok`, `commit_ok` and
-    # `proof_of`) and the merged views `vmerge` and `cmerge` (see `vote_view`)
+    # `proof_of`) and the merged views `vmerge` and `cmerge` (see `merged`)
     # key on the identity of shared payload objects; each entry holds its
     # object, keeping the id stable.
     cache = ctx.memo.get(tag)
@@ -420,37 +397,37 @@ def _gc_standard_auth(ctx, value):
     # set of distinct payloads; the view holds them, keeping their ids
     # stable.  Noting a payload twice changes nothing, so each is merged
     # once, in the order of its first occurrence.
-    def vote_view(payloads):
+    def merged(views, payloads, fold):
         distinct = {id(p): p for p in payloads}
         key = tuple(sorted(distinct))
-        view = vmerge.get(key)
+        view = views.get(key)
         if view is None:
-            votes_value: Dict[int, Any] = {}  # signer -> sole value, or _MULTI
-            vote_bank: Dict[Tuple[int, Any], tuple] = {}
-            for payload in distinct.values():
-                for entry in filter(vote_ok, payload):
-                    _note_vote(votes_value, vote_bank, entry)
-            choice = _commit_choice(votes_value, vote_bank, n, t)
-            if choice is not None:
-                proof_memo[id(choice[1])] = (choice[1], (choice[0], choice[2]))
-            view = (payloads, votes_value, choice)
-            vmerge[key] = view
-        return view
+            view = views[key] = (payloads, fold(distinct.values()))
+        return view[1]
 
-    def commit_view(payloads):
-        distinct = {id(p): p for p in payloads}
-        key = tuple(sorted(distinct))
-        view = cmerge.get(key)
-        if view is None:
-            commit_values: Dict[int, frozenset] = {}
-            for payload in distinct.values():
-                for entry in filter(commit_ok, payload):
-                    prev = commit_values.get(entry[0], frozenset())
-                    if entry[1] not in prev:
-                        commit_values[entry[0]] = prev | {entry[1]}
-            view = (payloads, commit_values, _commit_summary(commit_values))
-            cmerge[key] = view
-        return view
+    def vote_fold(payloads):
+        """The commit choice of the valid votes in `payloads`, whose proof
+        it registers with `proof_of`."""
+        votes: Dict[int, Any] = {}
+        for payload in payloads:
+            for entry in filter(vote_ok, payload):
+                _note_vote(votes, entry)
+        choice = _commit_choice(votes, n, t)
+        if choice is not None:
+            proof_memo[id(choice[1])] = (choice[1], (choice[0], choice[2]))
+        return choice
+
+    def commit_fold(payloads):
+        """(every value of a valid commit in `payloads`, the committers seen
+        committing to more than one)."""
+        commit_values: Dict[int, set] = {}
+        for payload in payloads:
+            for entry in filter(commit_ok, payload):
+                commit_values.setdefault(entry[0], set()).add(entry[1])
+        return (
+            frozenset(v for vals in commit_values.values() for v in vals),
+            frozenset(s for s, vals in commit_values.items() if len(vals) > 1),
+        )
 
     # Each round's result is a function of the inbox (and, in rounds 2 and
     # 4, of the receiver's own forward), computed once per inbox object.
@@ -459,16 +436,13 @@ def _gc_standard_auth(ctx, value):
     def direct_votes_of(inbox):
         return tuple(body for _src, body in bodies(inbox, "vote") if vote_ok(body))
 
+    # A receiver's direct votes (and in round 4 its direct commits) are its
+    # own forward, merged last into the forwards it received.  Self-delivery
+    # has already put it in an honest inbox by reference, so the shared view
+    # is unchanged; a shadow's inbox may lack it, because its strategy may
+    # replace or withhold what the member sends itself.
     def choice_of(inbox, own):
-        # A receiver's direct votes are its own forward, which self-delivery
-        # puts in its inbox by reference.  A shadow's inbox may lack it (its
-        # strategy may replace or withhold it); if the shared view does not
-        # already cover those votes, the view is taken with them merged last.
-        fwd_payloads = [body for _src, body in bodies(inbox, "fwd")]
-        view = vote_view(fwd_payloads)
-        if not _votes_cover(view[1], own):
-            view = vote_view(fwd_payloads + [own])
-        return view[2]
+        return merged(vmerge, [body for _src, body in bodies(inbox, "fwd")] + [own], vote_fold)
 
     def direct_commits_of(inbox):
         return tuple(
@@ -477,11 +451,9 @@ def _gc_standard_auth(ctx, value):
 
     def grade_of(inbox, own):
         """(value, grade), or None to keep the input."""
-        cfwd_payloads = [body for _src, body in bodies(inbox, "cfwd")]
-        view = commit_view(cfwd_payloads)
-        if not _commits_cover(view[1], own):
-            view = commit_view(cfwd_payloads + [own])
-        all_commit_values, cvoided = view[2]
+        all_commit_values, cvoided = merged(
+            cmerge, [body for _src, body in bodies(inbox, "cfwd")] + [own], commit_fold
+        )
         per_value = _count(val for signer, val in {(e[0], e[1]) for e in own}
                            if signer not in cvoided)
         if not per_value:
@@ -514,7 +486,7 @@ def _gc_standard_auth(ctx, value):
     own = ctx.per_inbox(inbox, (tag, "commit"), direct_commits_of)
 
     # Round 4: forward direct commits; void double-committers, then grade.
-    # The commit view and its summary are shared the same way.
+    # The commit view is shared the same way.
     inbox = yield ctx.broadcast(("cfwd", own))
     graded = ctx.per_inbox(
         inbox, (tag, "cfwd", id(own)), lambda box: (own, grade_of(box, own))

@@ -486,10 +486,10 @@ def replay_record(record: Dict[str, Any]) -> bool:
 
 def load_records(path: str) -> List[Dict[str, Any]]:
     """The records of a JSON-lines file.  A line that does not hold a
-    record of this schema_version, that holds a key `Record` or `Scenario`
-    has no field for, or whose point names an unknown protocol or adversary
-    strategy or gives either params it cannot run with, raises
-    `ScenarioFileError` naming the line."""
+    record of this schema_version, that lacks a `Record` field or holds a
+    key `Record` or `Scenario` has no field for, or whose point names an
+    unknown protocol or adversary strategy or gives either params it cannot
+    run with, raises `ScenarioFileError` naming the line."""
     records = []
     record_keys = [f.name for f in fields(Record)]
     scenario_keys = [f.name for f in fields(Scenario)]
@@ -514,6 +514,9 @@ def load_records(path: str) -> List[Dict[str, Any]]:
                     f" expected {RECORD_SCHEMA_VERSION}", line=lineno
                 )
             _refuse_unknown("record key", record, record_keys, lineno)
+            for key in record_keys:
+                if key not in record:
+                    raise ScenarioFileError(f"missing record key {key!r}", line=lineno)
             _refuse_unknown("scenario key", record["scenario"], scenario_keys, lineno)
             if point.protocol not in protocol_names():
                 raise ScenarioFileError(f"unknown protocol {point.protocol!r}", line=lineno)

@@ -569,11 +569,13 @@ def test_commit_proof_must_be_the_signed_one(monkeypatch, mode):
 
 
 class UnforwardedVote(Strategy):
-    """Member 5 sends its vote to member 4 only and then forwards nothing;
-    member 4's inbox loses its own forward, so no forward 4 receives
-    carries 5's vote.  Records member 4's round-3 commit."""
+    """Member 5 sends its vote to member 4 only, or to no one when `vote`
+    is "withheld", and then forwards nothing; member 4's inbox loses its
+    own forward, so no forward 4 receives carries 5's vote.  Records member
+    4's round-3 commit."""
 
     name = "unforwarded-vote"
+    PARAMS = {"vote": ("to-4", ("to-4", "withheld").__contains__)}
 
     def __init__(self, params=None):
         super().__init__(params)
@@ -586,6 +588,8 @@ class UnforwardedVote(Strategy):
 
     def transform(self, member, tag, sends, rnd, honest_items, actx):
         if member == 5 and rnd == 1:
+            if self.params["vote"] == "withheld":
+                return []
             return [(member, tag, [(4, sends.payloads[0])])]
         if member == 5 and rnd == 2:
             return []
@@ -595,6 +599,8 @@ class UnforwardedVote(Strategy):
 
 
 def test_shadow_missing_its_own_forward_commits_from_its_direct_votes(monkeypatch):
+    # 5's vote reaches member 4 only through 4's own forward, which the
+    # merged view appends to the forwards 4 received
     made = []
 
     def make(params):
@@ -611,9 +617,10 @@ def test_shadow_missing_its_own_forward_commits_from_its_direct_votes(monkeypatc
     assert (signer, value) == (4, 1)
     assert [e[0] for e in proof] == [2, 3, 5]
 
-    # negative control: reading the shared view alone, member 4 has a 2-2
+    # negative control: with 5's vote withheld as well, member 4 has a 2-2
     # tally and does not commit
-    monkeypatch.setattr(blocks, "_votes_cover", lambda votes_value, entries: True)
+    s = scenario(5, 2, {4, 5}, (0, 1, 1, 0, 1), variant="authenticated",
+                 adversary=AdversarySpec.make("unforwarded-vote", {"vote": "withheld"}))
     run_execution(s, "graded-consensus", {})
     assert made[1].commit is None
 

@@ -259,6 +259,7 @@ def _with_params(protocol, params):
         (_with_params("bb-committee", {"k": 1, "sender": 1}),
          "key 'params': bb-committee signs its votes and chains, so it needs the"
          " authenticated variant, got 'unauthenticated'"),
+        (_with_key("axes", []), "'axes' must be a JSON object"),
     ],
 )
 def test_malformed_sweep_file_is_located(tmp_path, doc, located):
@@ -454,6 +455,10 @@ def without(key):
     )
 
 
+def with_scenario(**changes):
+    return lambda record: dict(record, scenario=dict(record["scenario"], **changes))
+
+
 def with_adversary(record, name, params=None):
     adversary = {"name": name, "params": params or {}}
     return dict(record, scenario=dict(record["scenario"], adversary=adversary))
@@ -488,18 +493,32 @@ def with_adversary(record, name, params=None):
         (lambda record: dict(record, rounds=3), "unknown record key 'rounds'; known:"),
         (lambda record: dict(record, scenario=dict(record["scenario"], f=0)),
          "unknown scenario key 'f'; known: n, t, fault_set,"),
+        (lambda record: {k: v for k, v in record.items() if k != "ok"},
+         "missing record key 'ok'"),
+        (lambda record: "{not json", "(line 2, column 2)"),
+        (with_scenario(n=0), "ConfigurationError('need at least one process')"),
+        (with_scenario(fault_set=[9]), "fault_set contains identifiers outside 1..n"),
+        (with_scenario(seed=-1), "seed must be a 64-bit unsigned integer"),
+        (with_scenario(variant="quantum"), "variant must be one of"),
+        (with_scenario(value_domain=[1, 0]), "value domain must be a sorted set of values"),
+        (with_scenario(error_budget=-1), "error budget must be non-negative"),
     ],
     ids=["index-only", "not-an-object", "scenario-without-t", "scenario-without-seed",
          "scenario-without-value_domain", "schema-1", "unknown-protocol", "unknown-adversary",
          "params-without-k", "params-not-an-object", "crash-round-not-an-int",
          "crash-param-it-does-not-read", "t-over-the-bound", "authenticated-T-below-k-plus-3",
-         "param-it-does-not-read", "unknown-record-key", "unknown-scenario-key"],
+         "param-it-does-not-read", "unknown-record-key", "unknown-scenario-key", "without-ok",
+         "not-json", "n-0", "fault-id-over-n", "negative-seed", "unknown-variant",
+         "descending-domain", "negative-budget"],
 )
 def test_cli_replay_rejects_a_malformed_record_naming_its_line(tmp_path, malformed, message):
+    # a malformed record given as a string is written as the line itself
     points, _ = harness.expand_sweep(sweep_doc())
     record = harness.run_point(points[0])
+    line = malformed(record)
+    line = line if isinstance(line, str) else json.dumps(line)
     records_file = tmp_path / "records.jsonl"
-    records_file.write_text(json.dumps(record) + "\n" + json.dumps(malformed(record)) + "\n")
+    records_file.write_text(json.dumps(record) + "\n" + line + "\n")
     with pytest.raises(ScenarioFileError, match="line 2") as exc:
         harness.load_records(str(records_file))
     assert message in str(exc.value)
