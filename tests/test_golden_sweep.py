@@ -24,7 +24,7 @@ import json
 import random
 from pathlib import Path
 
-from byzpred import adversaries, authtools, engine, harness, predictions
+from byzpred import adversaries, authtools, blocks, engine, harness, predictions
 from byzpred.scenario import AdversarySpec, Scenario
 
 DATA = Path(__file__).parent / "data"
@@ -392,6 +392,44 @@ def test_complement_vectors_as_one_broadcast_give_the_records_of_pair_lists(monk
         reference = [harness.run_point(p) for p in points]
     assert expanded[0] >= 48  # at least one per complement-mode point
     assert [harness.record_bytes(r) for r in reference] == [harness.record_bytes(r) for r in plain]
+
+
+def test_golden_files_replay_with_every_receiver_merging_its_own_view(
+    monkeypatch, delivered_through
+):
+    # The signed graded consensus shares one merged vote view and one merged
+    # commit view, each with the receiver's own forward merged last, among
+    # the receivers of the same forwards, through the execution-wide memo.
+    # Handing every process a private memo, so that every receiver folds its
+    # own views, must give the golden records, and so must the same with
+    # every receiver on a copy of its own inbox.
+    folds = [0]
+    commit_choice = blocks._commit_choice
+
+    def counting(votes, n, t):
+        folds[0] += 1
+        return commit_choice(votes, n, t)
+
+    monkeypatch.setattr(blocks, "_commit_choice", counting)
+    check_replays_byte_identical("golden_sweep", 72)
+    shared = folds[0]
+
+    folds[0] = 0
+    for name, factory in list(engine._PROTOCOLS.items()):
+
+        def private(ctx, scenario, params, factory=factory):
+            ctx.memo = {}
+            return factory(ctx, scenario, params)
+
+        monkeypatch.setitem(engine._PROTOCOLS, name, private)
+    check_replays_byte_identical("golden_sweep", 72)
+    check_replays_byte_identical("golden_order", 64)
+    private_memo = folds[0]
+    folds[0] = 0
+    with delivered_through(lambda ctx, inbox: list(inbox)):
+        check_replays_byte_identical("golden_sweep", 72)
+    # not vacuous: each step shares fewer views, so more receivers fold
+    assert shared > 100 and private_memo > shared and folds[0] > 4 * shared
 
 
 def validate_every_chain_absorb(self, j, chains):
